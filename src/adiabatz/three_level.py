@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .dynamics import _chain_product
 
@@ -169,16 +169,18 @@ def _propagate(times: np.ndarray, w: np.ndarray, energies: np.ndarray,
     return _chain_product(steps)
 
 
-def _subspace_error(m: np.ndarray, target: RotationTarget) -> float:
+def _subspace_residual(m: np.ndarray, target: RotationTarget) -> np.ndarray:
+    """(m - tr(V^dag m) V / 2) / ||m||_F as 8 reals; V is unitary, so the
+    squared norm is 1 - |tr(V^dag m)|^2 / (2 tr(m^dag m)).
+    """
     a = target.angle / 2.0
-    v = np.array(
-        [[math.cos(a), -1j * math.sin(a)], [-1j * math.sin(a), math.cos(a)]],
-        dtype=complex,
-    )
-    overlap = abs(np.trace(v.conj().T @ m)) ** 2
-    weight = float(np.trace(m.conj().T @ m).real)
-    # roundoff can push a perfect rotation epsilon below zero
-    return max(0.0, float(1.0 - overlap / (2.0 * weight)))
+    v = math.cos(a) * np.eye(2) - 1j * math.sin(a) * np.array([[0.0, 1.0], [1.0, 0.0]])
+    r = (m - 0.5 * np.vdot(v, m) * v) / np.linalg.norm(m)
+    return np.concatenate([r.real.ravel(), r.imag.ravel()])
+
+
+def _subspace_error(m: np.ndarray, target: RotationTarget) -> float:
+    return float(np.sum(_subspace_residual(m, target) ** 2))
 
 
 def evolve_three_level(
@@ -235,7 +237,8 @@ def calibrate_pulse(
     shape is the unit-amplitude envelope; the returned amplitude multiplies
     it.  levels=2 truncates to the qubit subspace with the plain in-phase
     envelope (the delta -> -inf limit), where the area theorem fixes the
-    answer and serves as a sanity anchor.  Nelder-Mead simplex search,
+    answer and serves as a sanity anchor.  Levenberg-Marquardt on the
+    qubit-block residual off the target rotation (see _subspace_residual),
     seeded by the area theorem and the mean Stark shift; if the target
     error is unattainable the best point found is returned with
     converged=False.
@@ -260,35 +263,30 @@ def calibrate_pulse(
             drive_phase=phase,
         )
 
-    def qubit_error(params) -> float:
+    def evolve(params) -> ThreeLevelResult:
+        if levels == 3:
+            return evolve_three_level(build(params), target, n_steps)
         amp, det, phase = params
-        if levels == 2:
-            w = amp * shape * np.exp(1j * phase)
-            u = _propagate(times, w, np.array([0.0, -det]), (1.0,), n_steps)
-            return _subspace_error(u, target)
-        return evolve_three_level(build(params), target, n_steps).qubit_subspace_error
+        w = amp * shape * np.exp(1j * phase)
+        u = _propagate(times, w, np.array([0.0, -det]), (1.0,), n_steps)
+        return ThreeLevelResult(u, 0.0, _subspace_error(u, target))
 
     det0 = 0.0
     if levels == 3:
         det0 = float(np.mean(stark_shift(amp0 * shape, drag_d, delta)))
-    x0 = np.array([amp0, det0, 0.0])
-    options = dict(xatol=1e-11, fatol=1e-16, maxiter=4000, maxfev=6000)
-    best = minimize(qubit_error, x0, method="Nelder-Mead", options=options)
-    # restart once from the found point: a fresh simplex escapes the
-    # shrunken one and polishes the last digits
-    again = minimize(qubit_error, best.x, method="Nelder-Mead", options=options)
-    if again.fun < best.fun:
-        best = again
-    amp, det, phase = (float(v) for v in best.x)
-    err2 = 0.0
-    if levels == 3:
-        err2 = evolve_three_level(build(best.x), target, n_steps).err2_avg
+    fit = least_squares(
+        lambda p: _subspace_residual(evolve(p).unitary[:2, :2], target),
+        np.array([amp0, det0, 0.0]),
+        method="lm",
+    )
+    final = evolve(fit.x)
+    amp, det, phase = (float(v) for v in fit.x)
     return CalibrationResult(
         amplitude=amp,
         detuning=det,
         phase=phase,
-        qubit_subspace_error=float(best.fun),
-        err2_avg=err2,
-        converged=bool(best.fun <= error_target),
-        pulse=build(best.x),
+        qubit_subspace_error=final.qubit_subspace_error,
+        err2_avg=final.err2_avg,
+        converged=bool(final.qubit_subspace_error <= error_target),
+        pulse=build(fit.x),
     )

@@ -121,6 +121,25 @@ def test_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_drag_sweep_two_level_area_theorem(tmp_path):
+    n, t_p = 128, 2.5
+    cfg = write_config(
+        tmp_path, {"drag_d_list": [0.0], "levels": 2, "n_envelope_samples": n}
+    )
+    outs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(["drag-sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        outs.append((out / "drag-sweep.csv").read_bytes())
+    assert outs[0] == outs[1]
+    cols, data = load_table(tmp_path / "a" / "drag-sweep.csv")
+    row = dict(zip(cols, data[0]))
+    t = np.linspace(0.0, t_p, n)
+    area = np.trapezoid(1.0 - np.cos(2.0 * np.pi * t / t_p), t)
+    assert row["amplitude_rad_per_time"] == pytest.approx(np.pi / area, rel=1e-6)
+    assert row["converged"] == 1.0
+
+
 def test_lz_sweep_tracks_formula(tmp_path):
     cfg = write_config(
         tmp_path,

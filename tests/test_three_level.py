@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adiabatz import three_level
 from adiabatz.spectral import fourier_integral
 from adiabatz.three_level import (
     RotationTarget,
@@ -103,6 +106,45 @@ def test_three_level_plain_pulse_calibration():
     shift = float(np.mean(stark_shift(cal.amplitude * x, 0.0, DELTA)))
     assert shift > 0
     assert 0.3 * shift < cal.detuning < 3.0 * shift
+
+
+def test_calibration_work_count(monkeypatch):
+    # criterion 09 at D = 0, where a derivative-free simplex search stalls
+    # (6390 propagations at this resolution)
+    calls = []
+    propagate = three_level._propagate
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(three_level, "_propagate", counted)
+    shape = 1.0 - np.cos(2.0 * np.pi * np.linspace(0.0, 1.0, 512))
+    cal = calibrate_pulse(
+        shape, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, n_steps=112
+    )
+    assert len(calls) <= 100
+    assert cal.qubit_subspace_error < 1e-6
+    assert cal.err2_avg == pytest.approx(7.425e-4, rel=1e-2)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    target=st.sampled_from(RotationTarget),
+)
+def test_subspace_error_matches_closed_form(seed, phase, target):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    u, _ = np.linalg.qr(z)
+    m = np.exp(1j * phase) * u[:2, :2]
+    c, s = np.cos(target.angle / 2.0), np.sin(target.angle / 2.0)
+    v = np.array([[c, -1j * s], [-1j * s, c]])
+    closed = 1.0 - abs(np.trace(v.conj().T @ m)) ** 2 / (
+        2.0 * np.trace(m.conj().T @ m).real
+    )
+    assert three_level._subspace_error(m, target) == pytest.approx(closed, abs=1e-12)
 
 
 def test_pulse_validation():
