@@ -13,7 +13,6 @@ from .adiabatic_error import (
 )
 from .dynamics import (
     EvolutionResult,
-    PopulationFrame,
     TwoLevelState,
     evolve_two_level_direct,
     evolve_two_level_exact,

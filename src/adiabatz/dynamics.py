@@ -2,16 +2,15 @@
 
 Two independent formulations of the same evolution serve as mutual checks.
 The first integrates the instantaneous-eigenbasis amplitude product
-u = alpha* beta with fixed-step RK4; the second multiplies per-step matrix
-exponentials of the lab-frame 2x2 Hamiltonian.  Both derive the Hamiltonian
-from theta(t) and h_x alone; a pinned omega field on the trajectory is a
-linearized-analysis device and is ignored here.
+u = alpha* beta with fixed-step RK4; the second chains per-step SU(2)
+exponentials of the lab-frame 2x2 Hamiltonian as unit quaternions.  Both
+derive the Hamiltonian from theta(t) and h_x alone; a pinned omega field on
+the trajectory is a linearized-analysis device and is ignored here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 
 import numpy as np
@@ -21,7 +20,6 @@ from .geometry import excited_state, ground_state
 from .waveform import SampledTrajectory
 
 __all__ = [
-    "PopulationFrame",
     "TwoLevelState",
     "EvolutionResult",
     "evolve_two_level_exact",
@@ -35,10 +33,6 @@ NORM_DRIFT_TOL = 1e-9
 PHASE_PER_STEP = 0.0125
 
 
-class PopulationFrame(enum.Enum):
-    MOVING_EIGENBASIS = "moving-eigenbasis"
-
-
 @dataclasses.dataclass(frozen=True)
 class TwoLevelState:
     """State summary in the instantaneous-eigenbasis frame.
@@ -49,7 +43,6 @@ class TwoLevelState:
     """
 
     ab_product: complex
-    population_frame: PopulationFrame = PopulationFrame.MOVING_EIGENBASIS
     amplitudes: tuple | None = None
 
     def __post_init__(self):
@@ -156,48 +149,21 @@ def evolve_two_level_direct(
     traj: SampledTrajectory,
     n_steps: int | None = None,
     initial_state: np.ndarray | None = None,
-    method: str = "gauss",
 ) -> EvolutionResult:
-    """Matrix-exponential stepping of the lab-frame 2x2 Hamiltonian.
-
-    Each step applies the exact exponential of an effective constant
-    Hamiltonian for its interval: "gauss" combines the two Gauss-node field
-    values into a fourth-order generator, "midpoint" holds the midpoint
-    field (second order).  initial_state overrides the default instantaneous
-    ground state at t = 0 (lab-frame amplitudes), e.g. for sudden quenches.
+    """Fourth-order exact-exponential stepping of the lab-frame 2x2
+    Hamiltonian on the SU(2) quaternion kernel (_su2_propagator).
+    initial_state overrides the default instantaneous ground state at t = 0
+    (lab-frame amplitudes), e.g. for sudden quenches.
 
     P_e is the population of the instantaneous excited eigenstate at t_p.
     """
     n = _n_steps(traj, n_steps)
     h = traj.t_p / n
-    h_x = traj.h_x
-    hz = CubicSpline(traj.times, h_x / np.tan(traj.theta))
     mid = traj.times[0] + (np.arange(n) + 0.5) * h
-    if method == "gauss":
-        off = h / (2.0 * math.sqrt(3.0))
-        z1 = hz(mid - off)
-        z2 = hz(mid + off)
-        v_x = np.full(n, h * h_x)
-        v_y = -(math.sqrt(3.0) * h * h / 6.0) * h_x * (z1 - z2)
-        v_z = (h / 2.0) * (z1 + z2)
-    elif method == "midpoint":
-        zm = hz(mid)
-        v_x = np.full(n, h * h_x)
-        v_y = np.zeros(n)
-        v_z = h * zm
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    # exp(-i v.sigma) = cos|v| - i sin|v| (v.sigma)/|v|
-    mag = np.sqrt(v_x**2 + v_y**2 + v_z**2)
-    c = np.cos(mag)
-    s = np.sin(mag) / mag  # mag > 0 always: v_x = h*h_x > 0
-    steps = np.empty((n, 2, 2), dtype=complex)
-    steps[:, 0, 0] = c - 1j * s * v_z
-    steps[:, 0, 1] = -1j * s * v_x - s * v_y
-    steps[:, 1, 0] = -1j * s * v_x + s * v_y
-    steps[:, 1, 1] = c + 1j * s * v_z
-    u_total = _chain_product(steps)
+    z1, z2 = CubicSpline(traj.times, traj.h_x / np.tan(traj.theta))(
+        mid + np.array([[-1.0], [1.0]]) * h / (2.0 * math.sqrt(3.0))
+    )
+    u_total = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h)
 
     psi0 = ground_state(traj.theta[0]) if initial_state is None else np.asarray(
         initial_state, dtype=complex
@@ -217,13 +183,27 @@ def evolve_two_level_direct(
     )
 
 
-def _chain_product(steps: np.ndarray) -> np.ndarray:
-    """Time-ordered product steps[n-1] @ ... @ steps[0] by pairwise halving."""
-    u = steps
-    while len(u) > 1:
-        n2 = len(u) // 2
-        paired = u[1 : 2 * n2 : 2] @ u[0 : 2 * n2 : 2]
-        if len(u) % 2:
-            paired = np.concatenate([paired, u[-1:]], axis=0)
-        u = paired
-    return u[0]
+def _su2_propagator(f1, f2, h: float) -> np.ndarray:
+    """Time-ordered 2x2 propagator of H(t) = f(t).sigma from Gauss-node fields.
+
+    f1, f2 = (f_x, f_y, f_z) at the two Gauss nodes of each step (arrays, or
+    scalars that broadcast).  Step k is exp(-i v.sigma) with v = (h/2)(f1 + f2)
+    + (sqrt(3) h^2/6)(f2 x f1), the unit quaternion a - i(b, c, d).sigma held
+    as alpha = a - i d, beta = c - i b; the steps are chained by the Hamilton
+    product in that form, later step on the left, pairwise over the arrays.
+    """
+    (f1x, f1y, f1z), (f2x, f2y, f2z) = f1, f2
+    k = math.sqrt(3.0) * h * h / 6.0
+    v_x = (h / 2.0) * (f1x + f2x) + k * (f2y * f1z - f2z * f1y)
+    v_y = (h / 2.0) * (f1y + f2y) + k * (f2z * f1x - f2x * f1z)
+    v_z = (h / 2.0) * (f1z + f2z) + k * (f2x * f1y - f2y * f1x)
+    mag = np.sqrt(v_x**2 + v_y**2 + v_z**2)
+    # sin|v|/|v|; where v = 0 the vector part is 0 whatever the factor
+    s = np.divide(np.sin(mag), mag, out=np.ones_like(mag), where=mag > 0.0)
+    alpha, beta = np.cos(mag) - 1j * (s * v_z), s * (v_y - 1j * v_x)
+    while len(alpha) > 1:
+        if len(alpha) % 2:
+            alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
+        a1, a2, b1, b2 = alpha[0::2], alpha[1::2], beta[0::2], beta[1::2]
+        alpha, beta = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+    return np.array([[alpha[0], -beta[0].conj()], [beta[0], alpha[0].conj()]])

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import least_squares
 
-from .dynamics import _chain_product
+from .dynamics import PHASE_PER_STEP, _su2_propagator
 
 __all__ = [
     "ThreeLevelPulse",
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-9
-PHASE_PER_STEP = 0.0125
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,23 +130,26 @@ def stark_shift(x, drag_d: float, delta: float):
     return -(1.0 + 2.0 * drag_d) * x**2 / (2.0 * delta)
 
 
+def _gauss_nodes(times: np.ndarray, w: np.ndarray, max_energy: float, n_steps: int | None):
+    """Step length h and the drive at the two Gauss nodes of each step."""
+    t_p = float(times[-1] - times[0])
+    if n_steps is None:
+        rate = max_energy + float(np.max(np.abs(w)))
+        n_steps = max(1024, int(np.ceil(t_p * rate / PHASE_PER_STEP)))
+    h = t_p / n_steps
+    mid = times[0] + (np.arange(n_steps) + 0.5) * h
+    w1, w2 = CubicSpline(times, w)(mid + np.array([[-1.0], [1.0]]) * h / (2 * math.sqrt(3)))
+    return h, w1, w2
+
+
 def _propagate(times: np.ndarray, w: np.ndarray, energies: np.ndarray,
                couplings: tuple, n_steps: int | None) -> np.ndarray:
     """Gauss two-node effective-Hamiltonian stepping for a driven ladder."""
-    t_p = float(times[-1] - times[0])
     dim = len(energies)
-    w_spline = CubicSpline(times, w)
-    if n_steps is None:
-        rate = float(np.max(np.abs(energies)) + np.max(np.abs(w)))
-        n_steps = max(1024, int(np.ceil(t_p * rate / PHASE_PER_STEP)))
-    h = t_p / n_steps
-    off = h / (2.0 * math.sqrt(3.0))
-    mid = times[0] + (np.arange(n_steps) + 0.5) * h
-    w1 = w_spline(mid - off)
-    w2 = w_spline(mid + off)
+    h, w1, w2 = _gauss_nodes(times, w, float(np.max(np.abs(energies))), n_steps)
 
     def ladder(wv):
-        ham = np.zeros((n_steps, dim, dim), dtype=complex)
+        ham = np.zeros((len(wv), dim, dim), dtype=complex)
         for k in range(dim):
             ham[:, k, k] = energies[k]
         for j, g in enumerate(couplings):
@@ -167,6 +169,23 @@ def _propagate(times: np.ndarray, w: np.ndarray, energies: np.ndarray,
         vecs.transpose(0, 2, 1)
     )
     return _chain_product(steps)
+
+
+def _chain_product(steps: np.ndarray) -> np.ndarray:
+    """Time-ordered product steps[n-1] @ ... @ steps[0] by pairwise halving."""
+    while len(steps) > 1:
+        if len(steps) % 2:
+            steps = np.concatenate([steps, np.eye(steps.shape[1])[None]])
+        steps = steps[1::2] @ steps[0::2]
+    return steps[0]
+
+
+def _qubit_unitary(times: np.ndarray, w: np.ndarray, det: float, n_steps: int | None):
+    """_propagate for diag(0, -det) on the SU(2) kernel; the Hamiltonian is
+    (Re w/2, -Im w/2, det/2).sigma - det/2, the last term a global phase."""
+    h, w1, w2 = _gauss_nodes(times, w, abs(det), n_steps)
+    f1, f2 = ((wn.real / 2.0, -wn.imag / 2.0, det / 2.0) for wn in (w1, w2))
+    return np.exp(0.5j * det * float(times[-1] - times[0])) * _su2_propagator(f1, f2, h)
 
 
 def _subspace_residual(m: np.ndarray, target: RotationTarget) -> np.ndarray:
@@ -219,6 +238,7 @@ class CalibrationResult:
     qubit_subspace_error: float
     err2_avg: float
     converged: bool
+    optimizer_success: bool
     pulse: ThreeLevelPulse
 
 
@@ -241,7 +261,7 @@ def calibrate_pulse(
     qubit-block residual off the target rotation (see _subspace_residual),
     seeded by the area theorem and the mean Stark shift; if the target
     error is unattainable the best point found is returned with
-    converged=False.
+    converged=False (optimizer_success is the least-squares status).
     """
     if levels not in (2, 3):
         raise ValueError("levels must be 2 or 3")
@@ -267,8 +287,7 @@ def calibrate_pulse(
         if levels == 3:
             return evolve_three_level(build(params), target, n_steps)
         amp, det, phase = params
-        w = amp * shape * np.exp(1j * phase)
-        u = _propagate(times, w, np.array([0.0, -det]), (1.0,), n_steps)
+        u = _qubit_unitary(times, amp * shape * np.exp(1j * phase), det, n_steps)
         return ThreeLevelResult(u, 0.0, _subspace_error(u, target))
 
     det0 = 0.0
@@ -288,5 +307,6 @@ def calibrate_pulse(
         qubit_subspace_error=final.qubit_subspace_error,
         err2_avg=final.err2_avg,
         converged=bool(final.qubit_subspace_error <= error_target),
+        optimizer_success=bool(fit.success),
         pulse=build(fit.x),
     )

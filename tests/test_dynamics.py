@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from adiabatz.adiabatic_error import landau_zener_error
 from adiabatz.dynamics import (
     TwoLevelState,
+    _su2_propagator,
     evolve_two_level_direct,
     evolve_two_level_exact,
 )
@@ -73,19 +77,6 @@ def test_fourth_order_convergence():
         assert np.all(slopes > 3.2), (evolve.__name__, errs, slopes)
 
 
-def test_midpoint_method_is_second_order():
-    traj = smooth_sweep(t_p=12.0, n=513)
-    ref = evolve_two_level_direct(traj, n_steps=32768).p_e
-    errs = [
-        abs(evolve_two_level_direct(traj, n_steps=n, method="midpoint").p_e - ref)
-        for n in (1024, 2048, 4096)
-    ]
-    slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all((slopes > 1.5) & (slopes < 2.6)), (errs, slopes)
-    # and the two-node variant is far more accurate at equal step count
-    assert abs(evolve_two_level_direct(traj, n_steps=1024).p_e - ref) < errs[0] / 10
-
-
 def test_landau_zener_ramp_matches_formula():
     rate = 0.341
     traj = lz_ramp(10.0, rate)
@@ -129,5 +120,49 @@ def test_argument_validation():
     traj = constant_theta(0.7, n=17)
     with pytest.raises(ValueError):
         evolve_two_level_direct(traj, n_steps=0)
-    with pytest.raises(ValueError):
-        evolve_two_level_direct(traj, method="euler")
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+# random Gauss-node fields (3, n) for 1-257 steps of length h
+random_steps = st.tuples(
+    st.integers(0, 2**32 - 1), st.integers(1, 257), st.floats(0.01, 0.5)
+).map(lambda a: (*np.random.default_rng(a[0]).normal(size=(2, 3, a[1])), a[2]))
+
+
+def sequential_product(f1, f2, h):
+    # one expm per step of the two-node generator (h/2)(H1 + H2)
+    # - i (sqrt(3) h^2/12)[H2, H1], multiplied in time order
+    u = np.eye(2, dtype=complex)
+    for g1, g2 in zip(f1.T, f2.T):
+        h1, h2 = np.tensordot(g1, PAULI, 1), np.tensordot(g2, PAULI, 1)
+        comm = h2 @ h1 - h1 @ h2
+        u = expm(-1j * ((h / 2) * (h1 + h2) - 1j * (np.sqrt(3) * h * h / 12) * comm)) @ u
+    return u
+
+
+@settings(deadline=None, max_examples=50)
+@given(random_steps)
+def test_su2_chain_matches_sequential_product(steps):
+    f1, f2, h = steps
+    assert np.max(np.abs(_su2_propagator(f1, f2, h) - sequential_product(f1, f2, h))) < 1e-13
+
+
+@settings(deadline=None)
+@given(random_steps)
+def test_su2_chain_is_unit_quaternion(steps):
+    # [[a - i d, -c - i b], [c - i b, a + i d]]: the first column holds the
+    # quaternion, so a^2 + b^2 + c^2 + d^2 is its squared norm
+    u = _su2_propagator(*steps)
+    assert np.sum(np.abs(u[:, 0]) ** 2) == pytest.approx(1.0, abs=1e-13)
+
+
+@settings(deadline=None)
+@given(random_steps)
+def test_su2_chain_time_reversal(steps):
+    # H(t) followed by -H(T - t): each reversed step (nodes swapped and
+    # negated) is the conjugate of its forward step, so the whole is 1
+    f1, f2, h = steps
+    back1, back2 = -f2[:, ::-1], -f1[:, ::-1]
+    u = _su2_propagator(np.hstack([f1, back1]), np.hstack([f2, back2]), h)
+    assert np.max(np.abs(u - np.eye(2))) < 1e-13
