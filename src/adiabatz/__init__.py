@@ -58,6 +58,7 @@ from .waveform import (
     derivative_waveform,
     eval_fourier,
     hanning_window,
+    linear_ramp_trajectory,
     rectangular_window,
     sample_trajectory,
     slepian_window,

@@ -38,6 +38,7 @@ from .waveform import (
     BasisMode,
     SampledTrajectory,
     derivative_waveform,
+    linear_ramp_trajectory,
     sample_trajectory,
     theta_waveform,
 )
@@ -253,20 +254,6 @@ def _run_error_curve(params: dict, seed: int):
     return columns, np.column_stack([grid / T_X, grid, curve.p_e]).tolist()
 
 
-def _linear_ramp_trajectory(span: float, rate: float, n_samples: int) -> SampledTrajectory:
-    t_p = 2.0 * span / rate
-    t = np.linspace(0.0, t_p, n_samples)
-    h_z = span - rate * t
-    return SampledTrajectory(
-        times=t,
-        theta=np.arctan2(1.0, h_z),
-        dtheta_dt=rate / (1.0 + h_z**2),
-        h_z=h_z,
-        omega=2.0 * np.sqrt(1.0 + h_z**2),
-        h_x=1.0,
-    )
-
-
 def _run_lz_sweep(params: dict, seed: int):
     _reject_unknown(
         params,
@@ -286,7 +273,7 @@ def _run_lz_sweep(params: dict, seed: int):
         rates = np.linspace(r_lo, r_hi, n_points)
     rows = []
     for rate in rates:
-        traj = _linear_ramp_trajectory(span, rate, n_samples)
+        traj = linear_ramp_trajectory(span, rate, n_samples)
         rows.append(
             [rate, evolve_two_level_direct(traj).p_e, landau_zener_error(1.0, rate)]
         )

@@ -4,8 +4,11 @@ The spectral objective integrates the waveform's power spectral density
 above a band edge, with the edge realized as a narrow logistic ramp rather
 than a hard step (the soft edge keeps the quadratic form well conditioned
 and reproduces the published optima; see the closed-form basis transforms
-below).  Exact-dynamics objectives score candidate waveforms by remapping
-them onto lab time and integrating the Schroedinger equation.
+below).  It is a quadratic form in the coefficients and the endpoint
+constraint is linear, so its optimum is one linear least-squares solve.
+Exact-dynamics objectives score candidate waveforms by remapping them onto
+lab time and integrating the Schroedinger equation; they are searched by a
+restarted simplex.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy.optimize import minimize
 from .dynamics import evolve_two_level_direct
 from .geometry import omega_from_theta, theta_from_fields
 from .remap import remapped_trajectory
-from .waveform import BasisMode, FourierWaveform, SampledTrajectory, slepian_window
+from .waveform import BasisMode, FourierWaveform, SampledTrajectory
 
 __all__ = [
     "CZ_ROUNDING_SIGMA_PERIODS",
@@ -77,8 +80,9 @@ class Objective:
         if self.convolution_sigma < 0:
             raise ValueError("convolution_sigma must be >= 0")
         if self.kind is ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF:
-            if self.cutoff is None or self.cutoff <= 0:
-                raise ValueError("spectral objective needs cutoff > 0")
+            # the u grid runs from the band edge + 5 up to U_MAX
+            if self.cutoff is None or not 0 < self.cutoff < U_MAX - 5.0:
+                raise ValueError(f"spectral objective needs 0 < cutoff < {U_MAX - 5.0:g}")
             if self.convolution_sigma != 0:
                 raise ValueError(
                     "convolution is a lab-time effect; not defined for the "
@@ -94,10 +98,14 @@ class Objective:
 
 @dataclasses.dataclass(frozen=True)
 class OptimizationReport:
+    """Search outcome; rejected counts the candidates the exact objective
+    scored 1.0 because building or propagating them raised."""
+
     coefficients: np.ndarray
     objective_value: float
     iterations: int
     converged: bool
+    rejected: int = 0
 
 
 def basis_transform(u, n: int, mode: BasisMode) -> np.ndarray:
@@ -145,10 +153,24 @@ class _SpectralObjective:
         quad[1:-1] = (du[1:] + du[:-1]) / 2.0
         self._weighted = quad * _band_weight(u, objective.cutoff)
         self._basis = basis
+        self._mode = mode
 
     def __call__(self, lam: np.ndarray) -> float:
         amp = self._basis @ lam
         return float(self._weighted @ (amp * amp))
+
+    def minimizer(self, c: float) -> np.ndarray:
+        """Least band power subject to a.lam = c, lambda_1 eliminated: the
+        weighted amplitude is affine in the free terms, so the optimum is one
+        least-squares solve on sqrt(w) B (conditioned like B, not like
+        B^T diag(w) B; never above the one-term window, free = 0)."""
+        n_m = self._basis.shape[1]
+        a = _constraint_row(self._mode, n_m)
+        root = np.sqrt(self._weighted)
+        first = root * self._basis[:, 0] / a[0]
+        design = root[:, None] * self._basis[:, 1:] - np.outer(first, a[1:])
+        free, *_ = np.linalg.lstsq(design, -c * first, rcond=None)
+        return _assemble(self._mode, free, n_m, c)
 
 
 class _ExactObjective:
@@ -162,6 +184,7 @@ class _ExactObjective:
             self._grid = np.array([lo])
         else:
             self._grid = np.linspace(lo, hi, objective.window_points)
+        self.rejected = 0
 
     def __call__(self, lam: np.ndarray) -> float:
         obj = self._obj
@@ -178,16 +201,18 @@ class _ExactObjective:
                     traj = convolve_trajectory(traj, obj.convolution_sigma)
                 p_e = evolve_two_level_direct(traj).p_e
             except (ValueError, RuntimeError):
+                self.rejected += 1
                 return 1.0
             if p_e > worst:
                 worst = p_e
         return worst
 
 
-def _make_objective(objective: Objective, mode: BasisMode, n_m: int):
-    if objective.kind is ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF:
-        return _SpectralObjective(objective, mode, n_m)
-    return _ExactObjective(objective, mode, n_m)
+def _constraint_row(mode: BasisMode, n_m: int) -> np.ndarray:
+    # a with a.lam = theta_f - theta_i at unit duration (constraint_residual)
+    if mode is BasisMode.DERIVATIVE:
+        return np.ones(n_m)
+    return 2.0 * (np.arange(n_m) % 2 == 0)
 
 
 def _assemble(mode: BasisMode, free: np.ndarray, n_m: int, constraint_value: float) -> np.ndarray:
@@ -201,21 +226,6 @@ def _assemble(mode: BasisMode, free: np.ndarray, n_m: int, constraint_value: flo
     return lam
 
 
-def _slepian_seed(n_m: int, cutoff: float) -> np.ndarray:
-    """Least-squares fit of the concentration-optimal window onto the basis.
-
-    The optimal spectral window is well approximated by a few cosine terms,
-    so its projection is an excellent simplex seed; the search still owns
-    the final answer.  Derivative basis only.
-    """
-    t = np.linspace(0.0, 1.0, 1024)
-    target = slepian_window(1024, cutoff)
-    n = np.arange(1, n_m + 1)
-    basis = 1.0 - np.cos(2.0 * np.pi * np.outer(t, n))
-    lam, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    return lam / lam.sum()
-
-
 def optimize_coefficients(
     n_m: int,
     mode: BasisMode,
@@ -224,45 +234,41 @@ def optimize_coefficients(
     seed: int = 0,
     max_iterations: int = 4000,
 ) -> OptimizationReport:
-    """Simplex search over the (n_m - 1)-dimensional constrained subspace.
+    """Coefficients minimizing the objective under the endpoint constraint.
 
-    lambda_1 is solved out of the endpoint constraint, so every candidate
-    satisfies it exactly.  Eight seeded restarts: a flat start (the one-term
-    waveform), a concentration-window projection when the objective is
-    spectral, deterministic single-coordinate spokes when it is exact
-    dynamics (that landscape is multimodal and the useful basins sit well
-    away from zero), and random perturbations from the given seed.  Returns
-    the best restart; converged reflects the simplex termination status of
-    the winning restart.
+    lambda_1 is solved out of the endpoint constraint, so the result
+    satisfies it exactly.  The spectral band power is a quadratic form with a
+    linear constraint, so its optimum is one linear solve (seed and
+    max_iterations go unused; iterations 0, converged True).  Exact
+    objectives get a simplex search over the n_m - 1 free coefficients with
+    eight seeded restarts: a flat start (the one-term waveform),
+    deterministic single-coordinate spokes (that landscape is multimodal and
+    the useful basins sit well away from zero), and random perturbations
+    from the given seed.  Returns the best restart; converged reflects the
+    simplex termination status of the winning restart.
     """
     if n_m < 1:
         raise ValueError("n_m must be >= 1")
-    value = _make_objective(objective, mode, n_m)
+    if objective.kind is ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF:
+        value = _SpectralObjective(objective, mode, n_m)
+        lam = value.minimizer(constraint_value)
+        return OptimizationReport(lam, value(lam), iterations=0, converged=True)
+    value = _ExactObjective(objective, mode, n_m)
     if n_m == 1:
         lam = _assemble(mode, np.empty(0), 1, constraint_value)
-        return OptimizationReport(
-            coefficients=lam,
-            objective_value=value(lam),
-            iterations=0,
-            converged=True,
-        )
+        return OptimizationReport(lam, value(lam), 0, True, value.rejected)
 
     rng = np.random.default_rng(seed)
     scale = 0.05 * max(1.0, abs(constraint_value))
+    # exact-error landscapes carry several basins at O(constraint) distance
+    # from the origin; probe each free coordinate both ways
     starts = [np.zeros(n_m - 1)]
-    if objective.kind is ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF:
-        if mode is BasisMode.DERIVATIVE:
-            seed_fit = _slepian_seed(n_m, objective.cutoff) * constraint_value
-            starts.append(seed_fit[1:])
-    else:
-        # exact-error landscapes carry several basins at O(constraint)
-        # distance from the origin; probe each free coordinate both ways
-        spoke = 0.25 * abs(constraint_value)
-        for i in range(min(n_m - 1, 2)):
-            for sign in (-1.0, 1.0):
-                e = np.zeros(n_m - 1)
-                e[i] = sign * spoke
-                starts.append(e)
+    spoke = 0.25 * abs(constraint_value)
+    for i in range(min(n_m - 1, 2)):
+        for sign in (-1.0, 1.0):
+            e = np.zeros(n_m - 1)
+            e[i] = sign * spoke
+            starts.append(e)
     while len(starts) < RESTARTS:
         starts.append(rng.normal(0.0, scale, n_m - 1))
 
@@ -283,10 +289,7 @@ def optimize_coefficients(
             best = res
     lam = _assemble(mode, best.x, n_m, constraint_value)
     return OptimizationReport(
-        coefficients=lam,
-        objective_value=float(best.fun),
-        iterations=iterations,
-        converged=bool(best.success),
+        lam, float(best.fun), iterations, bool(best.success), value.rejected
     )
 
 
@@ -376,13 +379,8 @@ def optimize_cz_pulse(
     )
     if theta_f == theta_i:
         lam = np.zeros(n_coeffs)
-        value = _make_objective(objective, BasisMode.THETA, n_coeffs)
-        return OptimizationReport(
-            coefficients=lam,
-            objective_value=value(lam),
-            iterations=0,
-            converged=True,
-        )
+        value = _ExactObjective(objective, BasisMode.THETA, n_coeffs)
+        return OptimizationReport(lam, value(lam), 0, True, value.rejected)
     return optimize_coefficients(
         n_coeffs,
         BasisMode.THETA,

@@ -136,6 +136,8 @@ def _gauss_nodes(times: np.ndarray, w: np.ndarray, max_energy: float, n_steps: i
     if n_steps is None:
         rate = max_energy + float(np.max(np.abs(w)))
         n_steps = max(1024, int(np.ceil(t_p * rate / PHASE_PER_STEP)))
+    elif n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     h = t_p / n_steps
     mid = times[0] + (np.arange(n_steps) + 0.5) * h
     w1, w2 = CubicSpline(times, w)(mid + np.array([[-1.0], [1.0]]) * h / (2 * math.sqrt(3)))

@@ -38,6 +38,7 @@ __all__ = [
     "SampledTrajectory",
     "sample_trajectory",
     "small_angle_trajectory",
+    "linear_ramp_trajectory",
     "slepian_window",
     "rectangular_window",
     "hanning_window",
@@ -271,6 +272,21 @@ def small_angle_trajectory(
         omega=np.full_like(theta, float(omega0)),
         h_x=h_x,
         constant_omega=True,
+    )
+
+
+def linear_ramp_trajectory(span: float, rate: float, n_samples: int) -> SampledTrajectory:
+    """Linear h_z sweep from +span to -span at |dh_z/dt| = rate with h_x = 1
+    (the Landau-Zener ramp), with theta and its rate in closed form."""
+    t = np.linspace(0.0, 2.0 * span / rate, n_samples)
+    h_z = span - rate * t
+    return SampledTrajectory(
+        times=t,
+        theta=np.arctan2(1.0, h_z),
+        dtheta_dt=rate / (1.0 + h_z**2),
+        h_z=h_z,
+        omega=2.0 * np.sqrt(1.0 + h_z**2),
+        h_x=1.0,
     )
 
 

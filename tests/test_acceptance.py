@@ -29,10 +29,10 @@ from adiabatz.spectral import fourier_integral, psd
 from adiabatz.three_level import RotationTarget, calibrate_pulse, drag_envelope
 from adiabatz.waveform import (
     BasisMode,
-    SampledTrajectory,
     derivative_waveform,
     eval_fourier,
     hanning_window,
+    linear_ramp_trajectory,
     rectangular_window,
     sample_trajectory,
     small_angle_trajectory,
@@ -75,21 +75,6 @@ def _corpus():
             w = theta_waveform(lam, t_p, theta_i, theta_i + excursion)
         trajectories.append(sample_trajectory(w, 8192))
     return trajectories
-
-
-def _linear_ramp(span: float, rate: float, n: int = 8192) -> SampledTrajectory:
-    """Linear h_z sweep from +span to -span at the given rate, h_x = 1."""
-    t_p = 2.0 * span / rate
-    t = np.linspace(0.0, t_p, n)
-    h_z = span - rate * t
-    return SampledTrajectory(
-        times=t,
-        theta=np.arctan2(1.0, h_z),
-        dtheta_dt=rate / (1.0 + h_z**2),
-        h_z=h_z,
-        omega=2.0 * np.sqrt(1.0 + h_z**2),
-        h_x=1.0,
-    )
 
 
 def test_criterion_01_window_coefficient_table():
@@ -149,13 +134,13 @@ def test_criterion_03_constant_frequency_identity():
 def test_criterion_04_landau_zener_anchor():
     # rate chosen so the asymptotic transition probability is 1e-4
     rate = 0.341
-    p_e = evolve_two_level_direct(_linear_ramp(10.0, rate)).p_e
+    p_e = evolve_two_level_direct(linear_ramp_trajectory(10.0, rate, 8192)).p_e
     assert p_e == pytest.approx(1e-4, rel=0.15)
     # the finite sweep range biases the tails; widening the range has to
     # close the gap to the infinite-range formula monotonically
     reference = landau_zener_error(1.0, rate)
     deviations = [
-        abs(evolve_two_level_direct(_linear_ramp(span, rate)).p_e - reference)
+        abs(evolve_two_level_direct(linear_ramp_trajectory(span, rate, 8192)).p_e - reference)
         / reference
         for span in (10.0, 15.0, 20.0)
     ]

@@ -13,7 +13,12 @@ from adiabatz.dynamics import (
 )
 from adiabatz.geometry import ground_state
 from adiabatz.remap import remapped_trajectory
-from adiabatz.waveform import SampledTrajectory, derivative_waveform, sample_trajectory
+from adiabatz.waveform import (
+    SampledTrajectory,
+    derivative_waveform,
+    linear_ramp_trajectory,
+    sample_trajectory,
+)
 
 
 def constant_theta(theta, t_p=5.0, n=257, h_x=1.0):
@@ -22,17 +27,6 @@ def constant_theta(theta, t_p=5.0, n=257, h_x=1.0):
     hz = np.full(n, h_x / np.tan(theta))
     om = np.full(n, 2.0 * h_x / np.sin(theta))
     return SampledTrajectory(t, th, np.zeros(n), hz, om, h_x)
-
-
-def lz_ramp(span, rate, n=8192, h_x=1.0):
-    # h_z swept linearly from +span to -span at fixed |dh_z/dt|
-    t_p = 2.0 * span / rate
-    t = np.linspace(0.0, t_p, n)
-    hz = span - rate * t
-    th = np.arctan2(h_x, hz)
-    dth = h_x * rate / (h_x**2 + hz**2)
-    om = 2.0 * np.sqrt(h_x**2 + hz**2)
-    return SampledTrajectory(t, th, dth, hz, om, h_x)
 
 
 def smooth_sweep(t_p=20.0, n=2049):
@@ -79,7 +73,7 @@ def test_fourth_order_convergence():
 
 def test_landau_zener_ramp_matches_formula():
     rate = 0.341
-    traj = lz_ramp(10.0, rate)
+    traj = linear_ramp_trajectory(10.0, rate, 8192)
     expected = landau_zener_error(1.0, rate)
     assert expected == pytest.approx(1e-4, rel=0.01)
     p = evolve_two_level_exact(traj).p_e
@@ -92,7 +86,8 @@ def test_landau_zener_finite_range_bias_shrinks():
     rate = 0.341
     expected = landau_zener_error(1.0, rate)
     rel = [
-        abs(evolve_two_level_direct(lz_ramp(span, rate)).p_e - expected) / expected
+        abs(evolve_two_level_direct(linear_ramp_trajectory(span, rate, 8192)).p_e - expected)
+        / expected
         for span in (10.0, 20.0)
     ]
     assert rel[1] < rel[0]

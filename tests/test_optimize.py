@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiabatz.optimize import (
     Objective,
     ObjectiveKind,
+    _SpectralObjective,
     basis_transform,
     convolve_gaussian,
     convolve_trajectory,
@@ -12,13 +17,17 @@ from adiabatz.optimize import (
     optimize_cz_pulse,
 )
 from adiabatz.spectral import fourier_integral
-from adiabatz.waveform import BasisMode, derivative_waveform, sample_trajectory
+from adiabatz.waveform import (
+    BasisMode,
+    constraint_residual,
+    derivative_waveform,
+    sample_trajectory,
+)
 
 CUTOFF = 2.3
 
-# frozen from an early run of this optimizer, cross-checked against a
-# quadratic solve of the same band integral (the objective is quadratic in
-# the coefficients, so the stationary point is also available algebraically)
+# frozen from an early simplex search over the same band integral; the
+# closed-form solve the optimizer now uses reproduces them to ~1e-9
 REFERENCE_ROWS = {
     2: [1.086557, -0.086557],
     4: [1.071075, -0.078754, 0.002696, 0.004983],
@@ -60,10 +69,112 @@ def test_constraint_enforced_exactly():
 
 
 def test_bitwise_reproducibility():
-    a = optimize_coefficients(4, BasisMode.DERIVATIVE, spectral_objective(), 1.0, seed=3)
-    b = optimize_coefficients(4, BasisMode.DERIVATIVE, spectral_objective(), 1.0, seed=3)
+    # the seeded restarts of the exact-dynamics simplex
+    objective = Objective(
+        kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(4.0, 4.0),
+        theta_i=0.3, theta_f=2.2, n_samples=512,
+    )
+    a, b = (
+        optimize_coefficients(3, BasisMode.DERIVATIVE, objective, 1.9, seed=3, max_iterations=15)
+        for _ in range(2)
+    )
+    assert a.iterations > 0
     assert np.array_equal(a.coefficients, b.coefficients)
     assert a.objective_value == b.objective_value
+    assert a.iterations == b.iterations and a.rejected == b.rejected
+
+
+def constraint_row(mode, n_m):
+    # a with a.lam = theta_f - theta_i at unit duration, read off the public
+    # constraint_residual, which is linear in the coefficients
+    return np.array([
+        constraint_residual(
+            SimpleNamespace(mode=mode, coefficients=e, t_p=1.0, theta_i=0.0, theta_f=0.0)
+        )
+        for e in np.eye(n_m)
+    ])
+
+
+# band edges from near zero to 40 cycles (past 2 n_m for every n_m drawn):
+# far above the edge every basis term falls like n^2/u^3 and B nears rank 1
+closed_form_cases = dict(
+    cutoff=st.floats(0.05, 40.0),
+    n_m=st.integers(2, 16),
+    mode=st.sampled_from(list(BasisMode)),
+    c=st.floats(0.2, 1.5),
+)
+
+
+def one_term_power(objective, mode, n_m, c):
+    # band power of the one-term window (free coefficients 0); the quadrature
+    # rounds at this scale, not at that of the optimum, which at high
+    # cutoffs lies 20 orders of magnitude below it
+    lam = np.zeros(n_m)
+    lam[0] = c / constraint_row(mode, n_m)[0]
+    return _SpectralObjective(objective, mode, n_m)(lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**closed_form_cases, seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-4, 1e-2, 1.0]))
+def test_closed_form_is_the_constrained_minimum(cutoff, n_m, mode, c, seed, scale):
+    objective = spectral_objective(cutoff)
+    with pytest.MonkeyPatch.context() as mp:
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("spectral path called minimize")
+
+        mp.setattr("adiabatz.optimize.minimize", no_simplex)
+        rep = optimize_coefficients(n_m, mode, objective, c)
+        again = optimize_coefficients(n_m, mode, objective, c, seed=seed)
+    assert rep.iterations == 0 and rep.converged and rep.rejected == 0
+    # bitwise independent of the (unused) seed
+    assert np.array_equal(rep.coefficients, again.coefficients)
+    assert rep.objective_value == again.objective_value
+
+    a = constraint_row(mode, n_m)
+    assert a @ rep.coefficients == pytest.approx(c, abs=1e-12)
+    value = _SpectralObjective(objective, mode, n_m)
+    assert value(rep.coefficients) == rep.objective_value
+    one_term = one_term_power(objective, mode, n_m, c)
+    assert rep.objective_value <= one_term * (1.0 + 1e-12)
+    floor = 1e-15 * one_term
+    # feasible perturbations, both signs: any first-order descent direction
+    # left at the returned point lowers the objective along one of them
+    d = np.random.default_rng(seed).normal(size=n_m)
+    d -= a * (a @ d) / (a @ a)
+    d *= scale * c / np.linalg.norm(d)
+    for delta in (d, -d):
+        assert value(rep.coefficients + delta) >= rep.objective_value * (1.0 - 1e-12) - floor
+
+
+@settings(max_examples=20, deadline=None)
+@given(**closed_form_cases)
+def test_closed_form_objective_falls_with_terms(cutoff, n_m, mode, c):
+    objective = spectral_objective(cutoff)
+    fewer = optimize_coefficients(n_m - 1, mode, objective, c).objective_value
+    more = optimize_coefficients(n_m, mode, objective, c).objective_value
+    assert more <= fewer * (1.0 + 1e-12) + 1e-15 * one_term_power(objective, mode, n_m, c)
+
+
+def test_spectral_cutoff_must_fit_the_u_grid():
+    for cutoff in (0.0, 395.0):
+        with pytest.raises(ValueError, match="cutoff"):
+            spectral_objective(cutoff)
+
+
+def test_rejected_candidates_are_counted():
+    # sweeping almost the whole (0, pi) range, the simplex steps on
+    # candidates whose angle leaves it; each is scored 1.0 and counted
+    theta_i, theta_f = 0.05, np.pi - 0.05
+    objective = Objective(
+        kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(4.0, 4.0),
+        theta_i=theta_i, theta_f=theta_f, n_samples=512,
+    )
+    rep = optimize_coefficients(
+        3, BasisMode.DERIVATIVE, objective, theta_f - theta_i, max_iterations=10
+    )
+    assert rep.rejected >= 1
+    assert rep.objective_value < 1.0
 
 
 def test_term_profile_matches_quadrature():

@@ -180,6 +180,18 @@ def test_pulse_validation():
         calibrate_pulse(np.ones(64), T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=4)
 
 
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_step_count_validation(n_steps):
+    _, x = raised_cosine(64)
+    pulse = ThreeLevelPulse(envelope_x=x, drag_d=0.0, delta=DELTA, detuning=0.0, t_p=T_P)
+    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        evolve_three_level(pulse, RotationTarget.PI_PULSE, n_steps)
+    for levels in (2, 3):
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            calibrate_pulse(x, T_P, 0.0, DELTA, RotationTarget.PI_PULSE,
+                            levels=levels, n_steps=n_steps)
+
+
 def test_rotation_target_angles():
     assert RotationTarget.PI_PULSE.angle == pytest.approx(np.pi)
     assert RotationTarget.HALF_PI_PULSE.angle == pytest.approx(np.pi / 2)
