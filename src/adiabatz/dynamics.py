@@ -5,7 +5,9 @@ The first integrates the instantaneous-eigenbasis amplitude product
 u = alpha* beta with fixed-step RK4; the second chains per-step SU(2)
 exponentials of the lab-frame 2x2 Hamiltonian as unit quaternions.  Both
 derive the Hamiltonian from theta(t) and h_x alone; a pinned omega field on
-the trajectory is a linearized-analysis device and is ignored here.
+the trajectory is a linearized-analysis device and is ignored here.  The
+same SU(2) kernel also steps remapped Fourier waveforms directly in the
+constant-gap frame, for the unrounded exact search objectives.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .geometry import excited_state, ground_state
-from .waveform import SampledTrajectory
+from .waveform import FourierWaveform, SampledTrajectory, eval_fourier
 
 __all__ = [
     "TwoLevelState",
@@ -183,14 +185,60 @@ def evolve_two_level_direct(
     )
 
 
+def _tau_frame_p_e(w: FourierWaveform, t_ps, h_x: float = 1.0) -> np.ndarray:
+    """P_e of the remapped waveform at each lab duration in t_ps, stepped in
+    the constant-gap frame on one shared grid.
+
+    Under the remap 2 h_x dtau = omega(t) dt the lab Hamiltonian becomes
+    h_x (sin theta sigma_x + cos theta sigma_z) in tau: the gap is a constant
+    2 h_x and theta(tau) is the waveform shape in closed form.  On
+    u = tau/tau_p the fields are h_x tau_p (sin theta, 0, cos theta) with
+    tau_p = t_p / int_0^1 sin theta du, so every duration shares the theta
+    nodes and differs only by the scale tau_p.  This is the continuum limit
+    of remapped_trajectory + evolve_two_level_direct.  Raises ValueError if
+    theta leaves (0, pi) at any node.
+    """
+    t_ps = np.atleast_1d(np.asarray(t_ps, dtype=float))
+    shape = w.with_t_p(1.0)
+
+    def nodes(n):
+        # theta at the two Gauss nodes of each of n steps on u in [0, 1]
+        mid = (np.arange(n) + 0.5) / n
+        theta, dtheta = eval_fourier(
+            shape, mid + np.array([[-1.0], [1.0]]) / (2.0 * math.sqrt(3.0) * n)
+        )
+        if np.any(theta <= 0.0) or np.any(theta >= math.pi):
+            raise ValueError("theta(tau) must stay strictly inside (0, pi)")
+        return theta, dtheta
+
+    # size the grid once, for the longest duration, by the _n_steps rule
+    # with the constant gap 2 h_x tau_p; a coarse pass estimates tau_p
+    theta, dtheta = nodes(64)
+    tau_max = float(np.max(t_ps)) / float(np.mean(np.sin(theta)))
+    n = max(64, math.ceil((2.0 * h_x * tau_max + np.max(np.abs(dtheta))) / PHASE_PER_STEP))
+    theta, _ = nodes(n)
+    sin, cos = np.sin(theta), np.cos(theta)
+    mean_sin = float(np.mean(sin))  # two-node Gauss rule for int_0^1 sin theta du
+    (theta_i, theta_f), _ = eval_fourier(shape, np.array([0.0, 1.0]))
+    psi0, bra = ground_state(theta_i), excited_state(theta_f).conj()
+    # one chain per duration, all durations in one array pass
+    scale = (h_x / mean_sin) * t_ps[:, None]
+    u = _su2_propagator(
+        (scale * sin[0], 0.0, scale * cos[0]), (scale * sin[1], 0.0, scale * cos[1]), 1.0 / n
+    )
+    return np.abs(u @ psi0 @ bra) ** 2
+
+
 def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     """Time-ordered 2x2 propagator of H(t) = f(t).sigma from Gauss-node fields.
 
-    f1, f2 = (f_x, f_y, f_z) at the two Gauss nodes of each step (arrays, or
-    scalars that broadcast).  Step k is exp(-i v.sigma) with v = (h/2)(f1 + f2)
-    + (sqrt(3) h^2/6)(f2 x f1), the unit quaternion a - i(b, c, d).sigma held
-    as alpha = a - i d, beta = c - i b; the steps are chained by the Hamilton
-    product in that form, later step on the left, pairwise over the arrays.
+    f1, f2 = (f_x, f_y, f_z) at the two Gauss nodes of each step (arrays with
+    the steps on the last axis, or scalars that broadcast).  Step k is
+    exp(-i v.sigma) with v = (h/2)(f1 + f2) + (sqrt(3) h^2/6)(f2 x f1), the
+    unit quaternion a - i(b, c, d).sigma held as alpha = a - i d,
+    beta = c - i b; the steps are chained by the Hamilton product in that
+    form, later step on the left, pairwise along the last axis.  Leading axes
+    hold independent chains; the result is (..., 2, 2).
     """
     (f1x, f1y, f1z), (f2x, f2y, f2z) = f1, f2
     k = math.sqrt(3.0) * h * h / 6.0
@@ -201,9 +249,11 @@ def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     # sin|v|/|v|; where v = 0 the vector part is 0 whatever the factor
     s = np.divide(np.sin(mag), mag, out=np.ones_like(mag), where=mag > 0.0)
     alpha, beta = np.cos(mag) - 1j * (s * v_z), s * (v_y - 1j * v_x)
-    while len(alpha) > 1:
-        if len(alpha) % 2:
-            alpha, beta = np.append(alpha, 1.0), np.append(beta, 0.0)
-        a1, a2, b1, b2 = alpha[0::2], alpha[1::2], beta[0::2], beta[1::2]
+    while alpha.shape[-1] > 1:
+        if alpha.shape[-1] % 2:
+            pad = np.zeros(alpha.shape[:-1] + (1,))
+            alpha, beta = np.concatenate([alpha, pad + 1.0], -1), np.concatenate([beta, pad], -1)
+        a1, a2, b1, b2 = alpha[..., 0::2], alpha[..., 1::2], beta[..., 0::2], beta[..., 1::2]
         alpha, beta = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
-    return np.array([[alpha[0], -beta[0].conj()], [beta[0], alpha[0].conj()]])
+    alpha, beta = alpha[..., 0], beta[..., 0]
+    return np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(alpha.shape + (2, 2))

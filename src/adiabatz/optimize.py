@@ -6,9 +6,13 @@ than a hard step (the soft edge keeps the quadratic form well conditioned
 and reproduces the published optima; see the closed-form basis transforms
 below).  It is a quadratic form in the coefficients and the endpoint
 constraint is linear, so its optimum is one linear least-squares solve.
-Exact-dynamics objectives score candidate waveforms by remapping them onto
-lab time and integrating the Schroedinger equation; they are searched by a
-restarted simplex.
+Exact-dynamics objectives score candidate waveforms by the excitation
+left by exact two-level dynamics, and are searched by a restarted simplex.
+Without rounding the candidate is stepped in the constant-gap frame of the
+remap, where theta(tau) is the waveform in closed form and all durations of
+the window share one grid.  Gaussian rounding acts on the lab control
+h_z(t), so a rounded candidate is remapped onto a lab grid of n_samples
+points, rounded there and propagated in lab time.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from .dynamics import evolve_two_level_direct
+from .dynamics import _tau_frame_p_e, evolve_two_level_direct
 from .geometry import omega_from_theta, theta_from_fields
 from .remap import remapped_trajectory
 from .waveform import BasisMode, FourierWaveform, SampledTrajectory
@@ -63,7 +67,9 @@ class Objective:
     The spectral kind needs only the dimensionless band edge `cutoff`
     (omega t_p / 2 pi).  The exact kinds score trajectories and need the
     endpoint angles, the lab-duration window, and optionally a Gaussian
-    rounding width (lab time units) applied to the control h_z(t).
+    rounding width (lab time units) applied to the control h_z(t).  Unrounded
+    exact objectives step in the constant-gap frame and size their own grid;
+    `n_samples` is the lab grid of the rounded path only.
     """
 
     kind: ObjectiveKind
@@ -174,7 +180,8 @@ class _SpectralObjective:
 
 
 class _ExactObjective:
-    """Exact-dynamics error of the remapped (optionally rounded) waveform."""
+    """Worst exact-dynamics error of the remapped waveform over the window:
+    stepped in the constant-gap frame, or on the lab grid when rounded."""
 
     def __init__(self, objective: Objective, mode: BasisMode, n_m: int):
         self._obj = objective
@@ -189,23 +196,22 @@ class _ExactObjective:
     def __call__(self, lam: np.ndarray) -> float:
         obj = self._obj
         w = FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f)
-        worst = 0.0
-        for t_p in self._grid:
-            # candidates whose control angle leaves (0, pi) or whose dynamics
-            # blow up get the worst possible score; the simplex backs off
-            try:
+        # candidates whose control angle leaves (0, pi) or whose dynamics
+        # blow up get the worst possible score; the simplex backs off
+        try:
+            if obj.convolution_sigma == 0:
+                return float(np.max(_tau_frame_p_e(w, self._grid, obj.h_x)))
+            worst = 0.0
+            for t_p in self._grid:
                 traj = remapped_trajectory(
                     w, float(t_p), n_samples=obj.n_samples, h_x=obj.h_x
                 )
-                if obj.convolution_sigma > 0:
-                    traj = convolve_trajectory(traj, obj.convolution_sigma)
-                p_e = evolve_two_level_direct(traj).p_e
-            except (ValueError, RuntimeError):
-                self.rejected += 1
-                return 1.0
-            if p_e > worst:
-                worst = p_e
-        return worst
+                traj = convolve_trajectory(traj, obj.convolution_sigma)
+                worst = max(worst, evolve_two_level_direct(traj).p_e)
+            return worst
+        except (ValueError, RuntimeError):
+            self.rejected += 1
+            return 1.0
 
 
 def _constraint_row(mode: BasisMode, n_m: int) -> np.ndarray:

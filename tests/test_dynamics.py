@@ -4,10 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from adiabatz import dynamics
 from adiabatz.adiabatic_error import landau_zener_error
 from adiabatz.dynamics import (
+    PHASE_PER_STEP,
     TwoLevelState,
     _su2_propagator,
+    _tau_frame_p_e,
     evolve_two_level_direct,
     evolve_two_level_exact,
 )
@@ -18,7 +21,11 @@ from adiabatz.waveform import (
     derivative_waveform,
     linear_ramp_trajectory,
     sample_trajectory,
+    theta_waveform,
 )
+from strategies import gentle_waveforms
+
+T_X = np.pi  # crossing period at h_x = 1
 
 
 def constant_theta(theta, t_p=5.0, n=257, h_x=1.0):
@@ -161,3 +168,50 @@ def test_su2_chain_time_reversal(steps):
     back1, back2 = -f2[:, ::-1], -f1[:, ::-1]
     u = _su2_propagator(np.hstack([f1, back1]), np.hstack([f2, back2]), h)
     assert np.max(np.abs(u - np.eye(2))) < 1e-13
+
+
+# the criterion-05 sweep (h_z from +10 to -10) and an out-and-back excursion
+SWEEP = derivative_waveform(
+    np.array([1.086, -0.086]), 1.0, np.arctan2(1.0, 10.0), np.arctan2(1.0, -10.0)
+)
+EXCURSION = theta_waveform([(0.55 * np.pi / 2 - 0.1) / 2.0, -0.1], 1.0, 0.1, 0.55 * np.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "w, durations",
+    [(SWEEP, (0.9, 1.1, 1.34)), (EXCURSION, (0.9, 1.0, 1.05, 1.15))],
+    ids=["sweep", "excursion"],
+)
+def test_tau_frame_is_the_limit_of_the_lab_pipeline(w, durations, monkeypatch):
+    # the lab pipeline (trapezoid remap, PCHIP inverse, splined fields)
+    # converges at second order in its sample count onto the tau-frame answer
+    t_ps = np.array(durations) * T_X
+    tau = _tau_frame_p_e(w, t_ps)
+    for t_p, ref in zip(t_ps, tau):
+        lab = [
+            evolve_two_level_direct(remapped_trajectory(w, t_p, n_samples=n)).p_e
+            for n in (2048, 4096, 16384)
+        ]
+        assert abs(lab[1] - ref) <= abs(lab[0] - ref) / 3.0
+        assert abs(lab[2] - ref) <= 5e-5 * ref
+    # and the tau-frame answer is converged in its own step count
+    monkeypatch.setattr(dynamics, "PHASE_PER_STEP", PHASE_PER_STEP / 2.0)
+    assert _tau_frame_p_e(w, t_ps) == pytest.approx(tau, rel=1e-8, abs=0.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(gentle_waveforms, st.lists(st.floats(0.3, 3.0), min_size=1, max_size=6))
+def test_tau_frame_batch_matches_single_durations(w, spans):
+    # one shared grid, sized for the longest duration, gives each duration
+    # what a grid of its own gives
+    t_ps = np.array(spans) * T_X
+    batch = _tau_frame_p_e(w, t_ps)
+    alone = np.array([_tau_frame_p_e(w, t_p)[0] for t_p in t_ps])
+    assert np.all(np.abs(batch - alone) <= 1e-8 * alone + 1e-15)
+
+
+def test_tau_frame_rejects_angles_outside_the_open_interval():
+    # theta_i + lam_1 (1 - cos) - lam_2 (1 - cos 2 .) dips below 0 near u = 1/4
+    w = theta_waveform([0.25, -0.2], 1.0, 0.1, 0.6)
+    with pytest.raises(ValueError, match="inside"):
+        _tau_frame_p_e(w, [T_X])

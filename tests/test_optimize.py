@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiabatz.dynamics import _tau_frame_p_e
 from adiabatz.optimize import (
     Objective,
     ObjectiveKind,
@@ -22,6 +23,7 @@ from adiabatz.waveform import (
     constraint_residual,
     derivative_waveform,
     sample_trajectory,
+    theta_waveform,
 )
 
 CUTOFF = 2.3
@@ -175,6 +177,28 @@ def test_rejected_candidates_are_counted():
     )
     assert rep.rejected >= 1
     assert rep.objective_value < 1.0
+
+
+class Reached(Exception):
+    pass
+
+
+def test_unrounded_objectives_skip_the_lab_pipeline(monkeypatch):
+    # unrounded exact objectives step in the constant-gap frame and never
+    # build a lab trajectory; rounding acts on the lab h_z, so it still does
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr("adiabatz.optimize.remapped_trajectory", reached)
+    monkeypatch.setattr("adiabatz.optimize.evolve_two_level_direct", reached)
+    theta_i, theta_f = 0.2, 0.55 * np.pi / 2
+    window = (0.9 * np.pi, 1.15 * np.pi)
+    rep = optimize_cz_pulse(theta_i, theta_f, 2, 0.0, t_p_window=window, max_iterations=10)
+    assert rep.rejected == 0
+    w = theta_waveform(rep.coefficients, 1.0, theta_i, theta_f)
+    assert rep.objective_value == max(_tau_frame_p_e(w, np.linspace(*window, 9)))
+    with pytest.raises(Reached):
+        optimize_cz_pulse(theta_i, theta_f, 2, 0.2, t_p_window=window, max_iterations=10)
 
 
 def test_term_profile_matches_quadrature():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adiabatz.adiabatic_error import geometric_error
 from adiabatz.dynamics import evolve_two_level_direct
@@ -11,6 +13,7 @@ from adiabatz.waveform import (
     eval_fourier,
     small_angle_trajectory,
 )
+from strategies import gentle_waveforms
 
 T_X = np.pi  # crossing period 2 pi / omega_x at h_x = 1
 THETA_I = np.arctan2(1.0, 10.0)
@@ -51,20 +54,23 @@ def test_total_phase_preserved():
     assert phase_lab == pytest.approx(2.0 * tau_p, rel=1e-6)
 
 
-def test_round_trip_theta_recovery():
-    w = half_transition()
-    for n in (2048, 4096):
-        traj = remapped_trajectory(w, 1.1 * T_X, n_samples=n)
-        # map the lab grid back to tau by inverting t(tau), then compare
-        # against the waveform shape evaluated there
-        u = np.linspace(0.0, 1.0, n)
-        theta_shape, _ = eval_fourier(w.with_t_p(1.0), u)
-        mean_rate = np.trapezoid(np.sin(theta_shape), u)
-        tau_p = 1.1 * T_X / mean_rate
-        table = build_remap(theta_shape, tau_p)
-        tau_back = np.interp(traj.times, table.t_of_tau, table.tau)
-        theta_direct, _ = eval_fourier(w.with_t_p(tau_p), tau_back)
-        assert np.max(np.abs(traj.theta - theta_direct)) < 1e-6
+@settings(deadline=None, max_examples=30)
+@given(gentle_waveforms, st.floats(0.5, 3.0), st.just(4096))
+@example(half_transition(), 1.1, 2048)
+@example(half_transition(), 1.1, 4096)
+def test_round_trip_theta_recovery(w, span, n):
+    # build t(tau), resample theta onto the lab grid, then map the lab grid
+    # back to tau by inverting t(tau) and compare against the waveform shape
+    # evaluated there; the linear inverse of the reference is second order,
+    # worst seen 8.4e-7 at 2048 samples and 2.4e-7 at 4096 over random shapes
+    u = np.linspace(0.0, 1.0, n)
+    theta_shape, _ = eval_fourier(w.with_t_p(1.0), u)
+    tau_p = span * T_X / np.trapezoid(np.sin(theta_shape), u)
+    table = build_remap(theta_shape, tau_p)
+    traj = invert_remap(table, np.linspace(0.0, table.t_p, n))
+    tau_back = np.interp(traj.times, table.t_of_tau, table.tau)
+    theta_direct, _ = eval_fourier(w.with_t_p(tau_p), tau_back)
+    assert np.max(np.abs(traj.theta - theta_direct)) < 1e-6
 
 
 def test_endpoints_preserved():
