@@ -102,25 +102,41 @@ def evolve_two_level_exact(
     excitation probability is sin^2(Theta/2) with sin(Theta) e^{i phi} = 2u.
     """
     n = _n_steps(traj, n_steps)
-    h = traj.t_p / n
-    # spline the coefficients once, then evaluate on step ends and midpoints
+    h = float(traj.t_p / n)
+    # spline the coefficients once, then evaluate on step ends and midpoints;
+    # memoryviews hand the loop Python floats without copying the arrays, and
+    # the loop keeps u = ur + i ui in the operation order of the complex form
     grid = traj.times[0] + np.linspace(0.0, traj.t_p, 2 * n + 1)
-    om = CubicSpline(traj.times, 2.0 * traj.h_x / np.sin(traj.theta))(grid)
-    gm = CubicSpline(traj.times, traj.dtheta_dt)(grid)
+    om = memoryview(CubicSpline(traj.times, 2.0 * traj.h_x / np.sin(traj.theta))(grid))
+    gm = memoryview(CubicSpline(traj.times, traj.dtheta_dt)(grid))
 
-    u = 0.0 + 0.0j
+    h2, h6 = 0.5 * h, h / 6.0
+    sqrt = math.sqrt
+    ur = ui = 0.0
     d = 1.0
     max_ab = 0.0
     max_drift = 0.0
-    for k in range(n):
-        i = 2 * k
-        k1u, k1d = _product_rhs(u, d, om[i], gm[i])
-        k2u, k2d = _product_rhs(u + 0.5 * h * k1u, d + 0.5 * h * k1d, om[i + 1], gm[i + 1])
-        k3u, k3d = _product_rhs(u + 0.5 * h * k2u, d + 0.5 * h * k2d, om[i + 1], gm[i + 1])
-        k4u, k4d = _product_rhs(u + h * k3u, d + h * k3d, om[i + 2], gm[i + 2])
-        u = u + (h / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
-        d = d + (h / 6.0) * (k1d + 2.0 * (k2d + k3d) + k4d)
-        ab2 = u.real * u.real + u.imag * u.imag
+    # step k reads the coefficients at t_k, t_k + h/2 and t_k + h
+    for w0, w1, w2, g0, g1, g2 in zip(om[:-1:2], om[1::2], om[2::2], gm[:-1:2], gm[1::2], gm[2::2]):
+        r = 1.0 - 4.0 * (ur * ur + ui * ui)
+        q = (0.5 if d >= 0.0 else -0.5) * sqrt(r if r > 0.0 else 0.0) * g0
+        k1r, k1i, k1d = q - w0 * ui, w0 * ur, -2.0 * g0 * ur
+        ar, ai, ad = ur + h2 * k1r, ui + h2 * k1i, d + h2 * k1d
+        r = 1.0 - 4.0 * (ar * ar + ai * ai)
+        q = (0.5 if ad >= 0.0 else -0.5) * sqrt(r if r > 0.0 else 0.0) * g1
+        k2r, k2i, k2d = q - w1 * ai, w1 * ar, -2.0 * g1 * ar
+        ar, ai, ad = ur + h2 * k2r, ui + h2 * k2i, d + h2 * k2d
+        r = 1.0 - 4.0 * (ar * ar + ai * ai)
+        q = (0.5 if ad >= 0.0 else -0.5) * sqrt(r if r > 0.0 else 0.0) * g1
+        k3r, k3i, k3d = q - w1 * ai, w1 * ar, -2.0 * g1 * ar
+        ar, ai, ad = ur + h * k3r, ui + h * k3i, d + h * k3d
+        r = 1.0 - 4.0 * (ar * ar + ai * ai)
+        q = (0.5 if ad >= 0.0 else -0.5) * sqrt(r if r > 0.0 else 0.0) * g2
+        k4r, k4i, k4d = q - w2 * ai, w2 * ar, -2.0 * g2 * ar
+        ur = ur + h6 * (k1r + 2.0 * (k2r + k3r) + k4r)
+        ui = ui + h6 * (k1i + 2.0 * (k2i + k3i) + k4i)
+        d = d + h6 * (k1d + 2.0 * (k2d + k3d) + k4d)
+        ab2 = ur * ur + ui * ui
         if ab2 > max_ab:
             max_ab = ab2
         drift = abs(4.0 * ab2 + d * d - 1.0)
@@ -132,6 +148,7 @@ def evolve_two_level_exact(
             f"|alpha* beta| reached {max_ab:.12f} > 1/2 during integration: "
             "numerical failure"
         )
+    u = complex(ur, ui)
     return EvolutionResult(
         p_e=_p_e_from_product(u, d),
         final_state=TwoLevelState(ab_product=u),
@@ -139,23 +156,12 @@ def evolve_two_level_exact(
     )
 
 
-def _product_rhs(u: complex, d: float, omega: float, dtheta: float):
-    sign = 1.0 if d >= 0.0 else -1.0
-    root = math.sqrt(max(0.0, 1.0 - 4.0 * (u.real * u.real + u.imag * u.imag)))
-    du = 1j * omega * u + 0.5 * sign * root * dtheta
-    dd = -2.0 * dtheta * u.real
-    return du, dd
-
-
 def evolve_two_level_direct(
-    traj: SampledTrajectory,
-    n_steps: int | None = None,
-    initial_state: np.ndarray | None = None,
+    traj: SampledTrajectory, n_steps: int | None = None
 ) -> EvolutionResult:
     """Fourth-order exact-exponential stepping of the lab-frame 2x2
-    Hamiltonian on the SU(2) quaternion kernel (_su2_propagator).
-    initial_state overrides the default instantaneous ground state at t = 0
-    (lab-frame amplitudes), e.g. for sudden quenches.
+    Hamiltonian on the SU(2) quaternion kernel (_su2_propagator), from the
+    instantaneous ground state at t = 0.
 
     P_e is the population of the instantaneous excited eigenstate at t_p.
     """
@@ -167,9 +173,7 @@ def evolve_two_level_direct(
     )
     u_total = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h)
 
-    psi0 = ground_state(traj.theta[0]) if initial_state is None else np.asarray(
-        initial_state, dtype=complex
-    )
+    psi0 = ground_state(traj.theta[0])
     psi = u_total @ psi0
     drift = abs(float(np.linalg.norm(psi)) - float(np.linalg.norm(psi0)))
     if drift > NORM_DRIFT_TOL:

@@ -1,9 +1,9 @@
 """Nonlinear time remapping between the constant-frequency frame and lab time.
 
-An optimal waveform derived for constant precession frequency omega_frame
-(tau frame) maps onto an arbitrary excursion through the crossing by the
-change of variables omega_frame * dtau = omega(t) * dt, which for
-omega_frame = 2 h_x reduces to dt = sin(theta) dtau.  The forward map is a
+An optimal waveform derived for the constant precession frequency
+omega_x = 2 h_x (tau frame) maps onto an arbitrary excursion through the
+crossing by the change of variables omega_x * dtau = omega(t) * dt, which
+reduces to dt = sin(theta) dtau.  The forward map is a
 cumulative quadrature; the inverse is monotone cubic interpolation.
 """
 
@@ -39,8 +39,8 @@ class RemapTable:
         return float(self.t_of_tau[-1])
 
 
-def build_remap(theta_of_tau, tau_p: float, h_x: float = 1.0, omega_frame: float | None = None) -> RemapTable:
-    """Integrate dt/dtau = omega_frame/omega(theta) on a uniform tau grid.
+def build_remap(theta_of_tau, tau_p: float, h_x: float = 1.0) -> RemapTable:
+    """Integrate dt/dtau = 2 h_x/omega(theta) = sin(theta) on a uniform tau grid.
 
     Parameters
     ----------
@@ -49,19 +49,16 @@ def build_remap(theta_of_tau, tau_p: float, h_x: float = 1.0, omega_frame: float
         strictly inside (0, pi) (the poles put infinite frequency in the
         lab frame).
     tau_p : float
-        Duration in the constant-frequency frame.
-    omega_frame : float, optional
-        Frame frequency; defaults to omega_x = 2*h_x, the gap at the crossing.
+        Duration in the constant-frequency frame, whose frequency is
+        omega_x = 2*h_x, the gap at the crossing.
     """
     theta = np.asarray(theta_of_tau, dtype=float)
     if tau_p <= 0:
         raise ValueError("tau_p must be positive")
     if np.any(theta <= 0) or np.any(theta >= np.pi):
         raise ValueError("theta(tau) must stay strictly inside (0, pi)")
-    if omega_frame is None:
-        omega_frame = 2.0 * h_x
     tau = np.linspace(0.0, tau_p, len(theta))
-    rate = omega_frame / omega_from_theta(theta, h_x)  # sin(theta) for the default frame
+    rate = 2.0 * h_x / omega_from_theta(theta, h_x)  # sin(theta)
     dt_mid = (rate[1:] + rate[:-1]) / 2.0 * np.diff(tau)
     t = np.concatenate([[0.0], np.cumsum(dt_mid)])
     return RemapTable(tau=tau, t_of_tau=t, theta_of_tau=theta)
@@ -95,17 +92,15 @@ def remapped_trajectory(
     t_p_lab: float,
     n_samples: int = 4096,
     h_x: float = 1.0,
-    n_tau: int | None = None,
 ) -> SampledTrajectory:
     """Map a tau-frame waveform onto a lab trajectory of target duration.
 
     The lab duration scales exactly linearly with the frame duration,
     t_p = tau_p * mean(sin theta), so the frame waveform is stretched to
-    hit t_p_lab before building the map.
+    hit t_p_lab before building the map.  The tau grid and the lab grid both
+    have n_samples points.
     """
-    if n_tau is None:
-        n_tau = n_samples
-    u = np.linspace(0.0, 1.0, n_tau)
+    u = np.linspace(0.0, 1.0, n_samples)
     theta_shape, _ = eval_fourier(w.with_t_p(1.0), u)
     mean_rate = float(np.trapezoid(np.sin(theta_shape), u))
     tau_p = t_p_lab / mean_rate

@@ -1,21 +1,26 @@
 """Power spectral density of control waveforms by direct Fourier quadrature.
 
 S(omega) = |integral_0^{t_p} f(t) exp(-i omega t) dt|^2, evaluated with the
-composite trapezoid rule on the signal's own sample grid.  The integral is
-computed at caller-chosen frequencies rather than FFT bins because the
-optimizer needs the spectrum above an arbitrary cutoff.
+composite trapezoid rule on the signal's own sample grid, which must be
+uniform (a non-uniform one raises ValueError); the phase table is factored,
+see fourier_integral.  The integral is computed at caller-chosen
+frequencies rather than FFT bins because the optimizer needs the spectrum
+above an arbitrary cutoff.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 __all__ = ["SpectralDensity", "fourier_integral", "psd"]
 
-# cap the omega-block x time-sample workspace at ~32 MB of complex128
-_BLOCK_ELEMENTS = 2_000_000
+# largest max_k |t_k - (t_0 + k d)| accepted as uniform, in units of d, on
+# top of the rounding of the times themselves: far below any deliberately
+# uneven grid
+_UNIFORM_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,7 +42,14 @@ class SpectralDensity:
 def fourier_integral(times, values, omegas) -> np.ndarray:
     """Complex F(omega) = trapezoid of f(t) exp(-i omega t) over the grid.
 
-    Accepts real or complex signals; psd() restricts itself to real input.
+    The grid must be uniform, t_k = t_0 + k d; a non-uniform one raises
+    ValueError.  Evaluation is factored: with k = a B + b, B = ceil(sqrt(N)),
+    exp(-i omega t_k) = exp(-i omega t_{aB}) exp(-i omega b d), so
+    F(omega) = sum_a exp(-i omega t_{aB}) [E(omega) @ G]_a with the M x B
+    in-block table E and the weighted samples G reshaped B x A.  That takes
+    M (A + B) exponentials instead of M N.  A single sample spans no interval
+    and gives zeros.  Accepts real or complex signals; psd() restricts itself
+    to real input.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(values)
@@ -45,18 +57,23 @@ def fourier_integral(times, values, omegas) -> np.ndarray:
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
     if not np.all(np.isfinite(f)):
         raise ValueError("signal must be finite")
-    # trapezoid weights for a (possibly non-uniform) grid
-    dt = np.diff(t)
-    tw = np.zeros_like(t)
-    tw[:-1] += dt / 2.0
-    tw[1:] += dt / 2.0
-    g = f * tw
-    out = np.empty(len(w), dtype=complex)
-    block = max(1, _BLOCK_ELEMENTS // max(len(t), 1))
-    for i in range(0, len(w), block):
-        wb = w[i : i + block]
-        out[i : i + block] = np.exp(-1j * np.outer(wb, t)) @ g
-    return out
+    n = len(t)
+    if n < 2:
+        return np.zeros(len(w), dtype=complex)
+    d = (t[-1] - t[0]) / (n - 1)
+    rounding = 8.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    if not np.max(np.abs(t - (t[0] + d * np.arange(n)))) <= _UNIFORM_TOL * abs(d) + rounding:
+        raise ValueError("time grid must be uniform")
+    b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    blocks = -(-n // b)
+    # trapezoid weights d (1/2, 1, ..., 1, 1/2), zero-padded to whole blocks
+    g = np.zeros(blocks * b, dtype=f.dtype)
+    g[:n] = d * f
+    g[0] /= 2.0
+    g[n - 1] /= 2.0
+    g = g.reshape(blocks, b).T
+    inner = np.exp(-1j * np.outer(w, d * np.arange(b))) @ g
+    return np.einsum("ma,ma->m", np.exp(-1j * np.outer(w, t[::b])), inner)
 
 
 def psd(times, values, omegas) -> SpectralDensity:
@@ -65,7 +82,7 @@ def psd(times, values, omegas) -> SpectralDensity:
     Parameters
     ----------
     times : array
-        Sample instants covering [0, t_p].
+        Uniformly spaced sample instants covering [0, t_p].
     values : array
         Real signal samples f(t).
     omegas : array

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adiabatz.spectral import SpectralDensity, fourier_integral, psd
 from adiabatz.waveform import hanning_window, rectangular_window
@@ -88,6 +90,68 @@ def test_fourier_integral_complex_signal():
         1.0, abs=1e-6
     )
     assert abs(fourier_integral(t, f, np.array([0.0]))[0]) < 1e-10
+
+
+# sample counts: any, and both sides of a square, where the sqrt(N) blocks
+# are exactly full or carry one sample into a block of their own
+_sizes = st.one_of(
+    st.integers(1, 5000),
+    st.integers(1, 70).map(lambda b: b * b),
+    st.integers(1, 70).map(lambda b: b * b + 1),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    n=_sizes,
+    t0=st.floats(-5.0, 5.0),
+    duration=st.floats(0.1, 10.0),
+    use_linspace=st.booleans(),
+    is_complex=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4096, t0=-5.0, duration=10.0, use_linspace=True, is_complex=True, seed=0)
+@example(n=4097, t0=5.0, duration=0.1, use_linspace=False, is_complex=False, seed=1)
+def test_factored_quadrature_matches_dense_sum(n, t0, duration, use_linspace, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    if use_linspace:
+        t = np.linspace(t0, t0 + duration, n)
+    else:
+        t = t0 + (duration / max(n - 1, 1)) * np.arange(n)
+    f = rng.normal(size=n)
+    if is_complex:
+        f = f + 1j * rng.normal(size=n)
+    # |omega| max|t| <= 450: the dense sum's own phase rounding stays
+    # near 1e-14 of its scale
+    omegas = np.concatenate([[0.0], rng.uniform(-30.0, 30.0, 7)])
+    # trapezoid weights d (1/2, 1, ..., 1, 1/2); a single sample spans d = 0
+    weights = np.full(n, (t[-1] - t[0]) / max(n - 1, 1))
+    weights[[0, -1]] /= 2.0
+    dense = np.array([np.sum(weights * f * np.exp(-1j * w * t)) for w in omegas])
+    got = fourier_integral(t, f, omegas)
+    assert np.all(np.abs(got - dense) <= 1e-13 * np.sum(np.abs(weights * f)))
+
+
+def test_single_sample_gives_zeros():
+    got = fourier_integral(np.array([0.3]), np.array([2.0 + 1j]), np.array([0.0, 1.5]))
+    assert np.array_equal(got, np.zeros(2, dtype=complex))
+
+
+def test_rejects_non_uniform_grid():
+    n = 257
+    t = np.linspace(0.0, 1.0, n)
+    f = np.ones(n)
+    fourier_integral(t, f, np.array([1.0]))  # uniform: accepted
+    t[100] += 1e-6 * (t[1] - t[0])
+    with pytest.raises(ValueError):
+        fourier_integral(t, f, np.array([1.0]))
+
+
+def test_accepts_rounded_grid_far_from_the_origin():
+    # |t| / d = 2e8: the rounding of the times alone is ~2e-8 d
+    t = 1000.0 + np.linspace(0.0, 1e-2, 2000)
+    area = fourier_integral(t, np.ones(2000), np.array([0.0]))[0]
+    assert area == pytest.approx(1e-2, rel=1e-9)
 
 
 def test_rejects_negative_frequency():
