@@ -4,7 +4,6 @@ dynamics, and a three-level derivative-control comparison."""
 
 from .adiabatic_error import (
     ErrorCurve,
-    ErrorMethod,
     ErrorResult,
     Evaluator,
     error_curve,

@@ -21,7 +21,6 @@ import numpy as np
 from .waveform import SampledTrajectory
 
 __all__ = [
-    "ErrorMethod",
     "Evaluator",
     "ErrorResult",
     "ErrorCurve",
@@ -32,11 +31,6 @@ __all__ = [
 
 # beyond this the "angles add linearly" picture degrades
 OUT_OF_REGIME_THRESHOLD = 0.5
-
-
-class ErrorMethod(enum.Enum):
-    LINEARIZED = "linearized"
-    LINEARIZED_EXACT_CORRECTION = "linearized-exact-correction"
 
 
 class Evaluator(enum.Enum):
@@ -50,7 +44,6 @@ class ErrorResult:
 
     theta_mr: complex
     p_e: float
-    method: ErrorMethod
     out_of_regime: bool
 
     def __post_init__(self):
@@ -65,38 +58,17 @@ def _accumulated_phase(traj: SampledTrajectory) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(mid * dt)])
 
 
-def _rotating_frame_amplitude(traj: SampledTrajectory, drive_scale: float = 1.0) -> complex:
+def geometric_error(traj: SampledTrajectory) -> ErrorResult:
+    """Rotating-frame error integral for one trajectory: p_e = |theta_mr|^2/4,
+    the linearized answer; the exact dynamics module is the ground truth
+    beyond that regime."""
     phase = _accumulated_phase(traj)
-    integrand = drive_scale * traj.dtheta_dt * np.exp(-1j * phase)
-    return -complex(np.trapezoid(integrand, traj.times))
-
-
-def geometric_error(
-    traj: SampledTrajectory, method: ErrorMethod = ErrorMethod.LINEARIZED
-) -> ErrorResult:
-    """Rotating-frame error integral for one trajectory.
-
-    LINEARIZED returns p_e = |theta_mr|^2/4.  LINEARIZED_EXACT_CORRECTION
-    rescales the drive by cos|theta_mr| in two fixed-point passes and maps
-    the amplitude through p_e = sin(arcsin(|theta_mr|)/2)^2; it exists as a
-    stated variant, with the exact dynamics module as the real ground truth.
-    """
-    theta_mr = _rotating_frame_amplitude(traj)
-    if method is ErrorMethod.LINEARIZED:
-        p_e = abs(theta_mr) ** 2 / 4.0
-        return ErrorResult(
-            theta_mr=theta_mr,
-            p_e=min(p_e, 1.0),
-            method=method,
-            out_of_regime=abs(theta_mr) > OUT_OF_REGIME_THRESHOLD,
-        )
-    amp = theta_mr
-    for _ in range(2):
-        amp = _rotating_frame_amplitude(traj, drive_scale=np.cos(min(abs(amp), np.pi / 2)))
-    mag = abs(amp)
-    out_of_regime = abs(theta_mr) > OUT_OF_REGIME_THRESHOLD or mag > 1.0
-    p_e = float(np.sin(np.arcsin(min(mag, 1.0)) / 2.0) ** 2)
-    return ErrorResult(theta_mr=amp, p_e=p_e, method=method, out_of_regime=out_of_regime)
+    theta_mr = -complex(np.trapezoid(traj.dtheta_dt * np.exp(-1j * phase), traj.times))
+    return ErrorResult(
+        theta_mr=theta_mr,
+        p_e=min(abs(theta_mr) ** 2 / 4.0, 1.0),
+        out_of_regime=abs(theta_mr) > OUT_OF_REGIME_THRESHOLD,
+    )
 
 
 def landau_zener_error(h_x: float, ramp_rate: float) -> float:

@@ -330,8 +330,7 @@ def _run_table1(params: dict, seed: int):
 
     objective = Objective(kind=ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF, cutoff=cutoff)
     width = max(n_m_list)
-    columns = ["n_m", "objective_rad2", "iterations", "converged"]
-    columns += [f"lambda_{n}" for n in range(1, width + 1)]
+    columns = ["n_m", "objective_rad2"] + [f"lambda_{n}" for n in range(1, width + 1)]
     rows = []
     for n_m in n_m_list:
         rep = optimize_coefficients(
@@ -339,8 +338,7 @@ def _run_table1(params: dict, seed: int):
         )
         pad = [float("nan")] * (width - n_m)
         rows.append(
-            [float(n_m), rep.objective_value, float(rep.iterations),
-             float(rep.converged)] + [float(c) for c in rep.coefficients] + pad
+            [float(n_m), rep.objective_value] + [float(c) for c in rep.coefficients] + pad
         )
     return columns, rows
 

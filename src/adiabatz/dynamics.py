@@ -2,10 +2,13 @@
 
 Two independent formulations of the same evolution serve as mutual checks.
 The first integrates the instantaneous-eigenbasis amplitude product
-u = alpha* beta with fixed-step RK4; the second chains per-step SU(2)
-exponentials of the lab-frame 2x2 Hamiltonian as unit quaternions.  Both
-derive the Hamiltonian from theta(t) and h_x alone; a pinned omega field on
-the trajectory is a linearized-analysis device and is ignored here.  The
+u = alpha* beta with fixed-step RK4 on the PHASE_PER_STEP rule; the second
+chains per-step SU(2) exponentials of the lab-frame 2x2 Hamiltonian as unit
+quaternions, doubling its step count from a coarse pilot until a Richardson
+estimate of the step error meets STEP_ATOL + STEP_RTOL * P_e, and reports
+that estimate with the answer.  Both derive the Hamiltonian from theta(t)
+and h_x alone; a pinned omega field on the trajectory is a
+linearized-analysis device and is ignored here.  The
 same SU(2) kernel also steps remapped Fourier waveforms directly in the
 constant-gap frame, for the unrounded exact search objectives.
 """
@@ -30,9 +33,16 @@ __all__ = [
 
 AB_PRODUCT_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-9
-# default step control: rotation angle per step, small enough for ~1e-10
-# step error at fourth order
+# fixed step rule: rotation angle per step, small enough for ~1e-10 step
+# error at fourth order.  It sizes the product ODE, the constant-gap frame
+# kernel and the three-level ladder, and gives the direct propagator its
+# pilot (1/PILOT_DIVISOR of the rule's count) and its cap
 PHASE_PER_STEP = 0.0125
+# error control of the direct propagator: the Richardson estimate of the
+# returned P_e must fall to STEP_ATOL + STEP_RTOL * P_e
+STEP_ATOL = 1e-12
+STEP_RTOL = 1e-8
+PILOT_DIVISOR = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,11 +71,16 @@ class EvolutionResult:
 
     norm_drift is the worst deviation of the conserved quantity: state-norm
     error for the direct propagator, |4|u|^2 + d^2 - 1| for the product ODE.
+    step_error is the Richardson estimate of the step error in p_e, set only
+    by the error-controlled direct propagator (None for a fixed n_steps and
+    for the ODE).  steps counts the integration steps over all runs made.
     """
 
     p_e: float
     final_state: TwoLevelState
     norm_drift: float
+    step_error: float | None
+    steps: int
 
 
 def _n_steps(traj: SampledTrajectory, n_steps: int | None) -> int:
@@ -153,6 +168,8 @@ def evolve_two_level_exact(
         p_e=_p_e_from_product(u, d),
         final_state=TwoLevelState(ab_product=u),
         norm_drift=max_drift,
+        step_error=None,
+        steps=n,
     )
 
 
@@ -164,28 +181,56 @@ def evolve_two_level_direct(
     instantaneous ground state at t = 0.
 
     P_e is the population of the instantaneous excited eigenstate at t_p.
+    Unless n_steps is given, the step count is error-controlled: a pilot at
+    1/PILOT_DIVISOR of the fixed _n_steps rule is doubled until the
+    Richardson estimate |P(m) - P(n)| / ((m/n)^4 - 1) of the finer run
+    (m = 2n, so /15, except where capped) falls to
+    STEP_ATOL + STEP_RTOL * P, or the finer run reaches the rule's count,
+    which it never exceeds.  The finer run is returned with that estimate as
+    step_error and the steps of all runs summed in steps.
     """
-    n = _n_steps(traj, n_steps)
-    h = traj.t_p / n
-    mid = traj.times[0] + (np.arange(n) + 0.5) * h
-    z1, z2 = CubicSpline(traj.times, traj.h_x / np.tan(traj.theta))(
-        mid + np.array([[-1.0], [1.0]]) * h / (2.0 * math.sqrt(3.0))
-    )
-    u_total = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h)
-
+    z = CubicSpline(traj.times, traj.h_x / np.tan(traj.theta))
     psi0 = ground_state(traj.theta[0])
-    psi = u_total @ psi0
+
+    def propagate(n):
+        h = traj.t_p / n
+        mid = traj.times[0] + (np.arange(n) + 0.5) * h
+        z1, z2 = z(mid + np.array([[-1.0], [1.0]]) * h / (2.0 * math.sqrt(3.0)))
+        psi = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h) @ psi0
+        beta = complex(np.vdot(excited_state(traj.theta[-1]), psi))
+        return psi, beta, beta.real**2 + beta.imag**2
+
+    n_rule = _n_steps(traj, n_steps)
+    if n_steps is not None:
+        psi, beta, p_e = propagate(n_rule)
+        steps, step_error = n_rule, None
+    else:
+        # the last run is capped at the rule's count, so its ratio to the
+        # run before may fall below 2; an estimate needs two counts
+        cap = max(n_rule, 2)
+        n = steps = math.ceil(n_rule / PILOT_DIVISOR)
+        _, _, p_e = propagate(n)
+        while True:
+            m = min(2 * n, cap)
+            psi, beta, p_fine = propagate(m)
+            steps += m
+            step_error = abs(p_fine - p_e) / ((m / n) ** 4 - 1.0)
+            n, p_e = m, p_fine
+            if step_error <= STEP_ATOL + STEP_RTOL * p_e or n == cap:
+                break
+
     drift = abs(float(np.linalg.norm(psi)) - float(np.linalg.norm(psi0)))
     if drift > NORM_DRIFT_TOL:
         raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}")
     alpha = complex(np.vdot(ground_state(traj.theta[-1]), psi))
-    beta = complex(np.vdot(excited_state(traj.theta[-1]), psi))
     return EvolutionResult(
-        p_e=beta.real**2 + beta.imag**2,
+        p_e=p_e,
         final_state=TwoLevelState(
             ab_product=alpha.conjugate() * beta, amplitudes=(alpha, beta)
         ),
         norm_drift=drift,
+        step_error=step_error,
+        steps=steps,
     )
 
 

@@ -39,6 +39,18 @@ class SpectralDensity:
             raise ValueError("spectral density must be nonnegative")
 
 
+def _uniform_step(t: np.ndarray) -> float:
+    """Step d of a grid t_k = t_0 + k d (at least two samples); ValueError if
+    any t_k is off that line by more than _UNIFORM_TOL d plus the rounding of
+    the times themselves."""
+    n = len(t)
+    d = (t[-1] - t[0]) / (n - 1)
+    rounding = 8.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
+    if not np.max(np.abs(t - (t[0] + d * np.arange(n)))) <= _UNIFORM_TOL * abs(d) + rounding:
+        raise ValueError("time grid must be uniform")
+    return d
+
+
 def fourier_integral(times, values, omegas) -> np.ndarray:
     """Complex F(omega) = trapezoid of f(t) exp(-i omega t) over the grid.
 
@@ -60,10 +72,7 @@ def fourier_integral(times, values, omegas) -> np.ndarray:
     n = len(t)
     if n < 2:
         return np.zeros(len(w), dtype=complex)
-    d = (t[-1] - t[0]) / (n - 1)
-    rounding = 8.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
-    if not np.max(np.abs(t - (t[0] + d * np.arange(n)))) <= _UNIFORM_TOL * abs(d) + rounding:
-        raise ValueError("time grid must be uniform")
+    d = _uniform_step(t)
     b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     blocks = -(-n // b)
     # trapezoid weights d (1/2, 1, ..., 1, 1/2), zero-padded to whole blocks

@@ -28,6 +28,7 @@ from .geometry import (
     h_z_from_theta,
     omega_from_theta,
 )
+from .spectral import _uniform_step
 
 __all__ = [
     "BasisMode",
@@ -180,7 +181,8 @@ class SampledTrajectory:
     Attributes
     ----------
     times : np.ndarray
-        Uniform grid from 0 to t_p.
+        Uniform grid t_0 + k d spanning t_p (up to the rounding of the
+        times themselves).
     theta : np.ndarray
         Control angle per sample, inside (0, pi).
     dtheta_dt : np.ndarray
@@ -212,8 +214,7 @@ class SampledTrajectory:
         dt = np.diff(t)
         if np.any(dt <= 0):
             raise ValueError("times must be strictly increasing")
-        if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
-            raise ValueError("time grid must be uniform to 1e-9 relative")
+        _uniform_step(t)
         th = np.asarray(self.theta, dtype=float)
         if np.any(th <= 0) or np.any(th >= np.pi):
             raise ValueError("theta must stay inside (0, pi)")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from adiabatz.adiabatic_error import (
-    ErrorMethod,
     ErrorResult,
     Evaluator,
     error_curve,
@@ -124,15 +123,6 @@ def test_out_of_regime_flag():
     assert not geometric_error(slow).out_of_regime
 
 
-def test_correction_variant_reduces_to_linear_for_small_error():
-    traj = hanning_trajectory(0.02, 8.0, 5.0)
-    lin = geometric_error(traj, ErrorMethod.LINEARIZED)
-    cor = geometric_error(traj, ErrorMethod.LINEARIZED_EXACT_CORRECTION)
-    # sin(arcsin(x)/2)^2 -> x^2/4 as x -> 0
-    assert cor.p_e == pytest.approx(lin.p_e, rel=1e-3)
-    assert not cor.out_of_regime
-
-
 def test_landau_zener_formula():
     assert landau_zener_error(1.0, np.pi) == pytest.approx(np.exp(-1.0), rel=1e-14)
     assert landau_zener_error(1.0, 0.341) == pytest.approx(
@@ -150,9 +140,7 @@ def test_landau_zener_formula():
 
 def test_error_result_validates_probability():
     with pytest.raises(ValueError):
-        ErrorResult(
-            theta_mr=0.0, p_e=1.5, method=ErrorMethod.LINEARIZED, out_of_regime=False
-        )
+        ErrorResult(theta_mr=0.0, p_e=1.5, out_of_regime=False)
 
 
 def test_error_curve_partial_failures():

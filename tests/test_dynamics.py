@@ -8,6 +8,8 @@ from adiabatz import dynamics
 from adiabatz.adiabatic_error import landau_zener_error
 from adiabatz.dynamics import (
     PHASE_PER_STEP,
+    STEP_ATOL,
+    STEP_RTOL,
     TwoLevelState,
     _su2_propagator,
     _tau_frame_p_e,
@@ -15,6 +17,7 @@ from adiabatz.dynamics import (
     evolve_two_level_exact,
 )
 from adiabatz.geometry import excited_state, ground_state
+from adiabatz.optimize import CZ_ROUNDING_SIGMA_PERIODS, convolve_trajectory
 from adiabatz.remap import remapped_trajectory
 from adiabatz.waveform import (
     SampledTrajectory,
@@ -216,3 +219,58 @@ def test_tau_frame_rejects_angles_outside_the_open_interval():
     w = theta_waveform([0.25, -0.2], 1.0, 0.1, 0.6)
     with pytest.raises(ValueError, match="inside"):
         _tau_frame_p_e(w, [T_X])
+
+
+STEP_ERROR_CASES = {
+    "ramp-0.05": lambda: linear_ramp_trajectory(10.0, 0.05, 8192),
+    "ramp-2.0": lambda: linear_ramp_trajectory(10.0, 2.0, 8192),
+    "remapped-1.34": lambda: remapped_trajectory(SWEEP, 1.34 * T_X, n_samples=4096),
+    "rounded": lambda: convolve_trajectory(
+        remapped_trajectory(EXCURSION, 1.85 * T_X, n_samples=2048),
+        CZ_ROUNDING_SIGMA_PERIODS * T_X,
+    ),
+    "sampled": lambda: sample_trajectory(SWEEP.with_t_p(2.0 * T_X), 2048),
+}
+
+
+@pytest.mark.parametrize("make", STEP_ERROR_CASES.values(), ids=STEP_ERROR_CASES.keys())
+def test_step_error_bounds_the_true_error(make):
+    # the Richardson estimate of the error-controlled run bounds its error
+    # against a reference at four times the fixed rule's step count
+    traj = make()
+    n_rule = dynamics._n_steps(traj, None)
+    result = evolve_two_level_direct(traj)
+    ref = evolve_two_level_direct(traj, n_steps=4 * n_rule)
+    assert ref.step_error is None and ref.steps == 4 * n_rule
+    assert abs(result.p_e - ref.p_e) <= 2.0 * result.step_error + 1e-14
+    # the run either met the tolerance or stopped at the rule's step count
+    assert (
+        result.step_error <= STEP_ATOL + STEP_RTOL * result.p_e
+        or result.steps >= n_rule
+    )
+
+
+def test_unmet_tolerance_stops_at_the_fixed_rule(monkeypatch):
+    # a tolerance no run meets doubles up to the rule's own step count and
+    # returns what the fixed rule gives
+    monkeypatch.setattr(dynamics, "STEP_ATOL", 0.0)
+    monkeypatch.setattr(dynamics, "STEP_RTOL", 0.0)
+    traj = remapped_trajectory(SWEEP, 1.34 * T_X, n_samples=4096)
+    n_rule = dynamics._n_steps(traj, None)
+    counts = [-(-n_rule // dynamics.PILOT_DIVISOR)]
+    while counts[-1] < n_rule:
+        counts.append(min(2 * counts[-1], n_rule))
+    result = evolve_two_level_direct(traj)
+    assert result.p_e == evolve_two_level_direct(traj, n_steps=n_rule).p_e
+    assert result.steps == sum(counts) and result.step_error > 0.0
+
+
+@settings(deadline=None, max_examples=25)
+@given(gentle_waveforms, st.floats(0.8, 2.5), st.sampled_from([1024, 2048]))
+def test_direct_and_ode_agree_on_gentle_sweeps(w, span, n_samples):
+    # the ODE keeps the fixed step rule, so it checks the error control
+    # independently
+    traj = sample_trajectory(w.with_t_p(span * T_X), n_samples)
+    direct, ode = evolve_two_level_direct(traj), evolve_two_level_exact(traj)
+    assert ode.step_error is None and ode.steps == dynamics._n_steps(traj, None)
+    assert abs(direct.p_e - ode.p_e) < 1e-8

@@ -145,6 +145,23 @@ def test_trajectory_rejects_nonuniform_grid():
         )
 
 
+def test_trajectory_accepts_rounded_grid_far_from_the_origin():
+    # |t| / d = 2e8: the rounding of the times alone is ~2e-8 d, the same
+    # grid fourier_integral accepts; a sample moved by 1e-6 d is refused
+    from adiabatz.waveform import SampledTrajectory
+
+    n = 2000
+    t = 1000.0 + np.linspace(0.0, 1e-2, n)
+    fields = dict(
+        theta=np.full(n, 0.5), dtheta_dt=np.zeros(n), h_z=np.full(n, 1.0),
+        omega=np.full(n, 2.0), h_x=1.0,
+    )
+    assert SampledTrajectory(times=t, **fields).t_p == pytest.approx(1e-2, rel=1e-9)
+    t[700] += 1e-6 * (t[1] - t[0])
+    with pytest.raises(ValueError, match="uniform"):
+        SampledTrajectory(times=t, **fields)
+
+
 def test_out_of_range_theta_is_clamped_with_warning():
     w = theta_waveform(np.array([0.26, -0.3, 0.05]), 1.0, 0.1, 0.72)
     with pytest.warns(UserWarning):
