@@ -190,14 +190,14 @@ def evolve_two_level_direct(
     step_error and the steps of all runs summed in steps.
     """
     z = CubicSpline(traj.times, traj.h_x / np.tan(traj.theta))
-    psi0 = ground_state(traj.theta[0])
+    psi0, excited = ground_state(traj.theta[0]), excited_state(traj.theta[-1])
 
     def propagate(n):
         h = traj.t_p / n
         mid = traj.times[0] + (np.arange(n) + 0.5) * h
         z1, z2 = z(mid + np.array([[-1.0], [1.0]]) * h / (2.0 * math.sqrt(3.0)))
         psi = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h) @ psi0
-        beta = complex(np.vdot(excited_state(traj.theta[-1]), psi))
+        beta = complex(np.vdot(excited, psi))
         return psi, beta, beta.real**2 + beta.imag**2
 
     n_rule = _n_steps(traj, n_steps)
