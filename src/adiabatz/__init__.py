@@ -17,8 +17,6 @@ from .dynamics import (
     evolve_two_level_exact,
 )
 from .geometry import (
-    ControlGeometry,
-    control_geometry,
     excited_state,
     ground_state,
     h_z_from_theta,
@@ -26,6 +24,7 @@ from .geometry import (
     theta_from_fields,
 )
 from .optimize import (
+    CZ_ROUNDING_SIGMA_PERIODS,
     Objective,
     ObjectiveKind,
     OptimizationReport,
@@ -52,7 +51,6 @@ from .waveform import (
     BasisMode,
     FourierWaveform,
     SampledTrajectory,
-    WaveformPoint,
     constraint_residual,
     derivative_waveform,
     eval_fourier,
@@ -60,7 +58,6 @@ from .waveform import (
     linear_ramp_trajectory,
     rectangular_window,
     sample_trajectory,
-    slepian_window,
     small_angle_trajectory,
     theta_waveform,
 )

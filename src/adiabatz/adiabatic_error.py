@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dynamics import evolve_two_level_direct
 from .waveform import SampledTrajectory
 
 __all__ = [
@@ -116,9 +117,6 @@ def error_curve(
     grid = np.asarray(t_p_grid, dtype=float)
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("t_p grid must be positive and strictly increasing")
-    if evaluator is Evaluator.EXACT:
-        from .dynamics import evolve_two_level_direct
-
     p_e = np.full(len(grid), np.nan)
     failures = []
     for i, t_p in enumerate(grid):

@@ -161,9 +161,10 @@ def _run_psd_windows(params: dict, seed: int):
         )
     lams = []
     for i, entry in enumerate(sets):
-        lam = np.array(_num_list({"entry": entry}, "entry"))
+        key = f"coefficients_lambda[{i}]"
+        lam = np.array(_num_list({key: entry}, key))
         if lam.sum() == 0:
-            raise ValidationError(f"coefficients_lambda[{i}]: sum must be nonzero")
+            raise ValidationError(f"{key}: sum must be nonzero")
         lams.append(lam / lam.sum())
     labels = _get(params, "labels", [f"w{i + 1}" for i in range(len(lams))])
     if (

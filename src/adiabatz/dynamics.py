@@ -33,10 +33,10 @@ __all__ = [
 
 AB_PRODUCT_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-9
-# fixed step rule: rotation angle per step, small enough for ~1e-10 step
-# error at fourth order.  It sizes the product ODE, the constant-gap frame
-# kernel and the three-level ladder, and gives the direct propagator its
-# pilot (1/PILOT_DIVISOR of the rule's count) and its cap
+# fixed step rule (_fixed_step_count): rotation angle per step, small
+# enough for ~1e-10 step error at fourth order.  It sizes the product ODE,
+# the constant-gap frame kernel and the three-level ladder, and gives the
+# direct propagator its pilot (1/PILOT_DIVISOR of the rule's count) and cap
 PHASE_PER_STEP = 0.0125
 # error control of the direct propagator: the Richardson estimate of the
 # returned P_e must fall to STEP_ATOL + STEP_RTOL * P_e
@@ -83,6 +83,21 @@ class EvolutionResult:
     steps: int
 
 
+def _fixed_step_count(phase: float, floor: int) -> int:
+    """The fixed step rule: phase bounds the rotation angle of the whole
+    run (duration times the largest rate), each step takes at most
+    PHASE_PER_STEP of it, and there are at least floor steps."""
+    return max(floor, math.ceil(phase / PHASE_PER_STEP))
+
+
+def _gauss_node_times(start: float, duration: float, n: int):
+    """Step length h and the two Gauss-node times of each of n equal steps
+    from start, as a (2, n) array."""
+    h = duration / n
+    mid = start + (np.arange(n) + 0.5) * h
+    return h, mid + np.array([[-1.0], [1.0]]) * h / (2.0 * math.sqrt(3.0))
+
+
 def _n_steps(traj: SampledTrajectory, n_steps: int | None) -> int:
     if n_steps is not None:
         if n_steps < 1:
@@ -90,7 +105,7 @@ def _n_steps(traj: SampledTrajectory, n_steps: int | None) -> int:
         return n_steps
     omega = 2.0 * traj.h_x / np.sin(traj.theta)
     rate = float(np.max(omega) + np.max(np.abs(traj.dtheta_dt)))
-    return max(len(traj.times) - 1, int(np.ceil(traj.t_p * rate / PHASE_PER_STEP)))
+    return _fixed_step_count(traj.t_p * rate, len(traj.times) - 1)
 
 
 def _p_e_from_product(u: complex, d: float) -> float:
@@ -193,9 +208,8 @@ def evolve_two_level_direct(
     psi0, excited = ground_state(traj.theta[0]), excited_state(traj.theta[-1])
 
     def propagate(n):
-        h = traj.t_p / n
-        mid = traj.times[0] + (np.arange(n) + 0.5) * h
-        z1, z2 = z(mid + np.array([[-1.0], [1.0]]) * h / (2.0 * math.sqrt(3.0)))
+        h, nodes = _gauss_node_times(traj.times[0], traj.t_p, n)
+        z1, z2 = z(nodes)
         psi = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h) @ psi0
         beta = complex(np.vdot(excited, psi))
         return psi, beta, beta.real**2 + beta.imag**2
@@ -252,19 +266,16 @@ def _tau_frame_p_e(w: FourierWaveform, t_ps, h_x: float = 1.0) -> np.ndarray:
 
     def nodes(n):
         # theta at the two Gauss nodes of each of n steps on u in [0, 1]
-        mid = (np.arange(n) + 0.5) / n
-        theta, dtheta = eval_fourier(
-            shape, mid + np.array([[-1.0], [1.0]]) / (2.0 * math.sqrt(3.0) * n)
-        )
+        theta, dtheta = eval_fourier(shape, _gauss_node_times(0.0, 1.0, n)[1])
         if np.any(theta <= 0.0) or np.any(theta >= math.pi):
             raise ValueError("theta(tau) must stay strictly inside (0, pi)")
         return theta, dtheta
 
-    # size the grid once, for the longest duration, by the _n_steps rule
+    # size the grid once, for the longest duration, by the fixed step rule
     # with the constant gap 2 h_x tau_p; a coarse pass estimates tau_p
     theta, dtheta = nodes(64)
     tau_max = float(np.max(t_ps)) / float(np.mean(np.sin(theta)))
-    n = max(64, math.ceil((2.0 * h_x * tau_max + np.max(np.abs(dtheta))) / PHASE_PER_STEP))
+    n = _fixed_step_count(2.0 * h_x * tau_max + np.max(np.abs(dtheta)), 64)
     theta, _ = nodes(n)
     sin, cos = np.sin(theta), np.cos(theta)
     mean_sin = float(np.mean(sin))  # two-node Gauss rule for int_0^1 sin theta du

@@ -8,13 +8,9 @@ h_x fixed, theta and h_z are interchangeable coordinates for the control.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 __all__ = [
-    "ControlGeometry",
-    "control_geometry",
     "theta_from_fields",
     "h_z_from_theta",
     "omega_from_theta",
@@ -25,55 +21,6 @@ __all__ = [
 # theta is kept strictly inside (0, pi): the poles correspond to |h_z| -> inf.
 THETA_MIN = 1e-6
 THETA_MAX = np.pi - 1e-6
-
-
-@dataclasses.dataclass(frozen=True)
-class ControlGeometry:
-    """Static field configuration and its derived angle/frequency.
-
-    Attributes
-    ----------
-    h_x : float
-        Transverse field (energy units, hbar = 1).  Must be positive.
-    h_z : float
-        Longitudinal field.
-    theta : float
-        Control angle arctan2(h_x, h_z), in (0, pi) for h_x > 0.
-    omega : float
-        Gap frequency 2*sqrt(h_x**2 + h_z**2).
-    """
-
-    h_x: float
-    h_z: float
-    theta: float
-    omega: float
-
-    @property
-    def omega_x(self) -> float:
-        """Gap frequency at the crossing point (h_z = 0)."""
-        return 2.0 * self.h_x
-
-    @property
-    def t_x(self) -> float:
-        """Precession period at the crossing, 2*pi/omega_x."""
-        return np.pi / self.h_x
-
-
-def control_geometry(h_z: float, h_x: float = 1.0) -> ControlGeometry:
-    """Build a ControlGeometry from the two field components.
-
-    Parameters
-    ----------
-    h_z : float
-        Longitudinal field.
-    h_x : float
-        Transverse field; must be positive (no avoided crossing otherwise).
-    """
-    if not h_x > 0:
-        raise ValueError(f"h_x must be positive, got {h_x}")
-    theta = float(np.arctan2(h_x, h_z))
-    omega = 2.0 * float(np.hypot(h_x, h_z))
-    return ControlGeometry(h_x=float(h_x), h_z=float(h_z), theta=theta, omega=omega)
 
 
 def theta_from_fields(h_z, h_x: float = 1.0):

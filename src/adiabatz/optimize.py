@@ -11,8 +11,8 @@ left by exact two-level dynamics, and are searched by a restarted simplex.
 Without rounding the candidate is stepped in the constant-gap frame of the
 remap, where theta(tau) is the waveform in closed form and all durations of
 the window share one grid.  Gaussian rounding acts on the lab control
-h_z(t), so a rounded candidate is remapped onto a lab grid of n_samples
-points, rounded there and propagated in lab time.
+h_z(t), so a rounded candidate is remapped onto a lab grid of
+ROUNDED_SAMPLES points, rounded there and propagated in lab time.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ EDGE_SOFTNESS = 0.10
 # so the weight beyond u = 400 is negligible against the band integral
 U_MAX = 400.0
 RESTARTS = 8
+# durations scored across the window of EXACT_ERROR_MAX_OVER_WINDOW
+WINDOW_DURATIONS = 9
+# lab grid of the rounded path: tau and lab samples per remapped duration
+ROUNDED_SAMPLES = 2048
 # frozen rounding width for the excursion pulse, in crossing periods
 # (2 pi / omega_x); chosen so the rounded re-optimization sustains low
 # error near twice the crossing period
@@ -67,9 +71,10 @@ class Objective:
     The spectral kind needs only the dimensionless band edge `cutoff`
     (omega t_p / 2 pi).  The exact kinds score trajectories and need the
     endpoint angles, the lab-duration window, and optionally a Gaussian
-    rounding width (lab time units) applied to the control h_z(t).  Unrounded
-    exact objectives step in the constant-gap frame and size their own grid;
-    `n_samples` is the lab grid of the rounded path only.
+    rounding width (lab time units) applied to the control h_z(t).  The
+    worst-over-window kind scores WINDOW_DURATIONS evenly spaced durations.
+    Unrounded exact objectives step in the constant-gap frame and size their
+    own grid; a rounded one is remapped onto ROUNDED_SAMPLES lab samples.
     """
 
     kind: ObjectiveKind
@@ -79,8 +84,6 @@ class Objective:
     theta_i: float | None = None
     theta_f: float | None = None
     h_x: float = 1.0
-    window_points: int = 9
-    n_samples: int = 2048
 
     def __post_init__(self):
         if self.convolution_sigma < 0:
@@ -190,7 +193,7 @@ class _ExactObjective:
         if objective.kind is ObjectiveKind.EXACT_ERROR_AT_TP:
             self._grid = np.array([lo])
         else:
-            self._grid = np.linspace(lo, hi, objective.window_points)
+            self._grid = np.linspace(lo, hi, WINDOW_DURATIONS)
         self.rejected = 0
 
     def __call__(self, lam: np.ndarray) -> float:
@@ -204,7 +207,7 @@ class _ExactObjective:
             worst = 0.0
             for t_p in self._grid:
                 traj = remapped_trajectory(
-                    w, float(t_p), n_samples=obj.n_samples, h_x=obj.h_x
+                    w, float(t_p), n_samples=ROUNDED_SAMPLES, h_x=obj.h_x
                 )
                 traj = convolve_trajectory(traj, obj.convolution_sigma)
                 worst = max(worst, evolve_two_level_direct(traj).p_e)
@@ -348,7 +351,6 @@ def convolve_trajectory(traj: SampledTrajectory, sigma: float) -> SampledTraject
         h_z=h_z,
         omega=omega_from_theta(theta, traj.h_x),
         h_x=traj.h_x,
-        constant_omega=False,
     )
 
 

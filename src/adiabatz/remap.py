@@ -83,7 +83,6 @@ def invert_remap(table: RemapTable, t_grid, h_x: float = 1.0) -> SampledTrajecto
         h_z=h_z_from_theta(theta, h_x),
         omega=omega_from_theta(theta, h_x),
         h_x=h_x,
-        constant_omega=False,
     )
 
 
@@ -100,6 +99,8 @@ def remapped_trajectory(
     hit t_p_lab before building the map.  The tau grid and the lab grid both
     have n_samples points.
     """
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
     u = np.linspace(0.0, 1.0, n_samples)
     theta_shape, _ = eval_fourier(w.with_t_p(1.0), u)
     mean_rate = float(np.trapezoid(np.sin(theta_shape), u))

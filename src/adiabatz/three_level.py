@@ -18,7 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import least_squares
 
-from .dynamics import PHASE_PER_STEP, _su2_propagator
+from .dynamics import _fixed_step_count, _gauss_node_times, _su2_propagator
 
 __all__ = [
     "ThreeLevelPulse",
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-9
+# qubit-subspace error below which a calibration counts as converged
+ERROR_TARGET = 1e-7
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,13 +136,11 @@ def _gauss_nodes(times: np.ndarray, w: np.ndarray, max_energy: float, n_steps: i
     """Step length h and the drive at the two Gauss nodes of each step."""
     t_p = float(times[-1] - times[0])
     if n_steps is None:
-        rate = max_energy + float(np.max(np.abs(w)))
-        n_steps = max(1024, int(np.ceil(t_p * rate / PHASE_PER_STEP)))
+        n_steps = _fixed_step_count(t_p * (max_energy + float(np.max(np.abs(w)))), 1024)
     elif n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    h = t_p / n_steps
-    mid = times[0] + (np.arange(n_steps) + 0.5) * h
-    w1, w2 = CubicSpline(times, w)(mid + np.array([[-1.0], [1.0]]) * h / (2 * math.sqrt(3)))
+    h, nodes = _gauss_node_times(times[0], t_p, n_steps)
+    w1, w2 = CubicSpline(times, w)(nodes)
     return h, w1, w2
 
 
@@ -251,7 +251,6 @@ def calibrate_pulse(
     delta: float,
     target: RotationTarget,
     levels: int = 3,
-    error_target: float = 1e-7,
     n_steps: int | None = None,
 ) -> CalibrationResult:
     """Tune (amplitude, detuning, phase) for the target qubit rotation.
@@ -261,8 +260,8 @@ def calibrate_pulse(
     envelope (the delta -> -inf limit), where the area theorem fixes the
     answer and serves as a sanity anchor.  Levenberg-Marquardt on the
     qubit-block residual off the target rotation (see _subspace_residual),
-    seeded by the area theorem and the mean Stark shift; if the target
-    error is unattainable the best point found is returned with
+    seeded by the area theorem and the mean Stark shift; if the subspace
+    error cannot reach ERROR_TARGET the best point found is returned with
     converged=False (optimizer_success is the least-squares status).
     """
     if levels not in (2, 3):
@@ -308,7 +307,7 @@ def calibrate_pulse(
         phase=phase,
         qubit_subspace_error=final.qubit_subspace_error,
         err2_avg=final.err2_avg,
-        converged=bool(final.qubit_subspace_error <= error_target),
+        converged=bool(final.qubit_subspace_error <= ERROR_TARGET),
         optimizer_success=bool(fit.success),
         pulse=build(fit.x),
     )

@@ -20,7 +20,6 @@ import enum
 import warnings
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .geometry import (
     THETA_MAX,
@@ -33,14 +32,14 @@ from .spectral import _uniform_step
 __all__ = [
     "BasisMode",
     "FourierWaveform",
-    "WaveformPoint",
+    "derivative_waveform",
+    "theta_waveform",
     "eval_fourier",
     "constraint_residual",
     "SampledTrajectory",
     "sample_trajectory",
     "small_angle_trajectory",
     "linear_ramp_trajectory",
-    "slepian_window",
     "rectangular_window",
     "hanning_window",
 ]
@@ -142,17 +141,10 @@ def theta_waveform(coefficients, t_p: float, theta_i: float, theta_f: float) -> 
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class WaveformPoint:
-    theta: float
-    dtheta_dt: float
-
-
 def eval_fourier(w: FourierWaveform, t):
-    """Evaluate theta(t) and dtheta/dt at time(s) t in [0, t_p].
+    """Evaluate theta(t) and dtheta/dt at the times t in [0, t_p].
 
-    Returns a WaveformPoint for scalar t, or a (theta, dtheta_dt) array
-    pair for array t.
+    Returns a (theta, dtheta_dt) pair of arrays shaped like t.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < -1e-12) or np.any(t_arr > w.t_p * (1 + 1e-12)):
@@ -169,8 +161,6 @@ def eval_fourier(w: FourierWaveform, t):
     else:
         theta = w.theta_i + (1.0 - np.cos(phases)) @ w.coefficients
         dtheta = np.sin(phases) @ (w.coefficients * 2.0 * np.pi * n / w.t_p)
-    if t_arr.ndim == 0:
-        return WaveformPoint(float(theta), float(dtheta))
     return theta, dtheta
 
 
@@ -191,12 +181,11 @@ class SampledTrajectory:
         Longitudinal field, h_x / tan(theta).
     omega : np.ndarray
         Precession frequency used by the linearized error integral.  Equals
-        2*h_x/sin(theta) for physical trajectories; a constant-omega
-        idealization may override it (constant_omega flag set).
+        2*h_x/sin(theta) for physical trajectories; the constant-frequency
+        idealization (small_angle_trajectory) pins it instead.  The exact
+        propagators ignore it and take the gap from theta and h_x.
     h_x : float
         Fixed transverse field.
-    constant_omega : bool
-        True when omega was pinned rather than derived from theta.
     """
 
     times: np.ndarray
@@ -205,7 +194,6 @@ class SampledTrajectory:
     h_z: np.ndarray
     omega: np.ndarray
     h_x: float
-    constant_omega: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -252,7 +240,6 @@ def sample_trajectory(
         h_z=h_z_from_theta(theta, h_x),
         omega=omega_from_theta(theta, h_x),
         h_x=h_x,
-        constant_omega=False,
     )
 
 
@@ -272,7 +259,6 @@ def small_angle_trajectory(
         h_z=h_z_from_theta(theta, h_x),
         omega=np.full_like(theta, float(omega0)),
         h_x=h_x,
-        constant_omega=True,
     )
 
 
@@ -289,36 +275,6 @@ def linear_ramp_trajectory(span: float, rate: float, n_samples: int) -> SampledT
         omega=2.0 * np.sqrt(1.0 + h_z**2),
         h_x=1.0,
     )
-
-
-def slepian_window(n_samples: int, time_bandwidth: float) -> np.ndarray:
-    """Zeroth discrete prolate spheroidal sequence, unit area.
-
-    Dominant eigenvector of the standard symmetric tridiagonal DPSS
-    operator; time_bandwidth = (band edge omega_c)*t_p/(2 pi).
-    """
-    if n_samples < 8:
-        raise ValueError(f"n_samples must be >= 8, got {n_samples}")
-    if not 0 < time_bandwidth < n_samples / 2:
-        raise ValueError(
-            f"time_bandwidth must lie in (0, n_samples/2), got {time_bandwidth}"
-        )
-    n = n_samples
-    k = np.arange(n)
-    half_bw = time_bandwidth / n
-    diag_main = ((n - 1) / 2.0 - k) ** 2 * np.cos(2.0 * np.pi * half_bw)
-    diag_off = np.arange(1, n) * (n - np.arange(1, n)) / 2.0
-    try:
-        _, vec = eigh_tridiagonal(
-            diag_main, diag_off, select="i", select_range=(n - 1, n - 1)
-        )
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
-        raise RuntimeError(f"DPSS eigen-solver failed: {exc}") from exc
-    v = vec[:, 0]
-    if v.sum() < 0:
-        v = -v
-    # unit trapezoid area with samples spread over [0, 1]
-    return v / np.trapezoid(v, x=np.linspace(0.0, 1.0, n))
 
 
 def rectangular_window(n_samples: int) -> np.ndarray:

@@ -27,7 +27,6 @@ def constant_rate_trajectory(dtheta, t_p, omega0, n=32768):
         h_z=1.0 / np.tan(theta),
         omega=np.full(n, omega0),
         h_x=1.0,
-        constant_omega=True,
     )
 
 
@@ -78,7 +77,6 @@ def test_time_reversal_symmetry():
         h_z=traj.h_z[::-1].copy(),
         omega=traj.omega[::-1].copy(),
         h_x=traj.h_x,
-        constant_omega=True,
     )
     assert geometric_error(rev).p_e == pytest.approx(
         geometric_error(traj).p_e, rel=1e-12

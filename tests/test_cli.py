@@ -27,6 +27,15 @@ def test_unknown_parameter_rejected(tmp_path):
     assert rc == 2
 
 
+def test_psd_windows_error_names_the_bad_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"coefficients_lambda": [[1.0, 0.5], [1.0, "x"]]})
+    rc = main(["psd-windows", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: coefficients_lambda[1]: entries must be finite numbers, got 'x'\n"
+    )
+
+
 def test_missing_config_file(tmp_path):
     rc = main(["table1", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2

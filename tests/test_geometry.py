@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from adiabatz.geometry import (
-    control_geometry,
     excited_state,
     ground_state,
     h_z_from_theta,
@@ -27,16 +26,10 @@ def test_round_trip_h_z():
 
 
 def test_omega_is_twice_field_magnitude():
-    g = control_geometry(h_z=3.0, h_x=4.0)
-    assert g.omega == pytest.approx(10.0)
-    assert g.theta == pytest.approx(np.arctan2(4.0, 3.0))
+    theta = theta_from_fields(3.0, h_x=4.0)
+    assert theta == pytest.approx(np.arctan2(4.0, 3.0))
+    assert omega_from_theta(theta, h_x=4.0) == pytest.approx(10.0)
     assert omega_from_theta(np.pi / 2, h_x=1.0) == pytest.approx(2.0)
-
-
-def test_crossing_period():
-    g = control_geometry(h_z=0.0, h_x=1.0)
-    assert g.omega_x == pytest.approx(2.0)
-    assert g.t_x == pytest.approx(np.pi)
 
 
 def test_eigenstates_diagonalize_hamiltonian():

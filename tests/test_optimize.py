@@ -74,7 +74,7 @@ def test_bitwise_reproducibility():
     # the seeded restarts of the exact-dynamics simplex
     objective = Objective(
         kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(4.0, 4.0),
-        theta_i=0.3, theta_f=2.2, n_samples=512,
+        theta_i=0.3, theta_f=2.2,
     )
     a, b = (
         optimize_coefficients(3, BasisMode.DERIVATIVE, objective, 1.9, seed=3, max_iterations=15)
@@ -170,7 +170,7 @@ def test_rejected_candidates_are_counted():
     theta_i, theta_f = 0.05, np.pi - 0.05
     objective = Objective(
         kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(4.0, 4.0),
-        theta_i=theta_i, theta_f=theta_f, n_samples=512,
+        theta_i=theta_i, theta_f=theta_f,
     )
     rep = optimize_coefficients(
         3, BasisMode.DERIVATIVE, objective, theta_f - theta_i, max_iterations=10
@@ -274,7 +274,6 @@ def test_convolve_trajectory_extends_and_smooths():
     half = (len(gaussian_kernel(0.3, traj.dt)) - 1) // 2
     assert len(out.times) == len(traj.times) + 2 * half
     assert out.t_p == pytest.approx(traj.t_p + 2 * half * traj.dt, rel=1e-12)
-    assert not out.constant_omega
     # positive unit-mass kernel: smoothed h_z stays inside the input range
     assert np.min(out.h_z) >= np.min(traj.h_z) - 1e-12
     assert np.max(out.h_z) <= np.max(traj.h_z) + 1e-12

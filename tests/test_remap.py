@@ -137,6 +137,13 @@ def test_build_remap_guards():
         build_remap(np.linspace(0.5, np.pi, 64), tau_p=1.0)
 
 
+def test_remapped_trajectory_needs_two_samples():
+    w = half_transition()
+    with pytest.raises(ValueError, match="two samples"):
+        remapped_trajectory(w, 4.0, n_samples=1)
+    assert len(remapped_trajectory(w, 4.0, n_samples=2).times) == 2
+
+
 def test_invert_remap_rejects_out_of_range_times():
     table = build_remap(np.full(64, np.pi / 2), tau_p=1.0)
     with pytest.raises(ValueError):
