@@ -311,10 +311,12 @@ def _run_cz_pulse(params: dict, seed: int):
         seed=seed,
         max_iterations=max_iterations,
     )
-    columns = ["n_coeffs", "sigma_over_Tx", "max_p_e", "iterations", "converged"]
+    columns = ["n_coeffs", "sigma_over_Tx", "max_p_e", "iterations", "converged",
+               "max_p_e_step_error", "rejected"]
     columns += [f"lambda_prime_{n}_rad" for n in range(1, n_coeffs + 1)]
+    step_error = float("nan") if rep.step_error is None else rep.step_error
     row = [float(n_coeffs), sigma, rep.objective_value, float(rep.iterations),
-           float(rep.converged)]
+           float(rep.converged), step_error, float(rep.rejected)]
     return columns, [row + [float(c) for c in rep.coefficients]]
 
 

@@ -10,7 +10,9 @@ that estimate with the answer.  Both derive the Hamiltonian from theta(t)
 and h_x alone; a pinned omega field on the trajectory is a
 linearized-analysis device and is ignored here.  The
 same SU(2) kernel also steps remapped Fourier waveforms directly in the
-constant-gap frame, for the unrounded exact search objectives.
+constant-gap frame, for the unrounded exact search objectives, under the
+same doubling loop (_richardson): searches pass a loose tolerance, and
+the default tolerance 0 doubles up to the fixed rule's own count.
 """
 
 from __future__ import annotations
@@ -34,15 +36,20 @@ __all__ = [
 AB_PRODUCT_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-9
 # fixed step rule (_fixed_step_count): rotation angle per step, small
-# enough for ~1e-10 step error at fourth order.  It sizes the product ODE,
-# the constant-gap frame kernel and the three-level ladder, and gives the
-# direct propagator its pilot (1/PILOT_DIVISOR of the rule's count) and cap
+# enough for ~1e-10 step error at fourth order.  It sizes the product ODE
+# and the three-level ladder, and gives the doubling loop (_richardson) of
+# the direct propagator and the constant-gap frame kernel its pilot
+# (1/PILOT_DIVISOR of the rule's count) and cap
 PHASE_PER_STEP = 0.0125
 # error control of the direct propagator: the Richardson estimate of the
-# returned P_e must fall to STEP_ATOL + STEP_RTOL * P_e
+# returned P_e must fall to STEP_ATOL + STEP_RTOL * P_e (searches on the
+# constant-gap kernel use STEP_ATOL with a looser relative tolerance)
 STEP_ATOL = 1e-12
 STEP_RTOL = 1e-8
 PILOT_DIVISOR = 16
+# steps per aligned block of the SU(2) chain (a power of two): each block is
+# reduced to one step before the next is built, which bounds the memory
+CHAIN_BLOCK = 2**14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,6 +103,32 @@ def _gauss_node_times(start: float, duration: float, n: int):
     h = duration / n
     mid = start + (np.arange(n) + 0.5) * h
     return h, mid + np.array([[-1.0], [1.0]]) * h / (2.0 * math.sqrt(3.0))
+
+
+def _richardson(run, n_rule: int, atol: float, rtol: float):
+    """Error-controlled step count: run(n) returns (P, state) for n steps.
+
+    From a pilot at ceil(n_rule / PILOT_DIVISOR) steps the count doubles
+    until the Richardson estimate |P(m) - P(n)| / ((m/n)^4 - 1) of the finer
+    run (m = 2n, so /15, except where capped) falls to atol + rtol * P for
+    every entry of P, or the finer run reaches the rule's count, which it
+    never exceeds (n_rule = 1 caps at 2: an estimate needs two counts).  A
+    tolerance of 0 is never met.  Returns the finer run's P and state, the
+    estimate and the steps of all runs summed.
+    """
+    cap = max(n_rule, 2)
+    n = steps = math.ceil(n_rule / PILOT_DIVISOR)
+    p, _ = run(n)
+    while True:
+        m = min(2 * n, cap)
+        p_fine, state = run(m)
+        steps += m
+        error = abs(p_fine - p) / ((m / n) ** 4 - 1.0)
+        n, p = m, p_fine
+        tol = atol + rtol * p
+        met = (error <= tol) & (tol > 0.0)  # an array for an array of P
+        if n == cap or (met.all() if isinstance(met, np.ndarray) else met):
+            return p, state, error, steps
 
 
 def _n_steps(traj: SampledTrajectory, n_steps: int | None) -> int:
@@ -196,12 +229,11 @@ def evolve_two_level_direct(
     instantaneous ground state at t = 0.
 
     P_e is the population of the instantaneous excited eigenstate at t_p.
-    Unless n_steps is given, the step count is error-controlled: a pilot at
-    1/PILOT_DIVISOR of the fixed _n_steps rule is doubled until the
-    Richardson estimate |P(m) - P(n)| / ((m/n)^4 - 1) of the finer run
-    (m = 2n, so /15, except where capped) falls to
-    STEP_ATOL + STEP_RTOL * P, or the finer run reaches the rule's count,
-    which it never exceeds.  The finer run is returned with that estimate as
+    Unless n_steps is given, the step count is error-controlled
+    (_richardson): a pilot at 1/PILOT_DIVISOR of the fixed _n_steps rule is
+    doubled until the Richardson estimate falls to
+    STEP_ATOL + STEP_RTOL * P, or the run reaches the rule's count, which it
+    never exceeds.  The finer run is returned with that estimate as
     step_error and the steps of all runs summed in steps.
     """
     z = CubicSpline(traj.times, traj.h_x / np.tan(traj.theta))
@@ -212,26 +244,16 @@ def evolve_two_level_direct(
         z1, z2 = z(nodes)
         psi = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h) @ psi0
         beta = complex(np.vdot(excited, psi))
-        return psi, beta, beta.real**2 + beta.imag**2
+        return beta.real**2 + beta.imag**2, (psi, beta)
 
     n_rule = _n_steps(traj, n_steps)
     if n_steps is not None:
-        psi, beta, p_e = propagate(n_rule)
+        p_e, (psi, beta) = propagate(n_rule)
         steps, step_error = n_rule, None
     else:
-        # the last run is capped at the rule's count, so its ratio to the
-        # run before may fall below 2; an estimate needs two counts
-        cap = max(n_rule, 2)
-        n = steps = math.ceil(n_rule / PILOT_DIVISOR)
-        _, _, p_e = propagate(n)
-        while True:
-            m = min(2 * n, cap)
-            psi, beta, p_fine = propagate(m)
-            steps += m
-            step_error = abs(p_fine - p_e) / ((m / n) ** 4 - 1.0)
-            n, p_e = m, p_fine
-            if step_error <= STEP_ATOL + STEP_RTOL * p_e or n == cap:
-                break
+        p_e, (psi, beta), step_error, steps = _richardson(
+            propagate, n_rule, STEP_ATOL, STEP_RTOL
+        )
 
     drift = abs(float(np.linalg.norm(psi)) - float(np.linalg.norm(psi0)))
     if drift > NORM_DRIFT_TOL:
@@ -248,9 +270,20 @@ def evolve_two_level_direct(
     )
 
 
-def _tau_frame_p_e(w: FourierWaveform, t_ps, h_x: float = 1.0) -> np.ndarray:
+class _TauFrameP(np.ndarray):
+    """P_e per duration (the array itself), with the Richardson estimate per
+    duration in step_error and the steps of each duration's chain, summed
+    over the runs, in steps."""
+
+    step_error: np.ndarray
+    steps: int
+
+
+def _tau_frame_p_e(
+    w: FourierWaveform, t_ps, h_x: float = 1.0, atol: float = 0.0, rtol: float = 0.0
+) -> _TauFrameP:
     """P_e of the remapped waveform at each lab duration in t_ps, stepped in
-    the constant-gap frame on one shared grid.
+    the constant-gap frame on one shared grid, with its step error estimate.
 
     Under the remap 2 h_x dtau = omega(t) dt the lab Hamiltonian becomes
     h_x (sin theta sigma_x + cos theta sigma_z) in tau: the gap is a constant
@@ -258,8 +291,14 @@ def _tau_frame_p_e(w: FourierWaveform, t_ps, h_x: float = 1.0) -> np.ndarray:
     u = tau/tau_p the fields are h_x tau_p (sin theta, 0, cos theta) with
     tau_p = t_p / int_0^1 sin theta du, so every duration shares the theta
     nodes and differs only by the scale tau_p.  This is the continuum limit
-    of remapped_trajectory + evolve_two_level_direct.  Raises ValueError if
-    theta leaves (0, pi) at any node.
+    of remapped_trajectory + evolve_two_level_direct.
+
+    The fixed step rule, sized once for the longest duration, caps the
+    doubling loop (_richardson), which stops once every duration's
+    estimate falls to atol + rtol * P_e.  The default tolerance 0 is never
+    met, so P_e is the fixed rule's answer.  Returns P_e per duration with
+    the estimate and the step count attached (_TauFrameP).  Raises
+    ValueError if theta leaves (0, pi) at any node.
     """
     t_ps = np.atleast_1d(np.asarray(t_ps, dtype=float))
     shape = w.with_t_p(1.0)
@@ -271,22 +310,29 @@ def _tau_frame_p_e(w: FourierWaveform, t_ps, h_x: float = 1.0) -> np.ndarray:
             raise ValueError("theta(tau) must stay strictly inside (0, pi)")
         return theta, dtheta
 
-    # size the grid once, for the longest duration, by the fixed step rule
-    # with the constant gap 2 h_x tau_p; a coarse pass estimates tau_p
+    # the fixed step rule for the longest duration, with the constant gap
+    # 2 h_x tau_p; a coarse pass estimates tau_p
     theta, dtheta = nodes(64)
     tau_max = float(np.max(t_ps)) / float(np.mean(np.sin(theta)))
-    n = _fixed_step_count(2.0 * h_x * tau_max + np.max(np.abs(dtheta)), 64)
-    theta, _ = nodes(n)
-    sin, cos = np.sin(theta), np.cos(theta)
-    mean_sin = float(np.mean(sin))  # two-node Gauss rule for int_0^1 sin theta du
+    n_rule = _fixed_step_count(2.0 * h_x * tau_max + np.max(np.abs(dtheta)), 64)
     (theta_i, theta_f), _ = eval_fourier(shape, np.array([0.0, 1.0]))
     psi0, bra = ground_state(theta_i), excited_state(theta_f).conj()
-    # one chain per duration, all durations in one array pass
-    scale = (h_x / mean_sin) * t_ps[:, None]
-    u = _su2_propagator(
-        (scale * sin[0], 0.0, scale * cos[0]), (scale * sin[1], 0.0, scale * cos[1]), 1.0 / n
-    )
-    return np.abs(u @ psi0 @ bra) ** 2
+
+    def run(n):
+        theta, _ = nodes(n)
+        sin, cos = np.sin(theta), np.cos(theta)
+        mean_sin = float(np.mean(sin))  # two-node Gauss rule for int_0^1 sin theta du
+        # one chain per duration, all durations in one array pass
+        scale = (h_x / mean_sin) * t_ps[:, None]
+        u = _su2_propagator(
+            (scale * sin[0], 0.0, scale * cos[0]), (scale * sin[1], 0.0, scale * cos[1]), 1.0 / n
+        )
+        return np.abs(u @ psi0 @ bra) ** 2, None
+
+    p_e, _, step_error, steps = _richardson(run, n_rule, atol, rtol)
+    p_e = p_e.view(_TauFrameP)
+    p_e.step_error, p_e.steps = step_error, steps
+    return p_e
 
 
 def _su2_propagator(f1, f2, h: float) -> np.ndarray:
@@ -297,10 +343,34 @@ def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     exp(-i v.sigma) with v = (h/2)(f1 + f2) + (sqrt(3) h^2/6)(f2 x f1), the
     unit quaternion a - i(b, c, d).sigma held as alpha = a - i d,
     beta = c - i b; the steps are chained by the Hamilton product in that
-    form, later step on the left, pairwise along the last axis.  Leading axes
-    hold independent chains; the result is (..., 2, 2).
+    form, later step on the left, pairwise along the last axis.  Aligned
+    blocks of CHAIN_BLOCK steps are reduced one at a time: they are the
+    subtrees of the pairwise reduction, so the product is the same as that
+    of the whole chain at once.  Leading axes hold independent chains; the
+    result is (..., 2, 2).
     """
-    (f1x, f1y, f1z), (f2x, f2y, f2z) = f1, f2
+    fields = (*f1, *f2)
+    n = max(f.shape[-1] for f in fields if isinstance(f, np.ndarray) and f.ndim)
+    if n <= CHAIN_BLOCK:
+        alpha, beta = _su2_chain(fields, h)
+    else:
+        # scalars and length-1 axes broadcast over every block as they are
+        blocks = [
+            _su2_chain([f[..., k : k + CHAIN_BLOCK] if np.shape(f)[-1:] == (n,) else f
+                        for f in fields], h)
+            for k in range(0, n, CHAIN_BLOCK)
+        ]
+        alpha, beta = _su2_halve(
+            np.concatenate([a for a, _ in blocks], -1), np.concatenate([b for _, b in blocks], -1)
+        )
+    alpha, beta = alpha[..., 0], beta[..., 0]
+    return np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(alpha.shape + (2, 2))
+
+
+def _su2_chain(fields, h: float):
+    """Cayley-Klein pair (alpha, beta) of the product of one block of steps,
+    with a last axis of length 1."""
+    f1x, f1y, f1z, f2x, f2y, f2z = fields
     k = math.sqrt(3.0) * h * h / 6.0
     v_x = (h / 2.0) * (f1x + f2x) + k * (f2y * f1z - f2z * f1y)
     v_y = (h / 2.0) * (f1y + f2y) + k * (f2z * f1x - f2x * f1z)
@@ -308,12 +378,16 @@ def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     mag = np.sqrt(v_x**2 + v_y**2 + v_z**2)
     # sin|v|/|v|; where v = 0 the vector part is 0 whatever the factor
     s = np.divide(np.sin(mag), mag, out=np.ones_like(mag), where=mag > 0.0)
-    alpha, beta = np.cos(mag) - 1j * (s * v_z), s * (v_y - 1j * v_x)
+    return _su2_halve(np.cos(mag) - 1j * (s * v_z), s * (v_y - 1j * v_x))
+
+
+def _su2_halve(alpha, beta):
+    """Pairwise Hamilton products along the last axis down to one step; an
+    odd tail is padded with the identity step, which is exact."""
     while alpha.shape[-1] > 1:
         if alpha.shape[-1] % 2:
             pad = np.zeros(alpha.shape[:-1] + (1,))
             alpha, beta = np.concatenate([alpha, pad + 1.0], -1), np.concatenate([beta, pad], -1)
         a1, a2, b1, b2 = alpha[..., 0::2], alpha[..., 1::2], beta[..., 0::2], beta[..., 1::2]
         alpha, beta = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
-    alpha, beta = alpha[..., 0], beta[..., 0]
-    return np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(alpha.shape + (2, 2))
+    return alpha, beta

@@ -10,9 +10,12 @@ Exact-dynamics objectives score candidate waveforms by the excitation
 left by exact two-level dynamics, and are searched by a restarted simplex.
 Without rounding the candidate is stepped in the constant-gap frame of the
 remap, where theta(tau) is the waveform in closed form and all durations of
-the window share one grid.  Gaussian rounding acts on the lab control
-h_z(t), so a rounded candidate is remapped onto a lab grid of
-ROUNDED_SAMPLES points, rounded there and propagated in lab time.
+the window share one grid; the search steps it only until the step error
+estimate falls to STEP_ATOL + SEARCH_RTOL * P_e, and the winning candidate
+is scored again on the fixed step rule, which is the value reported.
+Gaussian rounding acts on the lab control h_z(t), so a rounded candidate is
+remapped onto a lab grid of ROUNDED_SAMPLES points, rounded there and
+propagated in lab time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from .dynamics import _tau_frame_p_e, evolve_two_level_direct
+from .dynamics import STEP_ATOL, _tau_frame_p_e, evolve_two_level_direct
 from .geometry import omega_from_theta, theta_from_fields
 from .remap import remapped_trajectory
 from .waveform import BasisMode, FourierWaveform, SampledTrajectory
@@ -52,6 +55,8 @@ RESTARTS = 8
 WINDOW_DURATIONS = 9
 # lab grid of the rounded path: tau and lab samples per remapped duration
 ROUNDED_SAMPLES = 2048
+# relative step error tolerance of the constant-gap kernel during a search
+SEARCH_RTOL = 1e-6
 # frozen rounding width for the excursion pulse, in crossing periods
 # (2 pi / omega_x); chosen so the rounded re-optimization sustains low
 # error near twice the crossing period
@@ -108,13 +113,18 @@ class Objective:
 @dataclasses.dataclass(frozen=True)
 class OptimizationReport:
     """Search outcome; rejected counts the candidates the exact objective
-    scored 1.0 because building or propagating them raised."""
+    scored 1.0 because building or propagating them raised.  step_error is
+    the largest step error estimate over the window at the reported value
+    (None for the spectral objective).  On the rounded path it is the lab
+    propagator's estimate and leaves out the error of sampling the remap on
+    ROUNDED_SAMPLES points."""
 
     coefficients: np.ndarray
     objective_value: float
     iterations: int
     converged: bool
     rejected: int = 0
+    step_error: float | None = None
 
 
 def basis_transform(u, n: int, mode: BasisMode) -> np.ndarray:
@@ -184,7 +194,8 @@ class _SpectralObjective:
 
 class _ExactObjective:
     """Worst exact-dynamics error of the remapped waveform over the window:
-    stepped in the constant-gap frame, or on the lab grid when rounded."""
+    stepped in the constant-gap frame, or on the lab grid when rounded.
+    Calls score a search candidate; report() scores the result."""
 
     def __init__(self, objective: Objective, mode: BasisMode, n_m: int):
         self._obj = objective
@@ -197,24 +208,36 @@ class _ExactObjective:
         self.rejected = 0
 
     def __call__(self, lam: np.ndarray) -> float:
+        return self._score(lam, STEP_ATOL, SEARCH_RTOL)[0]
+
+    def report(self, lam: np.ndarray, iterations: int, converged: bool) -> OptimizationReport:
+        # the default tolerance of the constant-gap kernel is its fixed rule
+        value, step_error = self._score(lam, 0.0, 0.0)
+        return OptimizationReport(lam, value, iterations, converged, self.rejected, step_error)
+
+    def _score(self, lam: np.ndarray, atol: float, rtol: float):
+        """(worst P_e over the window, its largest step error estimate); the
+        tolerance applies to the constant-gap kernel, the rounded path keeps
+        the lab propagator's own."""
         obj = self._obj
         w = FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f)
         # candidates whose control angle leaves (0, pi) or whose dynamics
         # blow up get the worst possible score; the simplex backs off
         try:
             if obj.convolution_sigma == 0:
-                return float(np.max(_tau_frame_p_e(w, self._grid, obj.h_x)))
-            worst = 0.0
+                p_e = _tau_frame_p_e(w, self._grid, obj.h_x, atol, rtol)
+                return float(np.max(p_e)), float(np.max(p_e.step_error))
+            worst = error = 0.0
             for t_p in self._grid:
                 traj = remapped_trajectory(
                     w, float(t_p), n_samples=ROUNDED_SAMPLES, h_x=obj.h_x
                 )
-                traj = convolve_trajectory(traj, obj.convolution_sigma)
-                worst = max(worst, evolve_two_level_direct(traj).p_e)
-            return worst
+                result = evolve_two_level_direct(convolve_trajectory(traj, obj.convolution_sigma))
+                worst, error = max(worst, result.p_e), max(error, result.step_error)
+            return worst, error
         except (ValueError, RuntimeError):
             self.rejected += 1
-            return 1.0
+            return 1.0, None
 
 
 def _constraint_row(mode: BasisMode, n_m: int) -> np.ndarray:
@@ -253,8 +276,10 @@ def optimize_coefficients(
     eight seeded restarts: a flat start (the one-term waveform),
     deterministic single-coordinate spokes (that landscape is multimodal and
     the useful basins sit well away from zero), and random perturbations
-    from the given seed.  Returns the best restart; converged reflects the
-    simplex termination status of the winning restart.
+    from the given seed.  The search scores candidates at a loose step
+    tolerance; the best restart is scored again on the fixed step rule,
+    and that value is returned.  converged reflects the simplex termination
+    status of the winning restart.
     """
     if n_m < 1:
         raise ValueError("n_m must be >= 1")
@@ -264,8 +289,7 @@ def optimize_coefficients(
         return OptimizationReport(lam, value(lam), iterations=0, converged=True)
     value = _ExactObjective(objective, mode, n_m)
     if n_m == 1:
-        lam = _assemble(mode, np.empty(0), 1, constraint_value)
-        return OptimizationReport(lam, value(lam), 0, True, value.rejected)
+        return value.report(_assemble(mode, np.empty(0), 1, constraint_value), 0, True)
 
     rng = np.random.default_rng(seed)
     scale = 0.05 * max(1.0, abs(constraint_value))
@@ -296,9 +320,8 @@ def optimize_coefficients(
         iterations += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res
-    lam = _assemble(mode, best.x, n_m, constraint_value)
-    return OptimizationReport(
-        lam, float(best.fun), iterations, bool(best.success), value.rejected
+    return value.report(
+        _assemble(mode, best.x, n_m, constraint_value), iterations, bool(best.success)
     )
 
 
@@ -386,9 +409,8 @@ def optimize_cz_pulse(
         h_x=h_x,
     )
     if theta_f == theta_i:
-        lam = np.zeros(n_coeffs)
         value = _ExactObjective(objective, BasisMode.THETA, n_coeffs)
-        return OptimizationReport(lam, value(lam), 0, True, value.rejected)
+        return value.report(np.zeros(n_coeffs), 0, True)
     return optimize_coefficients(
         n_coeffs,
         BasisMode.THETA,

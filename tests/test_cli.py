@@ -131,6 +131,21 @@ def test_runs_are_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cz_pulse_columns(tmp_path):
+    # the estimate and the rejection count sit before the coefficients,
+    # which run to the end of the row
+    cfg = write_config(tmp_path, {"theta_i_rad": 0.3, "theta_f_rad": 0.3, "n_coeffs": 2})
+    assert main(["cz-pulse", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    cols, data = load_table(tmp_path / "cz-pulse.csv")
+    assert cols == [
+        "n_coeffs", "sigma_over_Tx", "max_p_e", "iterations", "converged",
+        "max_p_e_step_error", "rejected", "lambda_prime_1_rad", "lambda_prime_2_rad",
+    ]
+    row = dict(zip(cols, data[0]))
+    assert row["rejected"] == 0.0
+    assert 0.0 < row["max_p_e_step_error"] < 1e-12
+
+
 def test_drag_sweep_two_level_area_theorem(tmp_path):
     n, t_p = 128, 2.5
     cfg = write_config(

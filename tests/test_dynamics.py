@@ -17,7 +17,7 @@ from adiabatz.dynamics import (
     evolve_two_level_exact,
 )
 from adiabatz.geometry import excited_state, ground_state
-from adiabatz.optimize import CZ_ROUNDING_SIGMA_PERIODS, convolve_trajectory
+from adiabatz.optimize import CZ_ROUNDING_SIGMA_PERIODS, SEARCH_RTOL, convolve_trajectory
 from adiabatz.remap import remapped_trajectory
 from adiabatz.waveform import (
     SampledTrajectory,
@@ -221,6 +221,74 @@ def test_tau_frame_rejects_angles_outside_the_open_interval():
         _tau_frame_p_e(w, [T_X])
 
 
+# windows of the unrounded searches: criterion 05's sweep, criterion 06's
+# optimum, and a small excursion so short that the 64-step floor sets the grid
+TAU_WINDOWS = {
+    "criterion-05": (SWEEP, (1.2, 1.5)),
+    "criterion-06": (
+        theta_waveform(
+            [(0.55 * np.pi / 2 - 0.1) / 2.0 - 0.0205, -0.19, 0.0205], 1.0, 0.1, 0.55 * np.pi / 2
+        ),
+        (0.9, 1.15),
+    ),
+    "floor": (theta_waveform([0.02, 0.0], 1.0, 0.5, 0.54), (0.02, 0.05)),
+}
+
+
+def doubling_series(n_rule):
+    counts = [-(-n_rule // dynamics.PILOT_DIVISOR)]
+    while counts[-1] < n_rule:
+        counts.append(min(2 * counts[-1], n_rule))
+    return counts
+
+
+@pytest.mark.parametrize("w, window", TAU_WINDOWS.values(), ids=TAU_WINDOWS.keys())
+@pytest.mark.parametrize("rtol", [0.0, SEARCH_RTOL], ids=["default", "search"])
+def test_tau_step_error_bounds_the_true_error(w, window, rtol, monkeypatch):
+    # against a reference at four times the fixed rule's step count
+    t_ps = np.linspace(*window, 9) * T_X
+    atol = STEP_ATOL if rtol else 0.0
+    result = _tau_frame_p_e(w, t_ps, 1.0, atol, rtol)
+    rule = dynamics._fixed_step_count
+    monkeypatch.setattr(dynamics, "_fixed_step_count", lambda phase, floor: 4 * rule(phase, floor))
+    ref = _tau_frame_p_e(w, t_ps)
+    assert np.all(np.abs(result - ref) <= 2.0 * result.step_error + 1e-15)
+    if rtol:
+        assert np.all(result.step_error <= atol + rtol * result)
+
+
+@pytest.mark.parametrize("w, window", TAU_WINDOWS.values(), ids=TAU_WINDOWS.keys())
+def test_tau_default_tolerance_is_the_fixed_rule(w, window, monkeypatch):
+    # the default tolerance doubles up to the rule's own step count and
+    # returns, bitwise, what one run at that count gives
+    t_ps = np.linspace(*window, 9) * T_X
+    result = _tau_frame_p_e(w, t_ps)
+    monkeypatch.setattr(
+        dynamics, "_richardson", lambda run, n_rule, atol, rtol: (*run(n_rule), None, n_rule)
+    )
+    fixed = _tau_frame_p_e(w, t_ps)
+    assert (fixed.steps == 64) == (window[1] < 0.1)
+    assert np.array_equal(result, fixed)
+    assert result.steps == sum(doubling_series(fixed.steps))
+    assert np.all(result.step_error > 0.0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 3),
+    st.sampled_from([1, 2, 8, 32]),
+)
+def test_blocked_chain_equals_the_whole_chain(seed, n, chains, block):
+    # aligned power-of-two blocks are subtrees of the pairwise reduction
+    f1, f2 = np.random.default_rng(seed).normal(size=(2, 3, chains, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "CHAIN_BLOCK", n)
+        whole = _su2_propagator(f1, f2, 0.1)
+        mp.setattr(dynamics, "CHAIN_BLOCK", block)
+        blocked = _su2_propagator(f1, f2, 0.1)
+    assert np.array_equal(blocked, whole)
+
+
 STEP_ERROR_CASES = {
     "ramp-0.05": lambda: linear_ramp_trajectory(10.0, 0.05, 8192),
     "ramp-2.0": lambda: linear_ramp_trajectory(10.0, 2.0, 8192),
@@ -257,12 +325,9 @@ def test_unmet_tolerance_stops_at_the_fixed_rule(monkeypatch):
     monkeypatch.setattr(dynamics, "STEP_RTOL", 0.0)
     traj = remapped_trajectory(SWEEP, 1.34 * T_X, n_samples=4096)
     n_rule = dynamics._n_steps(traj, None)
-    counts = [-(-n_rule // dynamics.PILOT_DIVISOR)]
-    while counts[-1] < n_rule:
-        counts.append(min(2 * counts[-1], n_rule))
     result = evolve_two_level_direct(traj)
     assert result.p_e == evolve_two_level_direct(traj, n_steps=n_rule).p_e
-    assert result.steps == sum(counts) and result.step_error > 0.0
+    assert result.steps == sum(doubling_series(n_rule)) and result.step_error > 0.0
 
 
 @settings(deadline=None, max_examples=25)

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiabatz.dynamics import _tau_frame_p_e
+from adiabatz import dynamics
+from adiabatz.dynamics import _tau_frame_p_e, evolve_two_level_direct
 from adiabatz.optimize import (
+    CZ_ROUNDING_SIGMA_PERIODS,
+    ROUNDED_SAMPLES,
     Objective,
     ObjectiveKind,
     _SpectralObjective,
@@ -17,6 +21,7 @@ from adiabatz.optimize import (
     optimize_coefficients,
     optimize_cz_pulse,
 )
+from adiabatz.remap import remapped_trajectory
 from adiabatz.spectral import fourier_integral
 from adiabatz.waveform import (
     BasisMode,
@@ -54,6 +59,7 @@ def test_single_term_is_fully_constrained():
     assert np.array_equal(rep.coefficients, [1.0])
     assert rep.iterations == 0
     assert rep.converged
+    assert rep.step_error is None
 
 
 def test_two_terms_beat_one():
@@ -195,10 +201,58 @@ def test_unrounded_objectives_skip_the_lab_pipeline(monkeypatch):
     window = (0.9 * np.pi, 1.15 * np.pi)
     rep = optimize_cz_pulse(theta_i, theta_f, 2, 0.0, t_p_window=window, max_iterations=10)
     assert rep.rejected == 0
+    # the reported value is the optimum scored again at the default tolerance
     w = theta_waveform(rep.coefficients, 1.0, theta_i, theta_f)
-    assert rep.objective_value == max(_tau_frame_p_e(w, np.linspace(*window, 9)))
+    rescored = _tau_frame_p_e(w, np.linspace(*window, 9))
+    assert rep.objective_value == max(rescored)
+    assert rep.step_error == max(rescored.step_error)
     with pytest.raises(Reached):
         optimize_cz_pulse(theta_i, theta_f, 2, 0.2, t_p_window=window, max_iterations=10)
+
+
+def test_rounded_report_carries_the_lab_estimate():
+    # one rounded candidate (n_m = 1: no search); the report holds the worst
+    # lab P_e over the window and the largest lab step error estimate
+    theta_i, theta_f = 0.1, 0.55 * np.pi / 2
+    sigma, window = CZ_ROUNDING_SIGMA_PERIODS * np.pi, (1.85 * np.pi, 2.15 * np.pi)
+    rep = optimize_cz_pulse(theta_i, theta_f, 1, sigma, t_p_window=window)
+    w = theta_waveform(rep.coefficients, 1.0, theta_i, theta_f)
+    results = [
+        evolve_two_level_direct(
+            convolve_trajectory(remapped_trajectory(w, t_p, n_samples=ROUNDED_SAMPLES), sigma)
+        )
+        for t_p in np.linspace(*window, 9)
+    ]
+    assert rep.objective_value == max(r.p_e for r in results)
+    assert rep.step_error == max(r.step_error for r in results)
+
+
+def test_search_takes_at_most_a_quarter_of_the_fixed_rule_steps(monkeypatch):
+    # kernel work of the two benchmark searches (excursion window and single
+    # duration), rescore included, against the fixed rule's count for the
+    # same candidates: each call of the doubling loop knows both
+    counts = []
+    doubling = dynamics._richardson
+
+    def counting(run, n_rule, atol, rtol):
+        result = doubling(run, n_rule, atol, rtol)
+        counts.append((result[3], n_rule))
+        return result
+
+    monkeypatch.setattr(dynamics, "_richardson", counting)
+    optimize_cz_pulse(0.1, 0.55 * np.pi / 2, 2, 0.0, max_iterations=10)
+    theta_i, theta_f = math.atan2(1.0, 10.0), math.atan2(1.0, -10.0)
+    t_p = 1.34 * np.pi
+    objective = Objective(
+        kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(t_p, t_p),
+        theta_i=theta_i, theta_f=theta_f,
+    )
+    optimize_coefficients(
+        2, BasisMode.DERIVATIVE, objective, theta_f - theta_i, max_iterations=20
+    )
+    steps, fixed = np.sum(counts, axis=0)
+    assert len(counts) > 100
+    assert steps <= 0.25 * fixed
 
 
 def test_term_profile_matches_quadrature():
