@@ -2,8 +2,9 @@
 
 Each experiment reads a JSON parameter file, runs one reproducible
 computation, and writes a result table (CSV or JSON) plus a small manifest
-with the config hash, library versions, and wall time.  The manifest lives
-in a separate file so result bytes depend only on config + seed.
+with the config hash, library versions, wall time and diagnostics (the
+cz-pulse search's report, the failed error-curve points).  The manifest
+lives in a separate file so result bytes depend only on config + seed.
 
 Exit codes: 0 success, 2 config validation failure (no files written),
 3 numerical failure during the computation.
@@ -192,7 +193,7 @@ def _run_psd_windows(params: dict, seed: int):
             profile += c * basis_transform(u, n, BasisMode.DERIVATIVE)
         columns.append(f"psd_{label}_rad2")
         series.append(profile**2)
-    return columns, np.column_stack(series).tolist()
+    return columns, np.column_stack(series).tolist(), {}
 
 
 def _run_error_curve(params: dict, seed: int):
@@ -214,7 +215,8 @@ def _run_error_curve(params: dict, seed: int):
             p_e = (dth**2 / 4.0) * np.sinc(u) ** 2
         else:
             p_e = (dth**2 / 4.0) * basis_transform(u, 1, BasisMode.DERIVATIVE) ** 2
-        return ["u_cycles", "p_e_linearized"], np.column_stack([u, p_e]).tolist()
+        rows = np.column_stack([u, p_e]).tolist()
+        return ["u_cycles", "p_e_linearized"], rows, {"failures": []}
 
     _reject_unknown(
         params,
@@ -252,7 +254,9 @@ def _run_error_curve(params: dict, seed: int):
     grid = np.linspace(t_lo, t_hi, n_points) * T_X
     curve = error_curve(generator, grid, evaluator)
     columns = ["t_p_over_Tx", "t_p_time", f"p_e_{evaluator.value}"]
-    return columns, np.column_stack([grid / T_X, grid, curve.p_e]).tolist()
+    rows = np.column_stack([grid / T_X, grid, curve.p_e]).tolist()
+    # failed points read NaN in the table; the manifest says why
+    return columns, rows, {"failures": [list(failure) for failure in curve.failures]}
 
 
 def _run_lz_sweep(params: dict, seed: int):
@@ -278,7 +282,7 @@ def _run_lz_sweep(params: dict, seed: int):
         rows.append(
             [rate, evolve_two_level_direct(traj).p_e, landau_zener_error(1.0, rate)]
         )
-    return ["ramp_rate_hx2", "p_e_exact", "p_e_formula"], rows
+    return ["ramp_rate_hx2", "p_e_exact", "p_e_formula"], rows, {}
 
 
 def _run_cz_pulse(params: dict, seed: int):
@@ -317,7 +321,9 @@ def _run_cz_pulse(params: dict, seed: int):
     step_error = float("nan") if rep.step_error is None else rep.step_error
     row = [float(n_coeffs), sigma, rep.objective_value, float(rep.iterations),
            float(rep.converged), step_error, float(rep.rejected)]
-    return columns, [row + [float(c) for c in rep.coefficients]]
+    diagnostics = {k: getattr(rep, k) for k in
+                   ("iterations", "converged", "rejected", "evaluations", "step_error")}
+    return columns, [row + [float(c) for c in rep.coefficients]], diagnostics
 
 
 def _run_table1(params: dict, seed: int):
@@ -343,7 +349,7 @@ def _run_table1(params: dict, seed: int):
         rows.append(
             [float(n_m), rep.objective_value] + [float(c) for c in rep.coefficients] + pad
         )
-    return columns, rows
+    return columns, rows, {}
 
 
 def _run_drag_sweep(params: dict, seed: int):
@@ -377,7 +383,7 @@ def _run_drag_sweep(params: dict, seed: int):
         )
     columns = ["drag_d", "amplitude_rad_per_time", "detuning_rad_per_time",
                "phase_rad", "qubit_subspace_error", "err2_avg", "converged"]
-    return columns, rows
+    return columns, rows, {}
 
 
 EXPERIMENTS = {
@@ -447,11 +453,12 @@ def run(config: RunConfig) -> list:
     if config.format not in ("csv", "json"):
         raise ValidationError(f"format: must be csv or json, got {config.format!r}")
     started = time.monotonic()
-    columns, rows = EXPERIMENTS[config.experiment](config.parameters, config.seed)
+    columns, rows, diagnostics = EXPERIMENTS[config.experiment](config.parameters, config.seed)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     result_path = config.output_dir / f"{config.experiment}.{config.format}"
     export_table(columns, rows, result_path, config.format)
     manifest = {
+        "diagnostics": diagnostics,
         "experiment": config.experiment,
         "schema_version": SCHEMA_VERSION,
         "config_sha256": config.config_sha256,

@@ -11,8 +11,9 @@ and h_x alone; a pinned omega field on the trajectory is a
 linearized-analysis device and is ignored here.  The
 same SU(2) kernel also steps remapped Fourier waveforms directly in the
 constant-gap frame, for the unrounded exact search objectives, under the
-same doubling loop (_richardson): searches pass a loose tolerance, and
-the default tolerance 0 doubles up to the fixed rule's own count.
+same doubling loop (_richardson): one call takes a stack of candidate
+shapes, searches pass a loose tolerance, and the default tolerance 0
+doubles up to the fixed rule's own count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .geometry import excited_state, ground_state
-from .waveform import FourierWaveform, SampledTrajectory, eval_fourier
+from .waveform import FourierWaveform, SampledTrajectory, _fourier_series, eval_fourier
 
 __all__ = [
     "TwoLevelState",
@@ -47,8 +48,8 @@ PHASE_PER_STEP = 0.0125
 STEP_ATOL = 1e-12
 STEP_RTOL = 1e-8
 PILOT_DIVISOR = 16
-# steps per aligned block of the SU(2) chain (a power of two): each block is
-# reduced to one step before the next is built, which bounds the memory
+# elements (chains x steps) per aligned block of the SU(2) chain: each block
+# is reduced to one step before the next is built, which bounds the memory
 CHAIN_BLOCK = 2**14
 
 
@@ -271,16 +272,18 @@ def evolve_two_level_direct(
 
 
 class _TauFrameP(np.ndarray):
-    """P_e per duration (the array itself), with the Richardson estimate per
-    duration in step_error and the steps of each duration's chain, summed
-    over the runs, in steps."""
+    """P_e per duration, or per candidate and duration (the array itself),
+    with the Richardson estimate of each entry in step_error, the steps of
+    each chain, summed over the runs, in steps, and the masked candidates of
+    a stack in rejected (their P_e and estimate read 0)."""
 
     step_error: np.ndarray
     steps: int
+    rejected: np.ndarray
 
 
 def _tau_frame_p_e(
-    w: FourierWaveform, t_ps, h_x: float = 1.0, atol: float = 0.0, rtol: float = 0.0
+    w, t_ps, h_x: float = 1.0, atol: float = 0.0, rtol: float = 0.0
 ) -> _TauFrameP:
     """P_e of the remapped waveform at each lab duration in t_ps, stepped in
     the constant-gap frame on one shared grid, with its step error estimate.
@@ -293,45 +296,62 @@ def _tau_frame_p_e(
     nodes and differs only by the scale tau_p.  This is the continuum limit
     of remapped_trajectory + evolve_two_level_direct.
 
-    The fixed step rule, sized once for the longest duration, caps the
-    doubling loop (_richardson), which stops once every duration's
-    estimate falls to atol + rtol * P_e.  The default tolerance 0 is never
-    met, so P_e is the fixed rule's answer.  Returns P_e per duration with
-    the estimate and the step count attached (_TauFrameP).  Raises
-    ValueError if theta leaves (0, pi) at any node.
+    w is one waveform, or a stack (sequence) of K shapes of one mode and
+    term count with shared endpoints, whose theta comes from one basis
+    evaluation per run and whose (K, len(t_ps)) chains share the grid.  The
+    fixed step rule, sized once for the longest duration and the most
+    demanding shape, caps the doubling loop (_richardson), which stops once
+    every estimate falls to atol + rtol * P_e.  The default tolerance 0 is
+    never met, so P_e is the fixed rule's answer.  Returns P_e with the
+    estimate and the step count attached (_TauFrameP).  If theta leaves
+    (0, pi) at any node, one waveform raises ValueError; a shape of a stack
+    is masked instead.
     """
     t_ps = np.atleast_1d(np.asarray(t_ps, dtype=float))
-    shape = w.with_t_p(1.0)
+    stack = not isinstance(w, FourierWaveform)
+    shapes = [v.with_t_p(1.0) for v in (w if stack else [w])]
+    shape = shapes[0]
+    lam = np.stack([v.coefficients for v in shapes], -1) if stack else shape.coefficients
+    rejected = np.zeros(len(shapes) if stack else (), dtype=bool)
 
     def nodes(n):
-        # theta at the two Gauss nodes of each of n steps on u in [0, 1]
-        theta, dtheta = eval_fourier(shape, _gauss_node_times(0.0, 1.0, n)[1])
-        if np.any(theta <= 0.0) or np.any(theta >= math.pi):
-            raise ValueError("theta(tau) must stay strictly inside (0, pi)")
+        # theta at the two Gauss nodes of each of n steps on u in [0, 1], as
+        # (2, n) with the candidates, if any, on a leading axis
+        u = _gauss_node_times(0.0, 1.0, n)[1]
+        theta, dtheta = _fourier_series(shape.mode, lam, 1.0, shape.theta_i, u)
+        if not stack:
+            if np.any(theta <= 0.0) or np.any(theta >= math.pi):
+                raise ValueError("theta(tau) must stay strictly inside (0, pi)")
+            return theta, dtheta
+        theta, dtheta = np.moveaxis(theta, -1, 0), np.moveaxis(dtheta, -1, 0)
+        rejected[:] |= np.any((theta <= 0.0) | (theta >= math.pi), axis=(1, 2))
         return theta, dtheta
 
     # the fixed step rule for the longest duration, with the constant gap
     # 2 h_x tau_p; a coarse pass estimates tau_p
     theta, dtheta = nodes(64)
-    tau_max = float(np.max(t_ps)) / float(np.mean(np.sin(theta)))
-    n_rule = _fixed_step_count(2.0 * h_x * tau_max + np.max(np.abs(dtheta)), 64)
+    tau_max = np.max(t_ps) / np.mean(np.sin(theta), axis=(-2, -1))
+    phase = 2.0 * h_x * tau_max + np.max(np.abs(dtheta), axis=(-2, -1))
+    n_rule = _fixed_step_count(float(np.max(phase, where=~rejected, initial=0.0)), 64)
     (theta_i, theta_f), _ = eval_fourier(shape, np.array([0.0, 1.0]))
     psi0, bra = ground_state(theta_i), excited_state(theta_f).conj()
 
     def run(n):
         theta, _ = nodes(n)
         sin, cos = np.sin(theta), np.cos(theta)
-        mean_sin = float(np.mean(sin))  # two-node Gauss rule for int_0^1 sin theta du
-        # one chain per duration, all durations in one array pass
-        scale = (h_x / mean_sin) * t_ps[:, None]
-        u = _su2_propagator(
-            (scale * sin[0], 0.0, scale * cos[0]), (scale * sin[1], 0.0, scale * cos[1]), 1.0 / n
-        )
-        return np.abs(u @ psi0 @ bra) ** 2, None
+        mean_sin = np.mean(sin, axis=(-2, -1))  # two-node Gauss rule for int_0^1 sin theta du
+        # one chain per candidate and duration, all in one array pass
+        scale = (h_x / mean_sin)[..., None, None] * t_ps[:, None]
+        f1 = (scale * sin[..., None, 0, :], 0.0, scale * cos[..., None, 0, :])
+        f2 = (scale * sin[..., None, 1, :], 0.0, scale * cos[..., None, 1, :])
+        p = np.abs(_su2_propagator(f1, f2, 1.0 / n) @ psi0 @ bra) ** 2
+        if stack:
+            p[rejected] = 0.0  # the chains of masked shapes run, unread
+        return p, None
 
     p_e, _, step_error, steps = _richardson(run, n_rule, atol, rtol)
     p_e = p_e.view(_TauFrameP)
-    p_e.step_error, p_e.steps = step_error, steps
+    p_e.step_error, p_e.steps, p_e.rejected = step_error, steps, rejected
     return p_e
 
 
@@ -343,22 +363,27 @@ def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     exp(-i v.sigma) with v = (h/2)(f1 + f2) + (sqrt(3) h^2/6)(f2 x f1), the
     unit quaternion a - i(b, c, d).sigma held as alpha = a - i d,
     beta = c - i b; the steps are chained by the Hamilton product in that
-    form, later step on the left, pairwise along the last axis.  Aligned
-    blocks of CHAIN_BLOCK steps are reduced one at a time: they are the
-    subtrees of the pairwise reduction, so the product is the same as that
-    of the whole chain at once.  Leading axes hold independent chains; the
-    result is (..., 2, 2).
+    form, later step on the left, pairwise along the last axis.  Leading
+    axes hold independent chains; the result is (..., 2, 2).  The steps go
+    in aligned blocks of the largest power of two <= CHAIN_BLOCK / chains,
+    each reduced to one step before the next is built: they are subtrees of
+    the pairwise reduction, so the product is that of the whole chain.
     """
     fields = (*f1, *f2)
-    n = max(f.shape[-1] for f in fields if isinstance(f, np.ndarray) and f.ndim)
-    if n <= CHAIN_BLOCK:
+    arrays = [f for f in fields if isinstance(f, np.ndarray) and f.ndim]
+    n = max(f.shape[-1] for f in arrays)
+    chains = 1
+    if any(f.ndim > 1 for f in arrays):  # one chain skips the shape arithmetic
+        chains = math.prod(np.broadcast_shapes(*(f.shape for f in arrays))[:-1])
+    block = 1 << max(CHAIN_BLOCK // chains, 1).bit_length() - 1
+    if n <= block:
         alpha, beta = _su2_chain(fields, h)
     else:
         # scalars and length-1 axes broadcast over every block as they are
         blocks = [
-            _su2_chain([f[..., k : k + CHAIN_BLOCK] if np.shape(f)[-1:] == (n,) else f
+            _su2_chain([f[..., k : k + block] if np.shape(f)[-1:] == (n,) else f
                         for f in fields], h)
-            for k in range(0, n, CHAIN_BLOCK)
+            for k in range(0, n, block)
         ]
         alpha, beta = _su2_halve(
             np.concatenate([a for a, _ in blocks], -1), np.concatenate([b for _, b in blocks], -1)

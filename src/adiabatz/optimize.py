@@ -7,12 +7,14 @@ and reproduces the published optima; see the closed-form basis transforms
 below).  It is a quadratic form in the coefficients and the endpoint
 constraint is linear, so its optimum is one linear least-squares solve.
 Exact-dynamics objectives score candidate waveforms by the excitation
-left by exact two-level dynamics, and are searched by a restarted simplex.
-Without rounding the candidate is stepped in the constant-gap frame of the
-remap, where theta(tau) is the waveform in closed form and all durations of
-the window share one grid; the search steps it only until the step error
-estimate falls to STEP_ATOL + SEARCH_RTOL * P_e, and the winning candidate
-is scored again on the fixed step rule, which is the value reported.
+left by exact two-level dynamics, and are searched by a restarted simplex
+whose restarts run in lockstep, each round's points scored as one batch.
+Without rounding the batch is stepped in the constant-gap frame of the
+remap, where theta(tau) is the waveform in closed form, in one kernel call
+on one grid for every candidate and duration of the window; the search
+steps it only until the step error estimates fall to STEP_ATOL +
+SEARCH_RTOL * P_e, and the winning candidate is scored again on the fixed
+step rule, which is the value reported.
 Gaussian rounding acts on the lab control h_z(t), so a rounded candidate is
 remapped onto a lab grid of ROUNDED_SAMPLES points, rounded there and
 propagated in lab time.
@@ -25,7 +27,6 @@ import enum
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import STEP_ATOL, _tau_frame_p_e, evolve_two_level_direct
 from .geometry import omega_from_theta, theta_from_fields
@@ -112,9 +113,10 @@ class Objective:
 
 @dataclasses.dataclass(frozen=True)
 class OptimizationReport:
-    """Search outcome; rejected counts the candidates the exact objective
-    scored 1.0 because building or propagating them raised.  step_error is
-    the largest step error estimate over the window at the reported value
+    """Search outcome; evaluations counts the candidates the exact objective
+    scored (the final rescore included), rejected those it scored 1.0
+    because their angle left (0, pi) or propagating them raised.  step_error
+    is the largest step error estimate over the window at the reported value
     (None for the spectral objective).  On the rounded path it is the lab
     propagator's estimate and leaves out the error of sampling the remap on
     ROUNDED_SAMPLES points."""
@@ -125,6 +127,7 @@ class OptimizationReport:
     converged: bool
     rejected: int = 0
     step_error: float | None = None
+    evaluations: int = 0
 
 
 def basis_transform(u, n: int, mode: BasisMode) -> np.ndarray:
@@ -195,7 +198,7 @@ class _SpectralObjective:
 class _ExactObjective:
     """Worst exact-dynamics error of the remapped waveform over the window:
     stepped in the constant-gap frame, or on the lab grid when rounded.
-    Calls score a search candidate; report() scores the result."""
+    search() scores a batch of candidates; report() scores the result."""
 
     def __init__(self, objective: Objective, mode: BasisMode, n_m: int):
         self._obj = objective
@@ -206,19 +209,33 @@ class _ExactObjective:
         else:
             self._grid = np.linspace(lo, hi, WINDOW_DURATIONS)
         self.rejected = 0
+        self.evaluations = 0
 
-    def __call__(self, lam: np.ndarray) -> float:
-        return self._score(lam, STEP_ATOL, SEARCH_RTOL)[0]
+    def search(self, lams: np.ndarray) -> np.ndarray:
+        # the rows of lams at the search tolerance: unrounded in one kernel
+        # call, rounded one by one through the lab pipeline
+        obj = self._obj
+        self.evaluations += len(lams)
+        if obj.convolution_sigma != 0:
+            return np.array([self._score(lam, STEP_ATOL, SEARCH_RTOL)[0] for lam in lams])
+        waves = [FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f) for lam in lams]
+        p_e = _tau_frame_p_e(waves, self._grid, obj.h_x, STEP_ATOL, SEARCH_RTOL)
+        # a candidate whose angle leaves (0, pi) is masked and scored 1.0
+        self.rejected += int(np.count_nonzero(p_e.rejected))
+        return np.where(p_e.rejected, 1.0, np.max(p_e, axis=1))
 
     def report(self, lam: np.ndarray, iterations: int, converged: bool) -> OptimizationReport:
         # the default tolerance of the constant-gap kernel is its fixed rule
+        self.evaluations += 1
         value, step_error = self._score(lam, 0.0, 0.0)
-        return OptimizationReport(lam, value, iterations, converged, self.rejected, step_error)
+        return OptimizationReport(
+            lam, value, iterations, converged, self.rejected, step_error, self.evaluations
+        )
 
     def _score(self, lam: np.ndarray, atol: float, rtol: float):
-        """(worst P_e over the window, its largest step error estimate); the
-        tolerance applies to the constant-gap kernel, the rounded path keeps
-        the lab propagator's own."""
+        """(worst P_e over the window, its largest step error estimate) of
+        one candidate; the tolerance applies to the constant-gap kernel, the
+        rounded path keeps the lab propagator's own."""
         obj = self._obj
         w = FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f)
         # candidates whose control angle leaves (0, pi) or whose dynamics
@@ -276,10 +293,11 @@ def optimize_coefficients(
     eight seeded restarts: a flat start (the one-term waveform),
     deterministic single-coordinate spokes (that landscape is multimodal and
     the useful basins sit well away from zero), and random perturbations
-    from the given seed.  The search scores candidates at a loose step
-    tolerance; the best restart is scored again on the fixed step rule,
-    and that value is returned.  converged reflects the simplex termination
-    status of the winning restart.
+    from the given seed.  The restarts (_simplex) advance in lockstep and
+    each round's points are scored as one batch, at a loose step tolerance;
+    the best restart is scored again on the fixed step rule, and that value
+    is returned.  converged reflects the simplex termination status of the
+    winning restart.
     """
     if n_m < 1:
         raise ValueError("n_m must be >= 1")
@@ -305,24 +323,100 @@ def optimize_coefficients(
     while len(starts) < RESTARTS:
         starts.append(rng.normal(0.0, scale, n_m - 1))
 
-    options = dict(
-        xatol=1e-10, fatol=1e-14, maxiter=max_iterations, maxfev=2 * max_iterations
+    results = _lockstep(
+        [_simplex(x0, max_iterations) for x0 in starts],
+        lambda z: value.search(np.array([_assemble(mode, x, n_m, constraint_value) for x in z])),
     )
-    best = None
-    iterations = 0
-    for x0 in starts:
-        res = minimize(
-            lambda z: value(_assemble(mode, z, n_m, constraint_value)),
-            x0,
-            method="Nelder-Mead",
-            options=options,
-        )
-        iterations += int(res.nit)
-        if best is None or res.fun < best.fun:
-            best = res
-    return value.report(
-        _assemble(mode, best.x, n_m, constraint_value), iterations, bool(best.success)
-    )
+    x, _, _, converged = min(results, key=lambda res: res[1])
+    iterations = sum(res[2] for res in results)
+    return value.report(_assemble(mode, x, n_m, constraint_value), iterations, converged)
+
+
+def _simplex(x0: np.ndarray, max_iterations: int):
+    """Nelder-Mead as a generator: it yields arrays of points, one per row,
+    is sent their values, and returns (x, fun, nit, success).  Step for step
+    this is scipy's non-adaptive minimize(method="Nelder-Mead") with xatol
+    1e-10, fatol 1e-14, maxiter max_iterations and maxfev twice that, down
+    to its sorts and to where the budget runs out inside the initial simplex
+    or a shrink."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    max_evaluations, evaluations = 2 * max_iterations, 0
+
+    def scored(points):
+        # the values of the leading points that the budget still covers
+        nonlocal evaluations
+        take = min(len(points), max_evaluations - evaluations)
+        evaluations += take
+        return (yield points[:take]) if take else np.empty(0)
+
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    values = yield from scored(sim)
+    fsim[: len(values)] = values
+    order = np.argsort(fsim)  # scipy sorts here and at the top of each round
+    sim, fsim, iterations = sim[order], fsim[order], 1
+    # a step that the budget cuts short is dropped (continue), as in scipy
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if evaluations >= max_evaluations or iterations >= max_iterations or (
+            np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-14
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        (fxr,) = yield from scored(xr[None])
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            values = yield from scored(xe[None])
+            if not len(values):
+                continue
+            sim[-1], fsim[-1] = (xe, values[0]) if values[0] < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract outside the simplex, or inside it, or shrink
+            outside = fxr < fsim[-1]
+            xc = ((1 + psi * rho) * xbar - psi * rho * sim[-1] if outside
+                  else (1 - psi) * xbar + psi * sim[-1])
+            values = yield from scored(xc[None])
+            if not len(values):
+                continue
+            if values[0] <= fxr if outside else values[0] < fsim[-1]:
+                sim[-1], fsim[-1] = xc, values[0]
+            else:
+                shrunk = sim[0] + sigma * (sim[1:] - sim[0])
+                values = yield from scored(shrunk)
+                # scipy moves a point before scoring it: a cut moves one more
+                k = len(values)
+                sim[1 : k + 2], fsim[1 : k + 1] = shrunk[: k + 1], values
+                if k < n:
+                    continue
+        iterations += 1
+    success = evaluations < max_evaluations and iterations < max_iterations
+    return sim[0], np.min(fsim), iterations, success
+
+
+def _lockstep(searches, score):
+    """Run generator searches together: each round, the points that all live
+    searches ask for go to score (M points to M values) in one call.
+    Returns each search's result, in order."""
+    results, sent = [None] * len(searches), dict.fromkeys(range(len(searches)))
+    while True:
+        asks = {}
+        for k, values in sent.items():
+            try:
+                asks[k] = searches[k].send(values)
+            except StopIteration as stop:
+                results[k] = stop.value
+        if not asks:
+            return results
+        points = list(asks.values())
+        values = score(np.concatenate(points))
+        sent = dict(zip(asks, np.split(values, np.cumsum([len(p) for p in points[:-1]]))))
 
 
 def gaussian_kernel(sigma: float, dt: float) -> np.ndarray:

@@ -149,18 +149,26 @@ def eval_fourier(w: FourierWaveform, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < -1e-12) or np.any(t_arr > w.t_p * (1 + 1e-12)):
         raise ValueError("t outside [0, t_p]")
-    n = np.arange(1, w.n_m + 1)
-    phases = 2.0 * np.pi * np.multiply.outer(t_arr / w.t_p, n)  # (..., n_m)
-    if w.mode is BasisMode.DERIVATIVE:
-        dtheta = (1.0 - np.cos(phases)) @ w.coefficients
+    return _fourier_series(w.mode, w.coefficients, w.t_p, w.theta_i, t_arr)
+
+
+def _fourier_series(mode: BasisMode, coefficients, t_p: float, theta_i: float, t):
+    """eval_fourier's series at the times t; an (n_m, K) coefficient matrix
+    gives K waveforms at once, on a trailing axis."""
+    n_m = len(coefficients)
+    terms = np.arange(1, n_m + 1)
+    phases = 2.0 * np.pi * np.multiply.outer(t / t_p, terms)  # (..., n_m)
+    if mode is BasisMode.DERIVATIVE:
+        dtheta = (1.0 - np.cos(phases)) @ coefficients
         # closed-form integral of the series, exact at the sample points
-        theta = w.theta_i + (
-            np.multiply.outer(t_arr, np.ones(w.n_m))
-            - (w.t_p / (2.0 * np.pi * n)) * np.sin(phases)
-        ) @ w.coefficients
+        theta = theta_i + (
+            np.multiply.outer(t, np.ones(n_m))
+            - (t_p / (2.0 * np.pi * terms)) * np.sin(phases)
+        ) @ coefficients
     else:
-        theta = w.theta_i + (1.0 - np.cos(phases)) @ w.coefficients
-        dtheta = np.sin(phases) @ (w.coefficients * 2.0 * np.pi * n / w.t_p)
+        theta = theta_i + (1.0 - np.cos(phases)) @ coefficients
+        n = terms.reshape((n_m,) + (1,) * (np.ndim(coefficients) - 1))
+        dtheta = np.sin(phases) @ (coefficients * 2.0 * np.pi * n / t_p)
     return theta, dtheta
 
 

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from adiabatz import cli
 from adiabatz.cli import ValidationError, export_table, load_table, main
+from adiabatz.optimize import optimize_cz_pulse
 
 
 def write_config(tmp_path, params, name="config.json"):
@@ -144,6 +146,50 @@ def test_cz_pulse_columns(tmp_path):
     row = dict(zip(cols, data[0]))
     assert row["rejected"] == 0.0
     assert 0.0 < row["max_p_e_step_error"] < 1e-12
+
+
+def test_cz_pulse_diagnostics_stay_out_of_the_data_file(tmp_path):
+    # the manifest reports the search; the data file holds the row it held
+    # before the manifest did, byte for byte
+    params = {"theta_i_rad": 0.1, "theta_f_rad": 0.55 * np.pi / 2, "n_coeffs": 2,
+              "max_iterations": 10}
+    cfg = write_config(tmp_path, params)
+    assert main(["cz-pulse", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3"]) == 0
+    rep = optimize_cz_pulse(0.1, 0.55 * np.pi / 2, 2, 0.0, seed=3, max_iterations=10)
+    columns = ["n_coeffs", "sigma_over_Tx", "max_p_e", "iterations", "converged",
+               "max_p_e_step_error", "rejected", "lambda_prime_1_rad", "lambda_prime_2_rad"]
+    row = [2.0, 0.0, rep.objective_value, float(rep.iterations), float(rep.converged),
+           rep.step_error, float(rep.rejected), *rep.coefficients]
+    export_table(columns, [row], tmp_path / "expected.csv", "csv")
+    assert (tmp_path / "cz-pulse.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    manifest = json.loads((tmp_path / "cz-pulse_manifest.json").read_text())
+    assert manifest["diagnostics"] == {
+        "iterations": rep.iterations, "converged": rep.converged, "rejected": rep.rejected,
+        "evaluations": rep.evaluations, "step_error": rep.step_error,
+    }
+    assert rep.evaluations > rep.iterations > 0
+
+
+def test_error_curve_failures_reach_the_manifest(tmp_path, monkeypatch):
+    # a point whose trajectory cannot be built reads NaN in the data file
+    # and is named, with the reason, in the manifest
+    sample = cli.sample_trajectory
+
+    def failing(w, n_samples):
+        if abs(w.t_p - 1.5 * np.pi) < 1e-9:
+            raise ValueError("no trajectory here")
+        return sample(w, n_samples)
+
+    monkeypatch.setattr(cli, "sample_trajectory", failing)
+    cfg = write_config(tmp_path, {
+        "coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3, "theta_f_rad": 2.2,
+        "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0, "n_points": 3,
+    })
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, data = load_table(tmp_path / "error-curve.csv")
+    assert list(np.isnan(data[:, 2])) == [False, True, False]
+    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
+    assert manifest["diagnostics"] == {"failures": [[1, "ValueError: no trajectory here"]]}
 
 
 def test_drag_sweep_two_level_area_theorem(tmp_path):

@@ -273,20 +273,74 @@ def test_tau_default_tolerance_is_the_fixed_rule(w, window, monkeypatch):
     assert np.all(result.step_error > 0.0)
 
 
-@settings(deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=40)
 @given(
-    st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 3),
-    st.sampled_from([1, 2, 8, 32]),
+    st.integers(0, 2**32 - 1), st.integers(1, 300), st.sampled_from([(), (3,), (2, 3)]),
+    st.integers(1, 64),
 )
-def test_blocked_chain_equals_the_whole_chain(seed, n, chains, block):
-    # aligned power-of-two blocks are subtrees of the pairwise reduction
-    f1, f2 = np.random.default_rng(seed).normal(size=(2, 3, chains, n))
+def test_blocked_chain_equals_the_whole_chain(seed, n, chains, chain_block):
+    # aligned power-of-two blocks are subtrees of the pairwise reduction;
+    # a block holds at most CHAIN_BLOCK elements (chains x steps), or one
+    # step of every chain
+    f1, f2 = np.random.default_rng(seed).normal(size=(2, 3, *chains, n))
+    sizes = []
+    chain = dynamics._su2_chain
+
+    def recording(fields, h):
+        sizes.append(max(np.size(f) for f in fields))
+        return chain(fields, h)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "CHAIN_BLOCK", n)
+        mp.setattr(dynamics, "CHAIN_BLOCK", 2**40)
         whole = _su2_propagator(f1, f2, 0.1)
-        mp.setattr(dynamics, "CHAIN_BLOCK", block)
+        mp.setattr(dynamics, "CHAIN_BLOCK", chain_block)
+        mp.setattr(dynamics, "_su2_chain", recording)
         blocked = _su2_propagator(f1, f2, 0.1)
     assert np.array_equal(blocked, whole)
+    assert max(sizes) <= max(chain_block, np.prod(chains))
+    # each leading index is a chain of its own (axis 0 holds x, y, z)
+    first = (0,) * len(chains)
+    one = (slice(None), *first)
+    assert np.array_equal(whole[first], _su2_propagator(f1[one], f2[one], 0.1))
+
+
+# candidates of the criterion-06 excursion search: one mode, one term
+# count, shared endpoints
+STACK = [
+    theta_waveform([(0.55 * np.pi / 2 - 0.1) / 2.0 - b, a, b], 1.0, 0.1, 0.55 * np.pi / 2)
+    for a, b in np.random.default_rng(2).normal(0.0, 0.05, (6, 2))
+]
+
+
+@pytest.mark.parametrize("rtol", [0.0, SEARCH_RTOL], ids=["default", "search"])
+def test_tau_frame_stack_matches_single_waveforms(rtol):
+    # one grid for the stack, sized for its most demanding candidate: each
+    # candidate lies within twice the estimate of what it gives alone
+    t_ps = np.linspace(0.9, 1.15, 9) * T_X
+    atol = STEP_ATOL if rtol else 0.0
+    stack = _tau_frame_p_e(STACK, t_ps, 1.0, atol, rtol)
+    assert stack.shape == (len(STACK), len(t_ps)) and not np.any(stack.rejected)
+    for k, w in enumerate(STACK):
+        alone = _tau_frame_p_e(w, t_ps, 1.0, atol, rtol)
+        assert np.all(np.abs(stack[k] - alone) <= 2.0 * alone.step_error + 1e-15)
+
+
+@pytest.mark.parametrize("rtol", [0.0, SEARCH_RTOL], ids=["default", "search"])
+def test_tau_frame_stack_masks_angles_outside_the_open_interval(rtol):
+    # the candidate that raises alone is masked in a stack, and the others
+    # give what they give without it
+    good = [theta_waveform([0.25, lam], 1.0, 0.1, 0.6) for lam in (0.0, 0.05, -0.05)]
+    bad = theta_waveform([0.25, -0.2], 1.0, 0.1, 0.6)
+    t_ps = np.linspace(0.9, 1.15, 9) * T_X
+    atol = STEP_ATOL if rtol else 0.0
+    mixed = _tau_frame_p_e([good[0], bad, *good[1:]], t_ps, 1.0, atol, rtol)
+    clean = _tau_frame_p_e(good, t_ps, 1.0, atol, rtol)
+    assert list(mixed.rejected) == [False, True, False, False]
+    assert np.all(mixed[1] == 0.0) and np.all(mixed.step_error[1] == 0.0)
+    assert np.array_equal(np.delete(mixed, 1, 0), clean)
+    assert mixed.steps == clean.steps
+    everything_bad = _tau_frame_p_e([bad, bad], t_ps, 1.0, atol, rtol)
+    assert np.all(everything_bad.rejected) and np.all(everything_bad == 0.0)
 
 
 STEP_ERROR_CASES = {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from adiabatz import dynamics
 from adiabatz.dynamics import _tau_frame_p_e, evolve_two_level_direct
@@ -13,6 +14,9 @@ from adiabatz.optimize import (
     ROUNDED_SAMPLES,
     Objective,
     ObjectiveKind,
+    _ExactObjective,
+    _lockstep,
+    _simplex,
     _SpectralObjective,
     basis_transform,
     convolve_gaussian,
@@ -129,9 +133,9 @@ def test_closed_form_is_the_constrained_minimum(cutoff, n_m, mode, c, seed, scal
     objective = spectral_objective(cutoff)
     with pytest.MonkeyPatch.context() as mp:
         def no_simplex(*args, **kwargs):
-            raise AssertionError("spectral path called minimize")
+            raise AssertionError("spectral path started a simplex")
 
-        mp.setattr("adiabatz.optimize.minimize", no_simplex)
+        mp.setattr("adiabatz.optimize._simplex", no_simplex)
         rep = optimize_coefficients(n_m, mode, objective, c)
         again = optimize_coefficients(n_m, mode, objective, c, seed=seed)
     assert rep.iterations == 0 and rep.converged and rep.rejected == 0
@@ -227,10 +231,10 @@ def test_rounded_report_carries_the_lab_estimate():
     assert rep.step_error == max(r.step_error for r in results)
 
 
-def test_search_takes_at_most_a_quarter_of_the_fixed_rule_steps(monkeypatch):
-    # kernel work of the two benchmark searches (excursion window and single
-    # duration), rescore included, against the fixed rule's count for the
-    # same candidates: each call of the doubling loop knows both
+def exact_search_work(monkeypatch):
+    """Kernel work of the two benchmark searches (excursion window and single
+    duration), rescore included: (steps, fixed rule's steps) per call of the
+    doubling loop, which knows both, and the candidates scored."""
     counts = []
     doubling = dynamics._richardson
 
@@ -240,19 +244,80 @@ def test_search_takes_at_most_a_quarter_of_the_fixed_rule_steps(monkeypatch):
         return result
 
     monkeypatch.setattr(dynamics, "_richardson", counting)
-    optimize_cz_pulse(0.1, 0.55 * np.pi / 2, 2, 0.0, max_iterations=10)
+    excursion = optimize_cz_pulse(0.1, 0.55 * np.pi / 2, 2, 0.0, max_iterations=10)
     theta_i, theta_f = math.atan2(1.0, 10.0), math.atan2(1.0, -10.0)
     t_p = 1.34 * np.pi
     objective = Objective(
         kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(t_p, t_p),
         theta_i=theta_i, theta_f=theta_f,
     )
-    optimize_coefficients(
+    single = optimize_coefficients(
         2, BasisMode.DERIVATIVE, objective, theta_f - theta_i, max_iterations=20
     )
+    return np.array(counts), excursion.evaluations + single.evaluations
+
+
+def test_search_takes_at_most_a_quarter_of_the_fixed_rule_steps(monkeypatch):
+    counts, evaluations = exact_search_work(monkeypatch)
     steps, fixed = np.sum(counts, axis=0)
-    assert len(counts) > 100
+    assert evaluations > 100
     assert steps <= 0.25 * fixed
+
+
+def test_restarts_share_kernel_calls(monkeypatch):
+    # the lockstep restarts score each round's candidates in one batch
+    counts, evaluations = exact_search_work(monkeypatch)
+    assert 4 * len(counts) <= evaluations
+
+
+# test functions for the simplex: smooth, kinked, quantized (ties and
+# shrinks) and flat beyond a bowl (ties at 1.0, like rejected candidates)
+SIMPLEX_FUNCTIONS = {
+    "rosenbrock": lambda x: float(
+        np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2) + (x[0] - 0.7) ** 2
+    ),
+    "kink": lambda x: float(np.sum(np.abs(x - 0.3))),
+    "steps": lambda x: float(np.round(np.sum((x - 0.2) ** 2), 2)),
+    "plateau": lambda x: min(1.0, float(np.sum((3.0 * x + 0.5) ** 2))),
+}
+
+
+@pytest.mark.parametrize("f", SIMPLEX_FUNCTIONS.values(), ids=SIMPLEX_FUNCTIONS.keys())
+def test_simplex_is_scipys_nelder_mead(f):
+    # bitwise scipy's result, with the searches of each case run in
+    # lockstep.  Cap 1 cuts the initial simplex for n >= 2; "steps" and
+    # "plateau" run out of budget inside shrinks (for n = 2 at cap 5 from
+    # the zero start after one shrunk point, for n = 1 at cap 2 before any)
+    for n in (1, 2, 3):
+        starts = [np.zeros(n), np.full(n, 0.4), np.random.default_rng(n).normal(0.0, 1.0, n)]
+        for cap in (1, 2, 5, 10, 20, 300):
+            results = _lockstep(
+                [_simplex(x0, cap) for x0 in starts], lambda z: np.array([f(x) for x in z])
+            )
+            for x0, (x, fun, nit, success) in zip(starts, results):
+                ref = minimize(
+                    f, x0, method="Nelder-Mead",
+                    options=dict(xatol=1e-10, fatol=1e-14, maxiter=cap, maxfev=2 * cap),
+                )
+                assert np.array_equal(x, ref.x), (n, cap, x0)
+                assert (fun, nit, success) == (ref.fun, ref.nit, ref.success), (n, cap, x0)
+
+
+def test_masked_candidate_is_counted_once():
+    # one candidate of the batch dips below theta = 0: it scores 1.0 and
+    # counts once; the others score what they score without it
+    objective = Objective(
+        kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(0.9 * np.pi, 1.15 * np.pi),
+        theta_i=0.1, theta_f=0.6,
+    )
+    lams = np.array([[0.25, 0.0], [0.25, 0.05], [0.25, -0.2], [0.25, -0.05]])
+    value = _ExactObjective(objective, BasisMode.THETA, 2)
+    scores = value.search(lams)
+    assert (value.rejected, value.evaluations) == (1, 4)
+    assert scores[2] == 1.0
+    alone = _ExactObjective(objective, BasisMode.THETA, 2).search(np.delete(lams, 2, 0))
+    assert np.array_equal(np.delete(scores, 2), alone)
+    assert np.all(alone < 0.1)
 
 
 def test_term_profile_matches_quadrature():
@@ -339,6 +404,8 @@ def test_excursion_search_zero_width():
     assert np.array_equal(rep.coefficients, np.zeros(2))
     assert rep.objective_value < 1e-14
     assert rep.converged
+    # no search: the one candidate scored is the reported one
+    assert (rep.evaluations, rep.rejected) == (1, 0)
 
 
 def test_excursion_search_preconditions():
