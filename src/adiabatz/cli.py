@@ -322,7 +322,7 @@ def _run_cz_pulse(params: dict, seed: int):
     row = [float(n_coeffs), sigma, rep.objective_value, float(rep.iterations),
            float(rep.converged), step_error, float(rep.rejected)]
     diagnostics = {k: getattr(rep, k) for k in
-                   ("iterations", "converged", "rejected", "evaluations", "step_error")}
+                   ("iterations", "converged", "rejected", "evaluations", "steps", "step_error")}
     return columns, [row + [float(c) for c in rep.coefficients]], diagnostics
 
 

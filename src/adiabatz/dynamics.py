@@ -4,16 +4,18 @@ Two independent formulations of the same evolution serve as mutual checks.
 The first integrates the instantaneous-eigenbasis amplitude product
 u = alpha* beta with fixed-step RK4 on the PHASE_PER_STEP rule; the second
 chains per-step SU(2) exponentials of the lab-frame 2x2 Hamiltonian as unit
-quaternions, doubling its step count from a coarse pilot until a Richardson
-estimate of the step error meets STEP_ATOL + STEP_RTOL * P_e, and reports
-that estimate with the answer.  Both derive the Hamiltonian from theta(t)
-and h_x alone; a pinned omega field on the trajectory is a
-linearized-analysis device and is ignored here.  The
-same SU(2) kernel also steps remapped Fourier waveforms directly in the
-constant-gap frame, for the unrounded exact search objectives, under the
-same doubling loop (_richardson): one call takes a stack of candidate
-shapes, searches pass a loose tolerance, and the default tolerance 0
-doubles up to the fixed rule's own count.
+quaternions, with a fourth-order two-node Magnus step, doubling its step
+count from a coarse pilot until a Richardson estimate of the step error
+meets STEP_ATOL + STEP_RTOL * P_e, and reports that estimate with the
+answer.  Both derive the Hamiltonian from theta(t) and h_x alone; a pinned
+omega field on the trajectory is a linearized-analysis device and is
+ignored here.  The same quaternion chain also steps remapped Fourier
+waveforms directly in the constant-gap frame, for the unrounded exact
+search objectives, with a sixth-order three-node Magnus step whose
+exponent is a polynomial in the duration scale, on its own rule
+(TAU_PHASE_PER_STEP) under the same doubling loop (_richardson): one call
+takes a stack of candidate shapes, searches pass a loose tolerance, and
+the default tolerance 0 doubles up to the fixed rule's own count.
 """
 
 from __future__ import annotations
@@ -37,20 +39,30 @@ __all__ = [
 AB_PRODUCT_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-9
 # fixed step rule (_fixed_step_count): rotation angle per step, small
-# enough for ~1e-10 step error at fourth order.  It sizes the product ODE
-# and the three-level ladder, and gives the doubling loop (_richardson) of
-# the direct propagator and the constant-gap frame kernel its pilot
-# (1/PILOT_DIVISOR of the rule's count) and cap
+# enough for ~1e-10 step error at fourth order.  It sizes the product ODE,
+# the three-level ladder and the direct propagator, whose doubling loop
+# (_richardson) takes its pilot (1/PILOT_DIVISOR of the rule's count) and
+# cap from it
 PHASE_PER_STEP = 0.0125
+# the rule of the sixth-order constant-gap kernel (_tau_frame_p_e), for the
+# same ~1e-10 aim (a finer rule leaves its estimate at the rounding floor)
+TAU_PHASE_PER_STEP = 0.1
 # error control of the direct propagator: the Richardson estimate of the
 # returned P_e must fall to STEP_ATOL + STEP_RTOL * P_e (searches on the
 # constant-gap kernel use STEP_ATOL with a looser relative tolerance)
 STEP_ATOL = 1e-12
 STEP_RTOL = 1e-8
 PILOT_DIVISOR = 16
+# the constant-gap kernel's pilot, at 0.4 rad a step: from 0.6 rad a step
+# its first doubling can be short of the asymptotic ratio 64 and
+# underestimate the error
+TAU_PILOT_DIVISOR = 4
 # elements (chains x steps) per aligned block of the SU(2) chain: each block
 # is reduced to one step before the next is built, which bounds the memory
 CHAIN_BLOCK = 2**14
+# Gauss-Legendre nodes and weights of three points on a unit step
+GAUSS3_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,11 +103,12 @@ class EvolutionResult:
     steps: int
 
 
-def _fixed_step_count(phase: float, floor: int) -> int:
+def _fixed_step_count(phase: float, per_step: float, floor: int) -> int:
     """The fixed step rule: phase bounds the rotation angle of the whole
     run (duration times the largest rate), each step takes at most
-    PHASE_PER_STEP of it, and there are at least floor steps."""
-    return max(floor, math.ceil(phase / PHASE_PER_STEP))
+    per_step of it (PHASE_PER_STEP, or TAU_PHASE_PER_STEP for the
+    sixth-order kernel), and there are at least floor steps."""
+    return max(floor, math.ceil(phase / per_step))
 
 
 def _gauss_node_times(start: float, duration: float, n: int):
@@ -106,25 +119,27 @@ def _gauss_node_times(start: float, duration: float, n: int):
     return h, mid + np.array([[-1.0], [1.0]]) * h / (2.0 * math.sqrt(3.0))
 
 
-def _richardson(run, n_rule: int, atol: float, rtol: float):
-    """Error-controlled step count: run(n) returns (P, state) for n steps.
+def _richardson(run, n_rule: int, divisor: int, order: int, atol: float, rtol: float):
+    """Error-controlled step count: run(n) returns (P, state) for n steps of
+    a method of the given order (4 for the lab path, 6 for the constant-gap
+    kernel).
 
-    From a pilot at ceil(n_rule / PILOT_DIVISOR) steps the count doubles
-    until the Richardson estimate |P(m) - P(n)| / ((m/n)^4 - 1) of the finer
-    run (m = 2n, so /15, except where capped) falls to atol + rtol * P for
+    From a pilot at ceil(n_rule / divisor) steps the count doubles until the
+    Richardson estimate |P(m) - P(n)| / ((m/n)^order - 1) of the finer run
+    (m = 2n, so /15 or /63, except where capped) falls to atol + rtol * P for
     every entry of P, or the finer run reaches the rule's count, which it
     never exceeds (n_rule = 1 caps at 2: an estimate needs two counts).  A
     tolerance of 0 is never met.  Returns the finer run's P and state, the
     estimate and the steps of all runs summed.
     """
     cap = max(n_rule, 2)
-    n = steps = math.ceil(n_rule / PILOT_DIVISOR)
+    n = steps = math.ceil(n_rule / divisor)
     p, _ = run(n)
     while True:
         m = min(2 * n, cap)
         p_fine, state = run(m)
         steps += m
-        error = abs(p_fine - p) / ((m / n) ** 4 - 1.0)
+        error = abs(p_fine - p) / ((m / n) ** order - 1.0)
         n, p = m, p_fine
         tol = atol + rtol * p
         met = (error <= tol) & (tol > 0.0)  # an array for an array of P
@@ -139,7 +154,7 @@ def _n_steps(traj: SampledTrajectory, n_steps: int | None) -> int:
         return n_steps
     omega = 2.0 * traj.h_x / np.sin(traj.theta)
     rate = float(np.max(omega) + np.max(np.abs(traj.dtheta_dt)))
-    return _fixed_step_count(traj.t_p * rate, len(traj.times) - 1)
+    return _fixed_step_count(traj.t_p * rate, PHASE_PER_STEP, len(traj.times) - 1)
 
 
 def _p_e_from_product(u: complex, d: float) -> float:
@@ -253,7 +268,7 @@ def evolve_two_level_direct(
         steps, step_error = n_rule, None
     else:
         p_e, (psi, beta), step_error, steps = _richardson(
-            propagate, n_rule, STEP_ATOL, STEP_RTOL
+            propagate, n_rule, PILOT_DIVISOR, 4, STEP_ATOL, STEP_RTOL
         )
 
     drift = abs(float(np.linalg.norm(psi)) - float(np.linalg.norm(psi0)))
@@ -291,21 +306,27 @@ def _tau_frame_p_e(
     Under the remap 2 h_x dtau = omega(t) dt the lab Hamiltonian becomes
     h_x (sin theta sigma_x + cos theta sigma_z) in tau: the gap is a constant
     2 h_x and theta(tau) is the waveform shape in closed form.  On
-    u = tau/tau_p the fields are h_x tau_p (sin theta, 0, cos theta) with
-    tau_p = t_p / int_0^1 sin theta du, so every duration shares the theta
-    nodes and differs only by the scale tau_p.  This is the continuum limit
-    of remapped_trajectory + evolve_two_level_direct.
+    u = tau/tau_p the fields are s (sin theta, 0, cos theta) with the scale
+    s = h_x tau_p, tau_p = t_p / int_0^1 sin theta du, so every duration
+    shares the theta nodes and differs only by s.  This is the continuum
+    limit of remapped_trajectory + evolve_two_level_direct.
+
+    Each step is the sixth-order Magnus exponent of the three Gauss nodes
+    (_tau_exponent), an odd polynomial in s for v_x, v_z and an even one for
+    v_y whose coefficients come once per shape: a chain costs a Horner
+    evaluation and one exponential per step.  The same nodes, with weights
+    5/18, 8/18, 5/18, give int_0^1 sin theta du.
 
     w is one waveform, or a stack (sequence) of K shapes of one mode and
     term count with shared endpoints, whose theta comes from one basis
     evaluation per run and whose (K, len(t_ps)) chains share the grid.  The
-    fixed step rule, sized once for the longest duration and the most
-    demanding shape, caps the doubling loop (_richardson), which stops once
-    every estimate falls to atol + rtol * P_e.  The default tolerance 0 is
-    never met, so P_e is the fixed rule's answer.  Returns P_e with the
-    estimate and the step count attached (_TauFrameP).  If theta leaves
-    (0, pi) at any node, one waveform raises ValueError; a shape of a stack
-    is masked instead.
+    fixed step rule at TAU_PHASE_PER_STEP, sized once for the longest
+    duration and the most demanding shape, caps the doubling loop
+    (_richardson, order 6, from 1/TAU_PILOT_DIVISOR of the rule's count),
+    which stops once every estimate falls to atol + rtol * P_e.  The default tolerance 0 is never met, so P_e is the
+    fixed rule's answer.  Returns P_e with the estimate and the step count
+    attached (_TauFrameP).  If theta leaves (0, pi) at any node, one
+    waveform raises ValueError; a shape of a stack is masked instead.
     """
     t_ps = np.atleast_1d(np.asarray(t_ps, dtype=float))
     stack = not isinstance(w, FourierWaveform)
@@ -315,59 +336,98 @@ def _tau_frame_p_e(
     rejected = np.zeros(len(shapes) if stack else (), dtype=bool)
 
     def nodes(n):
-        # theta at the two Gauss nodes of each of n steps on u in [0, 1], as
-        # (2, n) with the candidates, if any, on a leading axis
-        u = _gauss_node_times(0.0, 1.0, n)[1]
+        # theta at the three Gauss nodes of each of n steps on u in [0, 1],
+        # as (3, n) with the candidates, if any, on a leading axis
+        u = (np.arange(n) + GAUSS3_NODES[:, None]) / n
         theta, dtheta = _fourier_series(shape.mode, lam, 1.0, shape.theta_i, u)
         if not stack:
             if np.any(theta <= 0.0) or np.any(theta >= math.pi):
                 raise ValueError("theta(tau) must stay strictly inside (0, pi)")
             return theta, dtheta
-        theta, dtheta = np.moveaxis(theta, -1, 0), np.moveaxis(dtheta, -1, 0)
+        theta, dtheta = theta.transpose(2, 0, 1), dtheta.transpose(2, 0, 1)
         rejected[:] |= np.any((theta <= 0.0) | (theta >= math.pi), axis=(1, 2))
         return theta, dtheta
 
     # the fixed step rule for the longest duration, with the constant gap
     # 2 h_x tau_p; a coarse pass estimates tau_p
     theta, dtheta = nodes(64)
-    tau_max = np.max(t_ps) / np.mean(np.sin(theta), axis=(-2, -1))
+    tau_max = np.max(t_ps) / (np.mean(np.sin(theta), axis=-1) @ GAUSS3_WEIGHTS)
     phase = 2.0 * h_x * tau_max + np.max(np.abs(dtheta), axis=(-2, -1))
-    n_rule = _fixed_step_count(float(np.max(phase, where=~rejected, initial=0.0)), 64)
+    n_rule = _fixed_step_count(
+        float(np.max(phase, where=~rejected, initial=0.0)), TAU_PHASE_PER_STEP, 64
+    )
     (theta_i, theta_f), _ = eval_fourier(shape, np.array([0.0, 1.0]))
     psi0, bra = ground_state(theta_i), excited_state(theta_f).conj()
 
     def run(n):
-        theta, _ = nodes(n)
-        sin, cos = np.sin(theta), np.cos(theta)
-        mean_sin = np.mean(sin, axis=(-2, -1))  # two-node Gauss rule for int_0^1 sin theta du
-        # one chain per candidate and duration, all in one array pass
-        scale = (h_x / mean_sin)[..., None, None] * t_ps[:, None]
-        f1 = (scale * sin[..., None, 0, :], 0.0, scale * cos[..., None, 0, :])
-        f2 = (scale * sin[..., None, 1, :], 0.0, scale * cos[..., None, 1, :])
-        p = np.abs(_su2_propagator(f1, f2, 1.0 / n) @ psi0 @ bra) ** 2
+        p1, p3, p5, q2, q4 = _tau_exponent(nodes(n)[0])
+        # one chain per candidate and duration; Re p1 sums to int sin theta
+        s = ((h_x / np.sum(p1.real, axis=-1))[..., None] * t_ps)[..., None]
+        s2 = s * s
+
+        def exponent(k, m):
+            p1_, p3_, p5_, q2_, q4_ = (c[..., None, k:m] for c in (p1, p3, p5, q2, q4))
+            xz = s * (p1_ + s2 * (p3_ + s2 * p5_))
+            return xz.real, s2 * (q2_ + s2 * q4_), xz.imag
+
+        p = np.abs(_su2_blocks(exponent, n, s.size) @ psi0 @ bra) ** 2
         if stack:
             p[rejected] = 0.0  # the chains of masked shapes run, unread
         return p, None
 
-    p_e, _, step_error, steps = _richardson(run, n_rule, atol, rtol)
+    p_e, _, step_error, steps = _richardson(run, n_rule, TAU_PILOT_DIVISOR, 6, atol, rtol)
     p_e = p_e.view(_TauFrameP)
     p_e.step_error, p_e.steps, p_e.rejected = step_error, steps, rejected
     return p_e
 
 
+def _tau_exponent(theta):
+    """Coefficients of the sixth-order Magnus exponent of each step of the
+    constant-gap frame, as polynomials in the scale s.
+
+    theta (..., 3, n) holds the angle at the three Gauss nodes of n equal
+    steps h = 1/n of the unit fields e = (sin theta, 0, cos theta).  With
+    A_j = s h e(node j), alpha_1 = A_2, alpha_2 = (sqrt(15)/3)(A_3 - A_1),
+    alpha_3 = (10/3)(A_3 - 2 A_2 + A_1), C_1 = [alpha_1, alpha_2] and
+    C_2 = -[alpha_1, 2 alpha_3 + C_1]/60, the exponent of Blanes, Casas and
+    Ros (BIT 40, 434 (2000)) is
+    alpha_1 + alpha_3/12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2]/240,
+    where [a, b] is 2 a x b on the vectors v of exp(-i v.sigma).  The A_j lie
+    in the x-z plane, held here as x + i z, and every cross product of two
+    of them lies along y, so the exponent is
+    v_x + i v_z = s (p1 + s^2 (p3 + s^2 p5)) and v_y = s^2 (q2 + s^2 q4).
+    Returns (p1, p3, p5, q2, q4), each (..., n); p1 is the three-node
+    Gauss rule of h e.
+    """
+    e = np.exp(-1j * theta) * (1j / theta.shape[-1])  # h (sin theta + i cos theta)
+    e1, e2, e3 = e[..., 0, :], e[..., 1, :], e[..., 2, :]
+
+    def cross(a, b):  # y component of a x b, both in the x-z plane
+        return (a * b.conj()).imag
+
+    # per power of s: alpha_2 = s a2, alpha_3 = s a3, C_1 = s^2 c1 along y;
+    # a x (c y) = i c a and (c y) x a = -i c a for a in the plane
+    a2 = (math.sqrt(15.0) / 3.0) * (e3 - e1)
+    a3 = (10.0 / 3.0) * (e3 - 2.0 * e2 + e1)
+    c1 = 2.0 * cross(e2, a2)
+    x = -20.0 * e2 - a3
+    d = cross(e2, a3)  # C_2 = -(s^2/15) d y - (s^3/30) i c1 e2
+    p1 = e2 + a3 / 12.0
+    p3 = (-1j / 120.0) * (d * x / 15.0 + c1 * a2)
+    p5 = (-c1 * c1 / 3600.0) * e2
+    q2 = cross(x, a2) / 120.0
+    q4 = c1 * (x * e2.conj()).real / 3600.0
+    return p1, p3, p5, q2, q4
+
+
 def _su2_propagator(f1, f2, h: float) -> np.ndarray:
-    """Time-ordered 2x2 propagator of H(t) = f(t).sigma from Gauss-node fields.
+    """Time-ordered 2x2 propagator of H(t) = f(t).sigma from Gauss-node
+    fields, one fourth-order step (_magnus4) per pair of nodes.
 
     f1, f2 = (f_x, f_y, f_z) at the two Gauss nodes of each step (arrays with
-    the steps on the last axis, or scalars that broadcast).  Step k is
-    exp(-i v.sigma) with v = (h/2)(f1 + f2) + (sqrt(3) h^2/6)(f2 x f1), the
-    unit quaternion a - i(b, c, d).sigma held as alpha = a - i d,
-    beta = c - i b; the steps are chained by the Hamilton product in that
-    form, later step on the left, pairwise along the last axis.  Leading
-    axes hold independent chains; the result is (..., 2, 2).  The steps go
-    in aligned blocks of the largest power of two <= CHAIN_BLOCK / chains,
-    each reduced to one step before the next is built: they are subtrees of
-    the pairwise reduction, so the product is that of the whole chain.
+    the steps on the last axis, or scalars that broadcast).  Leading axes
+    hold independent chains; the result is (..., 2, 2), reduced block by
+    block (_su2_blocks).
     """
     fields = (*f1, *f2)
     arrays = [f for f in fields if isinstance(f, np.ndarray) and f.ndim]
@@ -375,16 +435,40 @@ def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     chains = 1
     if any(f.ndim > 1 for f in arrays):  # one chain skips the shape arithmetic
         chains = math.prod(np.broadcast_shapes(*(f.shape for f in arrays))[:-1])
-    block = 1 << max(CHAIN_BLOCK // chains, 1).bit_length() - 1
-    if n <= block:
-        alpha, beta = _su2_chain(fields, h)
-    else:
+
+    def exponent(k, m):
         # scalars and length-1 axes broadcast over every block as they are
-        blocks = [
-            _su2_chain([f[..., k : k + block] if np.shape(f)[-1:] == (n,) else f
-                        for f in fields], h)
-            for k in range(0, n, block)
-        ]
+        return _magnus4([f[..., k:m] if np.shape(f)[-1:] == (n,) else f for f in fields], h)
+
+    return _su2_blocks(exponent, n, chains)
+
+
+def _magnus4(fields, h: float):
+    """Exponent v of each step exp(-i v.sigma) from the Gauss-node fields
+    (f1x, f1y, f1z, f2x, f2y, f2z): v = (h/2)(f1 + f2) + (sqrt(3) h^2/6)(f2 x f1)."""
+    f1x, f1y, f1z, f2x, f2y, f2z = fields
+    k = math.sqrt(3.0) * h * h / 6.0
+    v_x = (h / 2.0) * (f1x + f2x) + k * (f2y * f1z - f2z * f1y)
+    v_y = (h / 2.0) * (f1y + f2y) + k * (f2z * f1x - f2x * f1z)
+    v_z = (h / 2.0) * (f1z + f2z) + k * (f2x * f1y - f2y * f1x)
+    return v_x, v_y, v_z
+
+
+def _su2_blocks(exponent, n: int, chains: int) -> np.ndarray:
+    """Time-ordered product, later step on the left, of n steps
+    exp(-i v.sigma), where exponent(k, m) gives (v_x, v_y, v_z) of steps
+    k..m-1 on the last axis, with leading axes for the independent chains.
+
+    The steps go in aligned blocks of the largest power of two
+    <= CHAIN_BLOCK / chains, each built and reduced to one step (_su2_exp)
+    before the next: they are subtrees of the pairwise reduction, so the
+    product is that of the whole chain, and a block's arrays bound the
+    memory.  The result is (..., 2, 2).
+    """
+    block = 1 << max(CHAIN_BLOCK // chains, 1).bit_length() - 1
+    blocks = [_su2_exp(*exponent(k, min(k + block, n))) for k in range(0, n, block)]
+    alpha, beta = blocks[0]
+    if len(blocks) > 1:
         alpha, beta = _su2_halve(
             np.concatenate([a for a, _ in blocks], -1), np.concatenate([b for _, b in blocks], -1)
         )
@@ -392,14 +476,10 @@ def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     return np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(alpha.shape + (2, 2))
 
 
-def _su2_chain(fields, h: float):
-    """Cayley-Klein pair (alpha, beta) of the product of one block of steps,
-    with a last axis of length 1."""
-    f1x, f1y, f1z, f2x, f2y, f2z = fields
-    k = math.sqrt(3.0) * h * h / 6.0
-    v_x = (h / 2.0) * (f1x + f2x) + k * (f2y * f1z - f2z * f1y)
-    v_y = (h / 2.0) * (f1y + f2y) + k * (f2z * f1x - f2x * f1z)
-    v_z = (h / 2.0) * (f1z + f2z) + k * (f2x * f1y - f2y * f1x)
+def _su2_exp(v_x, v_y, v_z):
+    """Cayley-Klein pair (alpha, beta) of the product of one block of steps
+    exp(-i v.sigma), with a last axis of length 1.  Each step is the unit
+    quaternion a - i(b, c, d).sigma held as alpha = a - i d, beta = c - i b."""
     mag = np.sqrt(v_x**2 + v_y**2 + v_z**2)
     # sin|v|/|v|; where v = 0 the vector part is 0 whatever the factor
     s = np.divide(np.sin(mag), mag, out=np.ones_like(mag), where=mag > 0.0)

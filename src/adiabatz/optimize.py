@@ -115,7 +115,9 @@ class Objective:
 class OptimizationReport:
     """Search outcome; evaluations counts the candidates the exact objective
     scored (the final rescore included), rejected those it scored 1.0
-    because their angle left (0, pi) or propagating them raised.  step_error
+    because their angle left (0, pi) or propagating them raised, and steps
+    the propagator steps it took, chains x steps summed over the search and
+    the rescore (each duration of each candidate is a chain).  step_error
     is the largest step error estimate over the window at the reported value
     (None for the spectral objective).  On the rounded path it is the lab
     propagator's estimate and leaves out the error of sampling the remap on
@@ -128,6 +130,7 @@ class OptimizationReport:
     rejected: int = 0
     step_error: float | None = None
     evaluations: int = 0
+    steps: int = 0
 
 
 def basis_transform(u, n: int, mode: BasisMode) -> np.ndarray:
@@ -210,6 +213,7 @@ class _ExactObjective:
             self._grid = np.linspace(lo, hi, WINDOW_DURATIONS)
         self.rejected = 0
         self.evaluations = 0
+        self.steps = 0
 
     def search(self, lams: np.ndarray) -> np.ndarray:
         # the rows of lams at the search tolerance: unrounded in one kernel
@@ -220,6 +224,7 @@ class _ExactObjective:
             return np.array([self._score(lam, STEP_ATOL, SEARCH_RTOL)[0] for lam in lams])
         waves = [FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f) for lam in lams]
         p_e = _tau_frame_p_e(waves, self._grid, obj.h_x, STEP_ATOL, SEARCH_RTOL)
+        self.steps += p_e.size * p_e.steps
         # a candidate whose angle leaves (0, pi) is masked and scored 1.0
         self.rejected += int(np.count_nonzero(p_e.rejected))
         return np.where(p_e.rejected, 1.0, np.max(p_e, axis=1))
@@ -229,7 +234,8 @@ class _ExactObjective:
         self.evaluations += 1
         value, step_error = self._score(lam, 0.0, 0.0)
         return OptimizationReport(
-            lam, value, iterations, converged, self.rejected, step_error, self.evaluations
+            lam, value, iterations, converged, self.rejected, step_error, self.evaluations,
+            self.steps,
         )
 
     def _score(self, lam: np.ndarray, atol: float, rtol: float):
@@ -243,6 +249,7 @@ class _ExactObjective:
         try:
             if obj.convolution_sigma == 0:
                 p_e = _tau_frame_p_e(w, self._grid, obj.h_x, atol, rtol)
+                self.steps += p_e.size * p_e.steps
                 return float(np.max(p_e)), float(np.max(p_e.step_error))
             worst = error = 0.0
             for t_p in self._grid:
@@ -250,6 +257,7 @@ class _ExactObjective:
                     w, float(t_p), n_samples=ROUNDED_SAMPLES, h_x=obj.h_x
                 )
                 result = evolve_two_level_direct(convolve_trajectory(traj, obj.convolution_sigma))
+                self.steps += result.steps
                 worst, error = max(worst, result.p_e), max(error, result.step_error)
             return worst, error
         except (ValueError, RuntimeError):

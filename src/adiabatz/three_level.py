@@ -18,7 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import least_squares
 
-from .dynamics import _fixed_step_count, _gauss_node_times, _su2_propagator
+from .dynamics import PHASE_PER_STEP, _fixed_step_count, _gauss_node_times, _su2_propagator
 
 __all__ = [
     "ThreeLevelPulse",
@@ -136,7 +136,9 @@ def _gauss_nodes(times: np.ndarray, w: np.ndarray, max_energy: float, n_steps: i
     """Step length h and the drive at the two Gauss nodes of each step."""
     t_p = float(times[-1] - times[0])
     if n_steps is None:
-        n_steps = _fixed_step_count(t_p * (max_energy + float(np.max(np.abs(w)))), 1024)
+        n_steps = _fixed_step_count(
+            t_p * (max_energy + float(np.max(np.abs(w)))), PHASE_PER_STEP, 1024
+        )
     elif n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h, nodes = _gauss_node_times(times[0], t_p, n_steps)

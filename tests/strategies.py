@@ -25,3 +25,8 @@ def _gentle_waveform(seed, n_m, derivative):
 gentle_waveforms = st.builds(
     _gentle_waveform, st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans()
 )
+
+# two- and three-term shapes of both bases, the size of the exact searches
+few_term_waveforms = st.builds(
+    _gentle_waveform, st.integers(0, 2**32 - 1), st.integers(2, 3), st.booleans()
+)

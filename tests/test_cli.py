@@ -165,7 +165,7 @@ def test_cz_pulse_diagnostics_stay_out_of_the_data_file(tmp_path):
     manifest = json.loads((tmp_path / "cz-pulse_manifest.json").read_text())
     assert manifest["diagnostics"] == {
         "iterations": rep.iterations, "converged": rep.converged, "rejected": rep.rejected,
-        "evaluations": rep.evaluations, "step_error": rep.step_error,
+        "evaluations": rep.evaluations, "steps": rep.steps, "step_error": rep.step_error,
     }
     assert rep.evaluations > rep.iterations > 0
 

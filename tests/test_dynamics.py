@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from adiabatz import dynamics
 from adiabatz.adiabatic_error import landau_zener_error
 from adiabatz.dynamics import (
-    PHASE_PER_STEP,
     STEP_ATOL,
     STEP_RTOL,
+    TAU_PHASE_PER_STEP,
     TwoLevelState,
     _su2_propagator,
     _tau_frame_p_e,
@@ -26,7 +26,7 @@ from adiabatz.waveform import (
     sample_trajectory,
     theta_waveform,
 )
-from strategies import gentle_waveforms
+from strategies import few_term_waveforms, gentle_waveforms
 
 T_X = np.pi  # crossing period at h_x = 1
 
@@ -175,9 +175,8 @@ def test_su2_chain_time_reversal(steps):
 
 
 # the criterion-05 sweep (h_z from +10 to -10) and an out-and-back excursion
-SWEEP = derivative_waveform(
-    np.array([1.086, -0.086]), 1.0, np.arctan2(1.0, 10.0), np.arctan2(1.0, -10.0)
-)
+SWEEP_ANGLES = (np.arctan2(1.0, 10.0), np.arctan2(1.0, -10.0))
+SWEEP = derivative_waveform(np.array([1.086, -0.086]), 1.0, *SWEEP_ANGLES)
 EXCURSION = theta_waveform([(0.55 * np.pi / 2 - 0.1) / 2.0, -0.1], 1.0, 0.1, 0.55 * np.pi / 2)
 
 
@@ -199,7 +198,7 @@ def test_tau_frame_is_the_limit_of_the_lab_pipeline(w, durations, monkeypatch):
         assert abs(lab[1] - ref) <= abs(lab[0] - ref) / 3.0
         assert abs(lab[2] - ref) <= 5e-5 * ref
     # and the tau-frame answer is converged in its own step count
-    monkeypatch.setattr(dynamics, "PHASE_PER_STEP", PHASE_PER_STEP / 2.0)
+    monkeypatch.setattr(dynamics, "TAU_PHASE_PER_STEP", TAU_PHASE_PER_STEP / 2.0)
     assert _tau_frame_p_e(w, t_ps) == pytest.approx(tau, rel=1e-8, abs=0.0)
 
 
@@ -235,8 +234,8 @@ TAU_WINDOWS = {
 }
 
 
-def doubling_series(n_rule):
-    counts = [-(-n_rule // dynamics.PILOT_DIVISOR)]
+def doubling_series(n_rule, divisor):
+    counts = [-(-n_rule // divisor)]
     while counts[-1] < n_rule:
         counts.append(min(2 * counts[-1], n_rule))
     return counts
@@ -250,11 +249,55 @@ def test_tau_step_error_bounds_the_true_error(w, window, rtol, monkeypatch):
     atol = STEP_ATOL if rtol else 0.0
     result = _tau_frame_p_e(w, t_ps, 1.0, atol, rtol)
     rule = dynamics._fixed_step_count
-    monkeypatch.setattr(dynamics, "_fixed_step_count", lambda phase, floor: 4 * rule(phase, floor))
+    monkeypatch.setattr(dynamics, "_fixed_step_count", lambda *args: 4 * rule(*args))
     ref = _tau_frame_p_e(w, t_ps)
     assert np.all(np.abs(result - ref) <= 2.0 * result.step_error + 1e-15)
     if rtol:
         assert np.all(result.step_error <= atol + rtol * result)
+
+
+def excursion(lam_2):
+    return theta_waveform([(0.55 * np.pi / 2 - 0.1) / 2.0, lam_2], 1.0, 0.1, 0.55 * np.pi / 2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    few_term_waveforms, st.tuples(st.floats(0.8, 1.6), st.floats(0.8, 1.6)).map(sorted),
+    st.sampled_from([0.0, SEARCH_RTOL]),
+)
+# two-term excursions near the optimum of the benchmark's excursion search,
+# whose estimate the first doubling from a pilot at 0.6 rad a step or more
+# misses by up to 3.4x
+@example(excursion(-0.0439), (0.9, 1.15), SEARCH_RTOL)
+@example(excursion(-0.02716), (0.9, 1.15), SEARCH_RTOL)
+def test_tau_step_error_bounds_the_true_error_of_any_shape(w, window, rtol):
+    # the same bound over shapes and windows like the searches'
+    t_ps = np.linspace(*window, 9) * T_X
+    atol = STEP_ATOL if rtol else 0.0
+    result = _tau_frame_p_e(w, t_ps, 1.0, atol, rtol)
+    rule = dynamics._fixed_step_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_fixed_step_count", lambda *args: 4 * rule(*args))
+        ref = _tau_frame_p_e(w, t_ps)
+    assert np.all(np.abs(result - ref) <= 2.0 * result.step_error + 1e-15)
+
+
+def test_tau_step_is_sixth_order(monkeypatch):
+    # at the criterion-05 optimum the error falls ~64x per halving of the
+    # step, and the estimate of each run is its error
+    w = derivative_waveform([3.5618384, -0.6787289, 0.0591458], 1.0, *SWEEP_ANGLES)
+    t_ps = np.linspace(1.2, 1.5, 9) * T_X
+
+    def at(n):
+        monkeypatch.setattr(dynamics, "_fixed_step_count", lambda *args: n)
+        return _tau_frame_p_e(w, t_ps)
+
+    ref = at(8192)
+    runs = [at(n) for n in (64, 128, 256)]
+    errors = [np.abs(run - ref) for run in runs]
+    assert all(np.max(coarse) >= 40.0 * np.max(fine) for coarse, fine in zip(errors, errors[1:]))
+    for run, error in zip(runs, errors):
+        assert np.all((run.step_error <= 2.0 * error) & (error <= 2.0 * run.step_error))
 
 
 @pytest.mark.parametrize("w, window", TAU_WINDOWS.values(), ids=TAU_WINDOWS.keys())
@@ -264,12 +307,12 @@ def test_tau_default_tolerance_is_the_fixed_rule(w, window, monkeypatch):
     t_ps = np.linspace(*window, 9) * T_X
     result = _tau_frame_p_e(w, t_ps)
     monkeypatch.setattr(
-        dynamics, "_richardson", lambda run, n_rule, atol, rtol: (*run(n_rule), None, n_rule)
+        dynamics, "_richardson", lambda run, n_rule, *_: (*run(n_rule), None, n_rule)
     )
     fixed = _tau_frame_p_e(w, t_ps)
     assert (fixed.steps == 64) == (window[1] < 0.1)
     assert np.array_equal(result, fixed)
-    assert result.steps == sum(doubling_series(fixed.steps))
+    assert result.steps == sum(doubling_series(fixed.steps, dynamics.TAU_PILOT_DIVISOR))
     assert np.all(result.step_error > 0.0)
 
 
@@ -284,17 +327,17 @@ def test_blocked_chain_equals_the_whole_chain(seed, n, chains, chain_block):
     # step of every chain
     f1, f2 = np.random.default_rng(seed).normal(size=(2, 3, *chains, n))
     sizes = []
-    chain = dynamics._su2_chain
+    exp = dynamics._su2_exp
 
-    def recording(fields, h):
-        sizes.append(max(np.size(f) for f in fields))
-        return chain(fields, h)
+    def recording(*v):
+        sizes.append(max(np.size(c) for c in v))
+        return exp(*v)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "CHAIN_BLOCK", 2**40)
         whole = _su2_propagator(f1, f2, 0.1)
         mp.setattr(dynamics, "CHAIN_BLOCK", chain_block)
-        mp.setattr(dynamics, "_su2_chain", recording)
+        mp.setattr(dynamics, "_su2_exp", recording)
         blocked = _su2_propagator(f1, f2, 0.1)
     assert np.array_equal(blocked, whole)
     assert max(sizes) <= max(chain_block, np.prod(chains))
@@ -381,7 +424,8 @@ def test_unmet_tolerance_stops_at_the_fixed_rule(monkeypatch):
     n_rule = dynamics._n_steps(traj, None)
     result = evolve_two_level_direct(traj)
     assert result.p_e == evolve_two_level_direct(traj, n_steps=n_rule).p_e
-    assert result.steps == sum(doubling_series(n_rule)) and result.step_error > 0.0
+    assert result.steps == sum(doubling_series(n_rule, dynamics.PILOT_DIVISOR))
+    assert result.step_error > 0.0
 
 
 @settings(deadline=None, max_examples=25)
