@@ -12,9 +12,11 @@ from .adiabatic_error import (
 )
 from .dynamics import (
     EvolutionResult,
+    RemappedResult,
     TwoLevelState,
     evolve_two_level_direct,
     evolve_two_level_exact,
+    remapped_p_e,
 )
 from .geometry import (
     excited_state,

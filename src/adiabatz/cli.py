@@ -3,8 +3,10 @@
 Each experiment reads a JSON parameter file, runs one reproducible
 computation, and writes a result table (CSV or JSON) plus a small manifest
 with the config hash, library versions, wall time and diagnostics (the
-cz-pulse search's report, the failed error-curve points).  The manifest
-lives in a separate file so result bytes depend only on config + seed.
+cz-pulse search's report, the failed error-curve points, the lz-sweep step
+work, each drag-sweep calibration's optimizer status and reached error).
+The manifest lives in a separate file so result bytes depend only on
+config + seed.
 
 Exit codes: 0 success, 2 config validation failure (no files written),
 3 numerical failure during the computation.
@@ -276,13 +278,11 @@ def _run_lz_sweep(params: dict, seed: int):
         rates = np.geomspace(r_lo, r_hi, n_points)
     else:
         rates = np.linspace(r_lo, r_hi, n_points)
-    rows = []
-    for rate in rates:
-        traj = linear_ramp_trajectory(span, rate, n_samples)
-        rows.append(
-            [rate, evolve_two_level_direct(traj).p_e, landau_zener_error(1.0, rate)]
-        )
-    return ["ramp_rate_hx2", "p_e_exact", "p_e_formula"], rows, {}
+    results = [evolve_two_level_direct(linear_ramp_trajectory(span, r, n_samples)) for r in rates]
+    rows = [[rate, r.p_e, landau_zener_error(1.0, rate)] for rate, r in zip(rates, results)]
+    diagnostics = {"steps": sum(r.steps for r in results),
+                   "step_error": max(r.step_error for r in results)}
+    return ["ramp_rate_hx2", "p_e_exact", "p_e_formula"], rows, diagnostics
 
 
 def _run_cz_pulse(params: dict, seed: int):
@@ -374,16 +374,18 @@ def _run_drag_sweep(params: dict, seed: int):
 
     t = np.linspace(0.0, t_p, n_env)
     shape = 1.0 - np.cos(2.0 * np.pi * t / t_p)
-    rows = []
-    for d in d_list:
-        cal = calibrate_pulse(shape, t_p, d, delta, target, levels=levels)
-        rows.append(
-            [d, cal.amplitude, cal.detuning, cal.phase,
-             cal.qubit_subspace_error, cal.err2_avg, float(cal.converged)]
-        )
+    cals = [calibrate_pulse(shape, t_p, d, delta, target, levels=levels) for d in d_list]
+    rows = [
+        [d, cal.amplitude, cal.detuning, cal.phase,
+         cal.qubit_subspace_error, cal.err2_avg, float(cal.converged)]
+        for d, cal in zip(d_list, cals)
+    ]
+    # converged mixes an unreachable target with a failed search; these tell them apart
+    diagnostics = {"optimizer_success": [cal.optimizer_success for cal in cals],
+                   "qubit_subspace_error": [cal.qubit_subspace_error for cal in cals]}
     columns = ["drag_d", "amplitude_rad_per_time", "detuning_rad_per_time",
                "phase_rad", "qubit_subspace_error", "err2_avg", "converged"]
-    return columns, rows, {}
+    return columns, rows, diagnostics
 
 
 EXPERIMENTS = {

@@ -10,12 +10,14 @@ meets STEP_ATOL + STEP_RTOL * P_e, and reports that estimate with the
 answer.  Both derive the Hamiltonian from theta(t) and h_x alone; a pinned
 omega field on the trajectory is a linearized-analysis device and is
 ignored here.  The same quaternion chain also steps remapped Fourier
-waveforms directly in the constant-gap frame, for the unrounded exact
-search objectives, with a sixth-order three-node Magnus step whose
-exponent is a polynomial in the duration scale, on its own rule
-(TAU_PHASE_PER_STEP) under the same doubling loop (_richardson): one call
-takes a stack of candidate shapes, searches pass a loose tolerance, and
-the default tolerance 0 doubles up to the fixed rule's own count.
+waveforms directly in the constant-gap frame (remapped_p_e, the kernel of
+the unrounded exact search objectives), with a sixth-order three-node
+Magnus step whose exponent is a polynomial in the duration scale, on its
+own rule (TAU_PHASE_PER_STEP) under the same doubling loop (_richardson):
+one call takes a (K, n_m) coefficient matrix of shapes and returns a frozen
+RemappedResult, with the shapes whose angle leaves (0, pi) masked; searches
+pass a loose tolerance, and the default tolerance 0 doubles up to the
+fixed rule's own count.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .geometry import excited_state, ground_state
-from .waveform import FourierWaveform, SampledTrajectory, _fourier_series, eval_fourier
+from .waveform import SampledTrajectory, _fourier_series
 
 __all__ = [
     "TwoLevelState",
     "EvolutionResult",
     "evolve_two_level_exact",
     "evolve_two_level_direct",
+    "RemappedResult",
+    "remapped_p_e",
 ]
 
 AB_PRODUCT_TOL = 1e-9
@@ -44,7 +48,7 @@ NORM_DRIFT_TOL = 1e-9
 # (_richardson) takes its pilot (1/PILOT_DIVISOR of the rule's count) and
 # cap from it
 PHASE_PER_STEP = 0.0125
-# the rule of the sixth-order constant-gap kernel (_tau_frame_p_e), for the
+# the rule of the sixth-order constant-gap kernel (remapped_p_e), for the
 # same ~1e-10 aim (a finer rule leaves its estimate at the rounding floor)
 TAU_PHASE_PER_STEP = 0.1
 # error control of the direct propagator: the Richardson estimate of the
@@ -286,22 +290,27 @@ def evolve_two_level_direct(
     )
 
 
-class _TauFrameP(np.ndarray):
-    """P_e per duration, or per candidate and duration (the array itself),
-    with the Richardson estimate of each entry in step_error, the steps of
-    each chain, summed over the runs, in steps, and the masked candidates of
-    a stack in rejected (their P_e and estimate read 0)."""
+@dataclasses.dataclass(frozen=True, eq=False)
+class RemappedResult:
+    """P_e per shape (row) and lab duration (column) with the Richardson
+    estimate of each entry, the steps of each chain summed over the runs,
+    and the shapes masked because their angle leaves (0, pi) (P_e and
+    estimate 0)."""
 
+    p_e: np.ndarray
     step_error: np.ndarray
     steps: int
     rejected: np.ndarray
 
 
-def _tau_frame_p_e(
-    w, t_ps, h_x: float = 1.0, atol: float = 0.0, rtol: float = 0.0
-) -> _TauFrameP:
-    """P_e of the remapped waveform at each lab duration in t_ps, stepped in
-    the constant-gap frame on one shared grid, with its step error estimate.
+def remapped_p_e(
+    mode, coefficients, theta_i: float, t_ps, h_x: float = 1.0, atol: float = 0.0, rtol: float = 0.0
+) -> RemappedResult:
+    """P_e of remapped Fourier waveforms at each lab duration in t_ps,
+    stepped in the constant-gap frame on one shared grid, with step error
+    estimates.  Row k of the (K, n_m) matrix coefficients holds the
+    unit-duration coefficients of a shape in the basis mode, from theta_i
+    to its own theta(u = 1); K x len(t_ps) chains share the grid.
 
     Under the remap 2 h_x dtau = omega(t) dt the lab Hamiltonian becomes
     h_x (sin theta sigma_x + cos theta sigma_z) in tau: the gap is a constant
@@ -317,51 +326,50 @@ def _tau_frame_p_e(
     evaluation and one exponential per step.  The same nodes, with weights
     5/18, 8/18, 5/18, give int_0^1 sin theta du.
 
-    w is one waveform, or a stack (sequence) of K shapes of one mode and
-    term count with shared endpoints, whose theta comes from one basis
-    evaluation per run and whose (K, len(t_ps)) chains share the grid.  The
-    fixed step rule at TAU_PHASE_PER_STEP, sized once for the longest
+    The fixed step rule at TAU_PHASE_PER_STEP, sized once for the longest
     duration and the most demanding shape, caps the doubling loop
     (_richardson, order 6, from 1/TAU_PILOT_DIVISOR of the rule's count),
-    which stops once every estimate falls to atol + rtol * P_e.  The default tolerance 0 is never met, so P_e is the
-    fixed rule's answer.  Returns P_e with the estimate and the step count
-    attached (_TauFrameP).  If theta leaves (0, pi) at any node, one
-    waveform raises ValueError; a shape of a stack is masked instead.
+    which stops once every estimate falls to atol + rtol * P_e.  The default
+    tolerance 0 is never met, so P_e is the fixed rule's answer.  A shape
+    whose theta leaves (0, pi) at any node is masked.  Coefficients that are
+    not 2-D and durations that are not finite and positive raise ValueError.
     """
+    lam = np.asarray(coefficients, dtype=float)
     t_ps = np.atleast_1d(np.asarray(t_ps, dtype=float))
-    stack = not isinstance(w, FourierWaveform)
-    shapes = [v.with_t_p(1.0) for v in (w if stack else [w])]
-    shape = shapes[0]
-    lam = np.stack([v.coefficients for v in shapes], -1) if stack else shape.coefficients
-    rejected = np.zeros(len(shapes) if stack else (), dtype=bool)
+    if lam.ndim != 2:
+        raise ValueError("coefficients must be a (K, n_m) matrix")
+    if not np.all(np.isfinite(t_ps) & (t_ps > 0.0)):
+        raise ValueError("durations t_ps must be finite and positive")
+    lam = np.ascontiguousarray(lam.T)  # the basis evaluation takes (n_m, K)
+    rejected = np.zeros(lam.shape[1], dtype=bool)
 
     def nodes(n):
-        # theta at the three Gauss nodes of each of n steps on u in [0, 1],
-        # as (3, n) with the candidates, if any, on a leading axis
-        u = (np.arange(n) + GAUSS3_NODES[:, None]) / n
-        theta, dtheta = _fourier_series(shape.mode, lam, 1.0, shape.theta_i, u)
-        if not stack:
-            if np.any(theta <= 0.0) or np.any(theta >= math.pi):
-                raise ValueError("theta(tau) must stay strictly inside (0, pi)")
-            return theta, dtheta
-        theta, dtheta = theta.transpose(2, 0, 1), dtheta.transpose(2, 0, 1)
-        rejected[:] |= np.any((theta <= 0.0) | (theta >= math.pi), axis=(1, 2))
-        return theta, dtheta
+        # u at the three Gauss nodes of each of n steps on [0, 1], (3, n)
+        return (np.arange(n) + GAUSS3_NODES[:, None]) / n
 
-    # the fixed step rule for the longest duration, with the constant gap
-    # 2 h_x tau_p; a coarse pass estimates tau_p
-    theta, dtheta = nodes(64)
+    def shapes(theta):
+        # (3, n, K) to (K, 3, n), masking the shapes that leave (0, pi)
+        theta = theta.transpose(2, 0, 1)
+        rejected[:] |= np.any((theta <= 0.0) | (theta >= math.pi), axis=(1, 2))
+        return theta
+
+    # a coarse pass sizes the fixed step rule for the longest duration, with
+    # the constant gap 2 h_x tau_p; its last point, u = 1, gives each shape
+    # its end angle
+    theta, dtheta = _fourier_series(mode, lam, 1.0, theta_i, np.append(nodes(64), 1.0))
+    bra = np.ascontiguousarray(excited_state(theta[-1]).T.conj()[..., None])  # (K, 2, 1)
+    theta, dtheta = shapes(theta[:-1].reshape(3, 64, -1)), dtheta[:-1].reshape(3, 64, -1)
     tau_max = np.max(t_ps) / (np.mean(np.sin(theta), axis=-1) @ GAUSS3_WEIGHTS)
-    phase = 2.0 * h_x * tau_max + np.max(np.abs(dtheta), axis=(-2, -1))
+    phase = 2.0 * h_x * tau_max + np.max(np.abs(dtheta), axis=(0, 1))
     n_rule = _fixed_step_count(
         float(np.max(phase, where=~rejected, initial=0.0)), TAU_PHASE_PER_STEP, 64
     )
-    (theta_i, theta_f), _ = eval_fourier(shape, np.array([0.0, 1.0]))
-    psi0, bra = ground_state(theta_i), excited_state(theta_f).conj()
+    psi0 = ground_state(theta_i)
 
     def run(n):
-        p1, p3, p5, q2, q4 = _tau_exponent(nodes(n)[0])
-        # one chain per candidate and duration; Re p1 sums to int sin theta
+        theta, _ = _fourier_series(mode, lam, 1.0, theta_i, nodes(n))
+        p1, p3, p5, q2, q4 = _tau_exponent(shapes(theta))
+        # one chain per shape and duration; Re p1 sums to int sin theta
         s = ((h_x / np.sum(p1.real, axis=-1))[..., None] * t_ps)[..., None]
         s2 = s * s
 
@@ -370,15 +378,12 @@ def _tau_frame_p_e(
             xz = s * (p1_ + s2 * (p3_ + s2 * p5_))
             return xz.real, s2 * (q2_ + s2 * q4_), xz.imag
 
-        p = np.abs(_su2_blocks(exponent, n, s.size) @ psi0 @ bra) ** 2
-        if stack:
-            p[rejected] = 0.0  # the chains of masked shapes run, unread
+        p = np.abs(_su2_blocks(exponent, n, s.size) @ psi0 @ bra)[..., 0] ** 2
+        p[rejected] = 0.0  # the chains of masked shapes run, unread
         return p, None
 
     p_e, _, step_error, steps = _richardson(run, n_rule, TAU_PILOT_DIVISOR, 6, atol, rtol)
-    p_e = p_e.view(_TauFrameP)
-    p_e.step_error, p_e.steps, p_e.rejected = step_error, steps, rejected
-    return p_e
+    return RemappedResult(p_e, step_error, steps, rejected)
 
 
 def _tau_exponent(theta):
@@ -424,23 +429,17 @@ def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     """Time-ordered 2x2 propagator of H(t) = f(t).sigma from Gauss-node
     fields, one fourth-order step (_magnus4) per pair of nodes.
 
-    f1, f2 = (f_x, f_y, f_z) at the two Gauss nodes of each step (arrays with
-    the steps on the last axis, or scalars that broadcast).  Leading axes
-    hold independent chains; the result is (..., 2, 2), reduced block by
-    block (_su2_blocks).
+    f1, f2 = (f_x, f_y, f_z) at the two Gauss nodes of each step: 1-D arrays
+    over the steps of one chain, or scalars that hold for every step.  The
+    product is reduced block by block (_su2_blocks).
     """
     fields = (*f1, *f2)
-    arrays = [f for f in fields if isinstance(f, np.ndarray) and f.ndim]
-    n = max(f.shape[-1] for f in arrays)
-    chains = 1
-    if any(f.ndim > 1 for f in arrays):  # one chain skips the shape arithmetic
-        chains = math.prod(np.broadcast_shapes(*(f.shape for f in arrays))[:-1])
+    n = max(np.size(f) for f in fields)
 
     def exponent(k, m):
-        # scalars and length-1 axes broadcast over every block as they are
-        return _magnus4([f[..., k:m] if np.shape(f)[-1:] == (n,) else f for f in fields], h)
+        return _magnus4([f[k:m] if np.ndim(f) else f for f in fields], h)
 
-    return _su2_blocks(exponent, n, chains)
+    return _su2_blocks(exponent, n, 1)
 
 
 def _magnus4(fields, h: float):

@@ -9,10 +9,11 @@ constraint is linear, so its optimum is one linear least-squares solve.
 Exact-dynamics objectives score candidate waveforms by the excitation
 left by exact two-level dynamics, and are searched by a restarted simplex
 whose restarts run in lockstep, each round's points scored as one batch.
-Without rounding the batch is stepped in the constant-gap frame of the
-remap, where theta(tau) is the waveform in closed form, in one kernel call
-on one grid for every candidate and duration of the window; the search
-steps it only until the step error estimates fall to STEP_ATOL +
+Without rounding the batch's coefficient matrix goes to the constant-gap
+kernel (dynamics.remapped_p_e), where theta(tau) is the waveform in closed
+form, in one call on one grid for every candidate and duration of the
+window, and a candidate whose angle leaves (0, pi) is masked and scores 1.0;
+the search steps it only until the step error estimates fall to STEP_ATOL +
 SEARCH_RTOL * P_e, and the winning candidate is scored again on the fixed
 step rule, which is the value reported.
 Gaussian rounding acts on the lab control h_z(t), so a rounded candidate is
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .dynamics import STEP_ATOL, _tau_frame_p_e, evolve_two_level_direct
+from .dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
 from .geometry import omega_from_theta, theta_from_fields
 from .remap import remapped_trajectory
 from .waveform import BasisMode, FourierWaveform, SampledTrajectory
@@ -92,6 +93,7 @@ class Objective:
     h_x: float = 1.0
 
     def __post_init__(self):
+        _transverse_field(self.h_x)
         if self.convolution_sigma < 0:
             raise ValueError("convolution_sigma must be >= 0")
         if self.kind is ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF:
@@ -111,6 +113,12 @@ class Objective:
                 raise ValueError(f"bad t_p window ({lo}, {hi})")
 
 
+def _transverse_field(h_x: float) -> float:
+    if not 0 < h_x < math.inf:  # refuses nan too
+        raise ValueError(f"h_x must be finite and positive, got {h_x}")
+    return h_x
+
+
 @dataclasses.dataclass(frozen=True)
 class OptimizationReport:
     """Search outcome; evaluations counts the candidates the exact objective
@@ -119,7 +127,8 @@ class OptimizationReport:
     the propagator steps it took, chains x steps summed over the search and
     the rescore (each duration of each candidate is a chain).  step_error
     is the largest step error estimate over the window at the reported value
-    (None for the spectral objective).  On the rounded path it is the lab
+    (None for the spectral objective and for a reported candidate that was
+    rejected, whose value reads 1.0).  On the rounded path it is the lab
     propagator's estimate and leaves out the error of sampling the remap on
     ROUNDED_SAMPLES points."""
 
@@ -201,7 +210,7 @@ class _SpectralObjective:
 class _ExactObjective:
     """Worst exact-dynamics error of the remapped waveform over the window:
     stepped in the constant-gap frame, or on the lab grid when rounded.
-    search() scores a batch of candidates; report() scores the result."""
+    score() scores a batch of candidates; report() scores the result."""
 
     def __init__(self, objective: Objective, mode: BasisMode, n_m: int):
         self._obj = objective
@@ -215,54 +224,42 @@ class _ExactObjective:
         self.evaluations = 0
         self.steps = 0
 
-    def search(self, lams: np.ndarray) -> np.ndarray:
-        # the rows of lams at the search tolerance: unrounded in one kernel
-        # call, rounded one by one through the lab pipeline
+    def score(self, lams: np.ndarray, atol: float, rtol: float):
+        """(worst P_e over the window, largest step error estimate) of each
+        row of lams: unrounded in one kernel call, rounded one by one through
+        the lab pipeline.  The tolerance applies to the constant-gap kernel;
+        the rounded path keeps the lab propagator's own.  A candidate whose
+        angle leaves (0, pi) or whose dynamics blow up scores (1.0, nan) and
+        counts once in rejected; the simplex backs off."""
         obj = self._obj
         self.evaluations += len(lams)
-        if obj.convolution_sigma != 0:
-            return np.array([self._score(lam, STEP_ATOL, SEARCH_RTOL)[0] for lam in lams])
-        waves = [FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f) for lam in lams]
-        p_e = _tau_frame_p_e(waves, self._grid, obj.h_x, STEP_ATOL, SEARCH_RTOL)
-        self.steps += p_e.size * p_e.steps
-        # a candidate whose angle leaves (0, pi) is masked and scored 1.0
-        self.rejected += int(np.count_nonzero(p_e.rejected))
-        return np.where(p_e.rejected, 1.0, np.max(p_e, axis=1))
+        if obj.convolution_sigma == 0:
+            result = remapped_p_e(self._mode, lams, obj.theta_i, self._grid, obj.h_x, atol, rtol)
+            self.steps += result.p_e.size * result.steps
+            worst, error = result.p_e.max(1), result.step_error.max(1)
+            self.rejected += int(np.count_nonzero(result.rejected))
+            return np.where(result.rejected, 1.0, worst), np.where(result.rejected, np.nan, error)
+        worst, error = np.zeros(len(lams)), np.zeros(len(lams))
+        for k, lam in enumerate(lams):
+            w = FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f)
+            try:
+                for t_p in self._grid:
+                    lab = remapped_trajectory(w, float(t_p), n_samples=ROUNDED_SAMPLES, h_x=obj.h_x)
+                    r = evolve_two_level_direct(convolve_trajectory(lab, obj.convolution_sigma))
+                    self.steps += r.steps
+                    worst[k], error[k] = max(worst[k], r.p_e), max(error[k], r.step_error)
+            except (ValueError, RuntimeError):
+                self.rejected += 1
+                worst[k], error[k] = 1.0, np.nan
+        return worst, error
 
     def report(self, lam: np.ndarray, iterations: int, converged: bool) -> OptimizationReport:
         # the default tolerance of the constant-gap kernel is its fixed rule
-        self.evaluations += 1
-        value, step_error = self._score(lam, 0.0, 0.0)
+        (value,), (step_error,) = self.score(lam[None], 0.0, 0.0)
         return OptimizationReport(
-            lam, value, iterations, converged, self.rejected, step_error, self.evaluations,
-            self.steps,
+            lam, float(value), iterations, converged, self.rejected,
+            None if np.isnan(step_error) else float(step_error), self.evaluations, self.steps,
         )
-
-    def _score(self, lam: np.ndarray, atol: float, rtol: float):
-        """(worst P_e over the window, its largest step error estimate) of
-        one candidate; the tolerance applies to the constant-gap kernel, the
-        rounded path keeps the lab propagator's own."""
-        obj = self._obj
-        w = FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f)
-        # candidates whose control angle leaves (0, pi) or whose dynamics
-        # blow up get the worst possible score; the simplex backs off
-        try:
-            if obj.convolution_sigma == 0:
-                p_e = _tau_frame_p_e(w, self._grid, obj.h_x, atol, rtol)
-                self.steps += p_e.size * p_e.steps
-                return float(np.max(p_e)), float(np.max(p_e.step_error))
-            worst = error = 0.0
-            for t_p in self._grid:
-                traj = remapped_trajectory(
-                    w, float(t_p), n_samples=ROUNDED_SAMPLES, h_x=obj.h_x
-                )
-                result = evolve_two_level_direct(convolve_trajectory(traj, obj.convolution_sigma))
-                self.steps += result.steps
-                worst, error = max(worst, result.p_e), max(error, result.step_error)
-            return worst, error
-        except (ValueError, RuntimeError):
-            self.rejected += 1
-            return 1.0, None
 
 
 def _constraint_row(mode: BasisMode, n_m: int) -> np.ndarray:
@@ -333,7 +330,9 @@ def optimize_coefficients(
 
     results = _lockstep(
         [_simplex(x0, max_iterations) for x0 in starts],
-        lambda z: value.search(np.array([_assemble(mode, x, n_m, constraint_value) for x in z])),
+        lambda z: value.score(
+            np.array([_assemble(mode, x, n_m, constraint_value) for x in z]), STEP_ATOL, SEARCH_RTOL
+        )[0],
     )
     x, _, _, converged = min(results, key=lambda res: res[1])
     iterations = sum(res[2] for res in results)
@@ -499,7 +498,7 @@ def optimize_cz_pulse(
     """
     if not 0 < theta_i <= theta_f < np.pi / 2:
         raise ValueError("need 0 < theta_i <= theta_f < pi/2")
-    t_x = np.pi / h_x
+    t_x = np.pi / _transverse_field(h_x)
     if t_p_window is None:
         t_p_window = (0.9 * t_x, 1.15 * t_x) if sigma == 0 else (1.85 * t_x, 2.15 * t_x)
     objective = Objective(

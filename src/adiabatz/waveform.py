@@ -98,11 +98,8 @@ class FourierWaveform:
 
         DERIVATIVE coefficients carry 1/time units, so they rescale with
         1/t_p to keep the endpoint constraint; THETA coefficients are
-        durationless radians.  The waveform itself is its own stretch to
-        its own duration.
+        durationless radians.
         """
-        if t_p == self.t_p:
-            return self
         if self.mode is BasisMode.DERIVATIVE:
             coeff = self.coefficients * (self.t_p / t_p)
         else:

@@ -6,7 +6,9 @@ import pytest
 
 from adiabatz import cli
 from adiabatz.cli import ValidationError, export_table, load_table, main
+from adiabatz.dynamics import evolve_two_level_direct
 from adiabatz.optimize import optimize_cz_pulse
+from adiabatz.waveform import linear_ramp_trajectory
 
 
 def write_config(tmp_path, params, name="config.json"):
@@ -209,6 +211,11 @@ def test_drag_sweep_two_level_area_theorem(tmp_path):
     area = np.trapezoid(1.0 - np.cos(2.0 * np.pi * t / t_p), t)
     assert row["amplitude_rad_per_time"] == pytest.approx(np.pi / area, rel=1e-6)
     assert row["converged"] == 1.0
+    # the manifest holds the optimizer status and the reached error per D
+    manifest = json.loads((tmp_path / "a" / "drag-sweep_manifest.json").read_text())
+    assert manifest["diagnostics"] == {
+        "optimizer_success": [True], "qubit_subspace_error": [row["qubit_subspace_error"]],
+    }
 
 
 def test_lz_sweep_tracks_formula(tmp_path):
@@ -220,6 +227,15 @@ def test_lz_sweep_tracks_formula(tmp_path):
     cols, data = load_table(tmp_path / "lz-sweep.csv")
     assert cols == ["ramp_rate_hx2", "p_e_exact", "p_e_formula"]
     assert data[:, 1] == pytest.approx(data[:, 2], rel=0.15)
+    # the manifest sums the steps and keeps the worst step error estimate
+    results = [evolve_two_level_direct(linear_ramp_trajectory(10.0, rate, 2049))
+               for rate in data[:, 0]]
+    assert [r.p_e for r in results] == list(data[:, 1])
+    manifest = json.loads((tmp_path / "lz-sweep_manifest.json").read_text())
+    assert manifest["diagnostics"] == {
+        "steps": sum(r.steps for r in results),
+        "step_error": max(r.step_error for r in results),
+    }
 
 
 def test_json_format_payload(tmp_path):

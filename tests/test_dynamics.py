@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,15 +13,17 @@ from adiabatz.dynamics import (
     STEP_RTOL,
     TAU_PHASE_PER_STEP,
     TwoLevelState,
+    _magnus4,
     _su2_propagator,
-    _tau_frame_p_e,
     evolve_two_level_direct,
     evolve_two_level_exact,
+    remapped_p_e,
 )
 from adiabatz.geometry import excited_state, ground_state
 from adiabatz.optimize import CZ_ROUNDING_SIGMA_PERIODS, SEARCH_RTOL, convolve_trajectory
 from adiabatz.remap import remapped_trajectory
 from adiabatz.waveform import (
+    BasisMode,
     SampledTrajectory,
     derivative_waveform,
     linear_ramp_trajectory,
@@ -126,6 +130,15 @@ def test_argument_validation():
     traj = constant_theta(0.7, n=17)
     with pytest.raises(ValueError):
         evolve_two_level_direct(traj, n_steps=0)
+    # the constant-gap kernel takes positive finite durations and a
+    # (K, n_m) coefficient matrix
+    lams = np.array([[1.0, 0.1]])
+    for t_ps in ([T_X, 0.0], [-T_X], [np.nan], [T_X, np.inf]):
+        with pytest.raises(ValueError, match="t_ps"):
+            remapped_p_e(BasisMode.DERIVATIVE, lams, 0.3, t_ps)
+    for coefficients in (lams[0], lams[None]):
+        with pytest.raises(ValueError, match="coefficients"):
+            remapped_p_e(BasisMode.DERIVATIVE, coefficients, 0.3, [T_X])
 
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -174,6 +187,14 @@ def test_su2_chain_time_reversal(steps):
     assert np.max(np.abs(u - np.eye(2))) < 1e-13
 
 
+def kernel(ws, t_ps, atol=0.0, rtol=0.0):
+    # the constant-gap kernel on one waveform, or a list of waveforms of one
+    # mode and start angle, one row each
+    ws = ws if isinstance(ws, list) else [ws]
+    lams = np.array([w.with_t_p(1.0).coefficients for w in ws])
+    return remapped_p_e(ws[0].mode, lams, ws[0].theta_i, t_ps, 1.0, atol, rtol)
+
+
 # the criterion-05 sweep (h_z from +10 to -10) and an out-and-back excursion
 SWEEP_ANGLES = (np.arctan2(1.0, 10.0), np.arctan2(1.0, -10.0))
 SWEEP = derivative_waveform(np.array([1.086, -0.086]), 1.0, *SWEEP_ANGLES)
@@ -189,7 +210,7 @@ def test_tau_frame_is_the_limit_of_the_lab_pipeline(w, durations, monkeypatch):
     # the lab pipeline (trapezoid remap, PCHIP inverse, splined fields)
     # converges at second order in its sample count onto the tau-frame answer
     t_ps = np.array(durations) * T_X
-    tau = _tau_frame_p_e(w, t_ps)
+    tau = kernel(w, t_ps).p_e[0]
     for t_p, ref in zip(t_ps, tau):
         lab = [
             evolve_two_level_direct(remapped_trajectory(w, t_p, n_samples=n)).p_e
@@ -199,7 +220,7 @@ def test_tau_frame_is_the_limit_of_the_lab_pipeline(w, durations, monkeypatch):
         assert abs(lab[2] - ref) <= 5e-5 * ref
     # and the tau-frame answer is converged in its own step count
     monkeypatch.setattr(dynamics, "TAU_PHASE_PER_STEP", TAU_PHASE_PER_STEP / 2.0)
-    assert _tau_frame_p_e(w, t_ps) == pytest.approx(tau, rel=1e-8, abs=0.0)
+    assert kernel(w, t_ps).p_e[0] == pytest.approx(tau, rel=1e-8, abs=0.0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -208,16 +229,9 @@ def test_tau_frame_batch_matches_single_durations(w, spans):
     # one shared grid, sized for the longest duration, gives each duration
     # what a grid of its own gives
     t_ps = np.array(spans) * T_X
-    batch = _tau_frame_p_e(w, t_ps)
-    alone = np.array([_tau_frame_p_e(w, t_p)[0] for t_p in t_ps])
+    batch = kernel(w, t_ps).p_e[0]
+    alone = np.array([kernel(w, t_p).p_e[0, 0] for t_p in t_ps])
     assert np.all(np.abs(batch - alone) <= 1e-8 * alone + 1e-15)
-
-
-def test_tau_frame_rejects_angles_outside_the_open_interval():
-    # theta_i + lam_1 (1 - cos) - lam_2 (1 - cos 2 .) dips below 0 near u = 1/4
-    w = theta_waveform([0.25, -0.2], 1.0, 0.1, 0.6)
-    with pytest.raises(ValueError, match="inside"):
-        _tau_frame_p_e(w, [T_X])
 
 
 # windows of the unrounded searches: criterion 05's sweep, criterion 06's
@@ -247,13 +261,13 @@ def test_tau_step_error_bounds_the_true_error(w, window, rtol, monkeypatch):
     # against a reference at four times the fixed rule's step count
     t_ps = np.linspace(*window, 9) * T_X
     atol = STEP_ATOL if rtol else 0.0
-    result = _tau_frame_p_e(w, t_ps, 1.0, atol, rtol)
+    result = kernel(w, t_ps, atol, rtol)
     rule = dynamics._fixed_step_count
     monkeypatch.setattr(dynamics, "_fixed_step_count", lambda *args: 4 * rule(*args))
-    ref = _tau_frame_p_e(w, t_ps)
-    assert np.all(np.abs(result - ref) <= 2.0 * result.step_error + 1e-15)
+    ref = kernel(w, t_ps)
+    assert np.all(np.abs(result.p_e - ref.p_e) <= 2.0 * result.step_error + 1e-15)
     if rtol:
-        assert np.all(result.step_error <= atol + rtol * result)
+        assert np.all(result.step_error <= atol + rtol * result.p_e)
 
 
 def excursion(lam_2):
@@ -274,12 +288,12 @@ def test_tau_step_error_bounds_the_true_error_of_any_shape(w, window, rtol):
     # the same bound over shapes and windows like the searches'
     t_ps = np.linspace(*window, 9) * T_X
     atol = STEP_ATOL if rtol else 0.0
-    result = _tau_frame_p_e(w, t_ps, 1.0, atol, rtol)
+    result = kernel(w, t_ps, atol, rtol)
     rule = dynamics._fixed_step_count
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_fixed_step_count", lambda *args: 4 * rule(*args))
-        ref = _tau_frame_p_e(w, t_ps)
-    assert np.all(np.abs(result - ref) <= 2.0 * result.step_error + 1e-15)
+        ref = kernel(w, t_ps)
+    assert np.all(np.abs(result.p_e - ref.p_e) <= 2.0 * result.step_error + 1e-15)
 
 
 def test_tau_step_is_sixth_order(monkeypatch):
@@ -290,11 +304,11 @@ def test_tau_step_is_sixth_order(monkeypatch):
 
     def at(n):
         monkeypatch.setattr(dynamics, "_fixed_step_count", lambda *args: n)
-        return _tau_frame_p_e(w, t_ps)
+        return kernel(w, t_ps)
 
     ref = at(8192)
     runs = [at(n) for n in (64, 128, 256)]
-    errors = [np.abs(run - ref) for run in runs]
+    errors = [np.abs(run.p_e - ref.p_e) for run in runs]
     assert all(np.max(coarse) >= 40.0 * np.max(fine) for coarse, fine in zip(errors, errors[1:]))
     for run, error in zip(runs, errors):
         assert np.all((run.step_error <= 2.0 * error) & (error <= 2.0 * run.step_error))
@@ -305,13 +319,13 @@ def test_tau_default_tolerance_is_the_fixed_rule(w, window, monkeypatch):
     # the default tolerance doubles up to the rule's own step count and
     # returns, bitwise, what one run at that count gives
     t_ps = np.linspace(*window, 9) * T_X
-    result = _tau_frame_p_e(w, t_ps)
+    result = kernel(w, t_ps)
     monkeypatch.setattr(
         dynamics, "_richardson", lambda run, n_rule, *_: (*run(n_rule), None, n_rule)
     )
-    fixed = _tau_frame_p_e(w, t_ps)
+    fixed = kernel(w, t_ps)
     assert (fixed.steps == 64) == (window[1] < 0.1)
-    assert np.array_equal(result, fixed)
+    assert np.array_equal(result.p_e, fixed.p_e)
     assert result.steps == sum(doubling_series(fixed.steps, dynamics.TAU_PILOT_DIVISOR))
     assert np.all(result.step_error > 0.0)
 
@@ -333,12 +347,22 @@ def test_blocked_chain_equals_the_whole_chain(seed, n, chains, chain_block):
         sizes.append(max(np.size(c) for c in v))
         return exp(*v)
 
+    def propagate(f1, f2):
+        # one chain through the propagator; leading chain axes through the
+        # block loop with the propagator's fourth-order exponent
+        if not chains:
+            return _su2_propagator(f1, f2, 0.1)
+        fields = (*f1, *f2)
+        return dynamics._su2_blocks(
+            lambda k, m: _magnus4([f[..., k:m] for f in fields], 0.1), n, math.prod(chains)
+        )
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "CHAIN_BLOCK", 2**40)
-        whole = _su2_propagator(f1, f2, 0.1)
+        whole = propagate(f1, f2)
         mp.setattr(dynamics, "CHAIN_BLOCK", chain_block)
         mp.setattr(dynamics, "_su2_exp", recording)
-        blocked = _su2_propagator(f1, f2, 0.1)
+        blocked = propagate(f1, f2)
     assert np.array_equal(blocked, whole)
     assert max(sizes) <= max(chain_block, np.prod(chains))
     # each leading index is a chain of its own (axis 0 holds x, y, z)
@@ -353,37 +377,47 @@ STACK = [
     theta_waveform([(0.55 * np.pi / 2 - 0.1) / 2.0 - b, a, b], 1.0, 0.1, 0.55 * np.pi / 2)
     for a, b in np.random.default_rng(2).normal(0.0, 0.05, (6, 2))
 ]
+# derivative-basis sweeps from one start angle to different end angles
+SWEEPS = [derivative_waveform([1.086, -0.086], 1.0, SWEEP_ANGLES[0], f) for f in (2.2, 2.6, 3.0)]
 
 
 @pytest.mark.parametrize("rtol", [0.0, SEARCH_RTOL], ids=["default", "search"])
 def test_tau_frame_stack_matches_single_waveforms(rtol):
     # one grid for the stack, sized for its most demanding candidate: each
-    # candidate lies within twice the estimate of what it gives alone
+    # candidate lies within twice the estimate of what it gives alone, and
+    # each is scored against its own end angle
     t_ps = np.linspace(0.9, 1.15, 9) * T_X
     atol = STEP_ATOL if rtol else 0.0
-    stack = _tau_frame_p_e(STACK, t_ps, 1.0, atol, rtol)
-    assert stack.shape == (len(STACK), len(t_ps)) and not np.any(stack.rejected)
-    for k, w in enumerate(STACK):
-        alone = _tau_frame_p_e(w, t_ps, 1.0, atol, rtol)
-        assert np.all(np.abs(stack[k] - alone) <= 2.0 * alone.step_error + 1e-15)
+    for candidates in (STACK, SWEEPS):
+        stack = kernel(candidates, t_ps, atol, rtol)
+        assert stack.p_e.shape == (len(candidates), len(t_ps)) and not np.any(stack.rejected)
+        for k, w in enumerate(candidates):
+            alone = kernel(w, t_ps, atol, rtol)
+            assert np.all(
+                np.abs(stack.p_e[k] - alone.p_e[0]) <= 2.0 * alone.step_error[0] + 1e-15
+            )
 
 
 @pytest.mark.parametrize("rtol", [0.0, SEARCH_RTOL], ids=["default", "search"])
 def test_tau_frame_stack_masks_angles_outside_the_open_interval(rtol):
-    # the candidate that raises alone is masked in a stack, and the others
-    # give what they give without it
+    # theta_i + lam_1 (1 - cos) - lam_2 (1 - cos 2 .) of the bad candidate
+    # dips below 0 near u = 1/4: alone or in a stack it is masked, and the
+    # others give what they give without it
     good = [theta_waveform([0.25, lam], 1.0, 0.1, 0.6) for lam in (0.0, 0.05, -0.05)]
     bad = theta_waveform([0.25, -0.2], 1.0, 0.1, 0.6)
     t_ps = np.linspace(0.9, 1.15, 9) * T_X
     atol = STEP_ATOL if rtol else 0.0
-    mixed = _tau_frame_p_e([good[0], bad, *good[1:]], t_ps, 1.0, atol, rtol)
-    clean = _tau_frame_p_e(good, t_ps, 1.0, atol, rtol)
+    alone = kernel(bad, t_ps, atol, rtol)
+    assert list(alone.rejected) == [True]
+    assert np.all(alone.p_e == 0.0) and np.all(alone.step_error == 0.0)
+    mixed = kernel([good[0], bad, *good[1:]], t_ps, atol, rtol)
+    clean = kernel(good, t_ps, atol, rtol)
     assert list(mixed.rejected) == [False, True, False, False]
-    assert np.all(mixed[1] == 0.0) and np.all(mixed.step_error[1] == 0.0)
-    assert np.array_equal(np.delete(mixed, 1, 0), clean)
+    assert np.all(mixed.p_e[1] == 0.0) and np.all(mixed.step_error[1] == 0.0)
+    assert np.array_equal(np.delete(mixed.p_e, 1, 0), clean.p_e)
     assert mixed.steps == clean.steps
-    everything_bad = _tau_frame_p_e([bad, bad], t_ps, 1.0, atol, rtol)
-    assert np.all(everything_bad.rejected) and np.all(everything_bad == 0.0)
+    everything_bad = kernel([bad, bad], t_ps, atol, rtol)
+    assert np.all(everything_bad.rejected) and np.all(everything_bad.p_e == 0.0)
 
 
 STEP_ERROR_CASES = {

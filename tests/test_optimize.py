@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from adiabatz import dynamics
-from adiabatz.dynamics import _tau_frame_p_e, evolve_two_level_direct
+from adiabatz.dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
 from adiabatz.optimize import (
     CZ_ROUNDING_SIGMA_PERIODS,
     ROUNDED_SAMPLES,
+    SEARCH_RTOL,
     Objective,
     ObjectiveKind,
     _ExactObjective,
@@ -206,10 +207,11 @@ def test_unrounded_objectives_skip_the_lab_pipeline(monkeypatch):
     rep = optimize_cz_pulse(theta_i, theta_f, 2, 0.0, t_p_window=window, max_iterations=10)
     assert rep.rejected == 0
     # the reported value is the optimum scored again at the default tolerance
-    w = theta_waveform(rep.coefficients, 1.0, theta_i, theta_f)
-    rescored = _tau_frame_p_e(w, np.linspace(*window, 9))
-    assert rep.objective_value == max(rescored)
-    assert rep.step_error == max(rescored.step_error)
+    rescored = remapped_p_e(
+        BasisMode.THETA, rep.coefficients[None], theta_i, np.linspace(*window, 9)
+    )
+    assert rep.objective_value == np.max(rescored.p_e)
+    assert rep.step_error == np.max(rescored.step_error)
     with pytest.raises(Reached):
         optimize_cz_pulse(theta_i, theta_f, 2, 0.2, t_p_window=window, max_iterations=10)
 
@@ -322,12 +324,19 @@ def test_masked_candidate_is_counted_once():
     )
     lams = np.array([[0.25, 0.0], [0.25, 0.05], [0.25, -0.2], [0.25, -0.05]])
     value = _ExactObjective(objective, BasisMode.THETA, 2)
-    scores = value.search(lams)
+    scores, errors = value.score(lams, STEP_ATOL, SEARCH_RTOL)
     assert (value.rejected, value.evaluations) == (1, 4)
-    assert scores[2] == 1.0
-    alone = _ExactObjective(objective, BasisMode.THETA, 2).search(np.delete(lams, 2, 0))
+    assert scores[2] == 1.0 and np.isnan(errors[2])
+    alone, _ = _ExactObjective(objective, BasisMode.THETA, 2).score(
+        np.delete(lams, 2, 0), STEP_ATOL, SEARCH_RTOL
+    )
     assert np.array_equal(np.delete(scores, 2), alone)
     assert np.all(alone < 0.1)
+    # reported, the masked candidate reads 1.0 with no step error
+    rep = _ExactObjective(objective, BasisMode.THETA, 2).report(lams[2], 0, True)
+    assert (rep.objective_value, rep.step_error, rep.rejected, rep.evaluations) == (
+        1.0, None, 1, 1
+    )
 
 
 def test_term_profile_matches_quadrature():
@@ -365,6 +374,12 @@ def test_objective_validation():
         )
     with pytest.raises(ValueError):
         optimize_coefficients(0, BasisMode.DERIVATIVE, spectral_objective(), 1.0)
+    for h_x in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="h_x"):
+            Objective(
+                kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(4.0, 4.0),
+                theta_i=0.3, theta_f=2.2, h_x=h_x,
+            )
 
 
 def test_gaussian_kernel_mass():
@@ -425,3 +440,7 @@ def test_excursion_search_preconditions():
         optimize_cz_pulse(0.1, np.pi / 2, 2, 0.0)
     with pytest.raises(ValueError):
         optimize_cz_pulse(0.6, 0.5, 2, 0.0)
+    # refused before the crossing period pi / h_x is worked out
+    for h_x in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="h_x"):
+            optimize_cz_pulse(0.1, 0.5, 2, 0.0, h_x=h_x)
