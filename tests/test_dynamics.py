@@ -398,6 +398,18 @@ def test_tau_frame_stack_matches_single_waveforms(rtol):
             )
 
 
+def test_tau_frame_rejects_angles_outside_the_open_interval():
+    # theta_i + lam_1 (1 - cos) - lam_2 (1 - cos 2 .) dips below 0 near u = 1/4:
+    # the lab path raises, and the kernel marks the row rejected and scores
+    # nothing for it
+    w = theta_waveform([0.25, -0.2], 1.0, 0.1, 0.6)
+    with pytest.raises(ValueError, match="inside"):
+        remapped_trajectory(w, T_X)
+    result = kernel(w, [T_X])
+    assert list(result.rejected) == [True]
+    assert result.p_e.shape == (1, 1) and result.p_e[0, 0] == 0.0
+
+
 @pytest.mark.parametrize("rtol", [0.0, SEARCH_RTOL], ids=["default", "search"])
 def test_tau_frame_stack_masks_angles_outside_the_open_interval(rtol):
     # theta_i + lam_1 (1 - cos) - lam_2 (1 - cos 2 .) of the bad candidate
