@@ -7,10 +7,12 @@ chains per-step SU(2) exponentials of the lab-frame 2x2 Hamiltonian as unit
 quaternions, with a fourth-order two-node Magnus step, doubling its step
 count from a coarse pilot until a Richardson estimate of the step error
 meets STEP_ATOL + STEP_RTOL * P_e, and reports that estimate with the
-answer.  Both derive the Hamiltonian from theta(t) and h_x alone; a pinned
-omega field on the trajectory is a linearized-analysis device and is
-ignored here.  The same quaternion chain also steps remapped Fourier
-waveforms directly in the constant-gap frame (remapped_p_e, the kernel of
+answer.  Both derive the Hamiltonian from theta(t) and h_x alone, read
+between the samples from a not-a-knot cubic spline (_interp.cubic_spline,
+scipy's CubicSpline in numpy); a pinned omega field on the trajectory is a
+linearized-analysis device and is ignored here.  The same quaternion
+chain also steps remapped Fourier waveforms directly in the constant-gap
+frame (remapped_p_e, the kernel of
 the unrounded exact search objectives), with a sixth-order three-node
 Magnus step whose exponent is a polynomial in the duration scale, on its
 own rule (TAU_PHASE_PER_STEP) under the same doubling loop (_richardson):
@@ -26,10 +28,10 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._interp import cubic_spline
 from .geometry import excited_state, ground_state
-from .waveform import SampledTrajectory, _fourier_series
+from .waveform import SampledTrajectory, _dtheta_series, _theta_series
 
 __all__ = [
     "TwoLevelState",
@@ -190,8 +192,8 @@ def evolve_two_level_exact(
     # memoryviews hand the loop Python floats without copying the arrays, and
     # the loop keeps u = ur + i ui in the operation order of the complex form
     grid = traj.times[0] + np.linspace(0.0, traj.t_p, 2 * n + 1)
-    om = memoryview(CubicSpline(traj.times, 2.0 * traj.h_x / np.sin(traj.theta))(grid))
-    gm = memoryview(CubicSpline(traj.times, traj.dtheta_dt)(grid))
+    om = memoryview(cubic_spline(traj.times, 2.0 * traj.h_x / np.sin(traj.theta))(grid))
+    gm = memoryview(cubic_spline(traj.times, traj.dtheta_dt)(grid))
 
     h2, h6 = 0.5 * h, h / 6.0
     sqrt = math.sqrt
@@ -256,7 +258,7 @@ def evolve_two_level_direct(
     never exceeds.  The finer run is returned with that estimate as
     step_error and the steps of all runs summed in steps.
     """
-    z = CubicSpline(traj.times, traj.h_x / np.tan(traj.theta))
+    z = cubic_spline(traj.times, traj.h_x / np.tan(traj.theta))
     psi0, excited = ground_state(traj.theta[0]), excited_state(traj.theta[-1])
 
     def propagate(n):
@@ -356,7 +358,8 @@ def remapped_p_e(
     # a coarse pass sizes the fixed step rule for the longest duration, with
     # the constant gap 2 h_x tau_p; its last point, u = 1, gives each shape
     # its end angle
-    theta, dtheta = _fourier_series(mode, lam, 1.0, theta_i, np.append(nodes(64), 1.0))
+    u = np.append(nodes(64), 1.0)
+    theta, dtheta = _theta_series(mode, lam, 1.0, theta_i, u), _dtheta_series(mode, lam, 1.0, u)
     bra = np.ascontiguousarray(excited_state(theta[-1]).T.conj()[..., None])  # (K, 2, 1)
     theta, dtheta = shapes(theta[:-1].reshape(3, 64, -1)), dtheta[:-1].reshape(3, 64, -1)
     tau_max = np.max(t_ps) / (np.mean(np.sin(theta), axis=-1) @ GAUSS3_WEIGHTS)
@@ -367,8 +370,7 @@ def remapped_p_e(
     psi0 = ground_state(theta_i)
 
     def run(n):
-        theta, _ = _fourier_series(mode, lam, 1.0, theta_i, nodes(n))
-        p1, p3, p5, q2, q4 = _tau_exponent(shapes(theta))
+        p1, p3, p5, q2, q4 = _tau_exponent(shapes(_theta_series(mode, lam, 1.0, theta_i, nodes(n))))
         # one chain per shape and duration; Re p1 sums to int sin theta
         s = ((h_x / np.sum(p1.real, axis=-1))[..., None] * t_ps)[..., None]
         s2 = s * s

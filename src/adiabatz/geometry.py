@@ -8,6 +8,8 @@ h_x fixed, theta and h_z are interchangeable coordinates for the control.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -21,6 +23,12 @@ __all__ = [
 # theta is kept strictly inside (0, pi): the poles correspond to |h_z| -> inf.
 THETA_MIN = 1e-6
 THETA_MAX = np.pi - 1e-6
+
+
+def _transverse_field(h_x: float) -> float:
+    if not 0 < h_x < math.inf:  # refuses nan too
+        raise ValueError(f"h_x must be finite and positive, got {h_x}")
+    return h_x
 
 
 def theta_from_fields(h_z, h_x: float = 1.0):

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
-from .geometry import omega_from_theta, theta_from_fields
+from .geometry import _transverse_field, omega_from_theta, theta_from_fields
 from .remap import remapped_trajectory
 from .waveform import BasisMode, FourierWaveform, SampledTrajectory
 
@@ -111,12 +111,6 @@ class Objective:
             lo, hi = self.t_p_window
             if not 0 < lo <= hi:
                 raise ValueError(f"bad t_p window ({lo}, {hi})")
-
-
-def _transverse_field(h_x: float) -> float:
-    if not 0 < h_x < math.inf:  # refuses nan too
-        raise ValueError(f"h_x must be finite and positive, got {h_x}")
-    return h_x
 
 
 @dataclasses.dataclass(frozen=True)

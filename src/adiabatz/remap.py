@@ -4,7 +4,8 @@ An optimal waveform derived for the constant precession frequency
 omega_x = 2 h_x (tau frame) maps onto an arbitrary excursion through the
 crossing by the change of variables omega_x * dtau = omega(t) * dt, which
 reduces to dt = sin(theta) dtau.  The forward map is a
-cumulative quadrature; the inverse is monotone cubic interpolation.
+cumulative quadrature; the inverse is monotone cubic (PCHIP) interpolation
+(_interp.pchip, bitwise scipy's PchipInterpolator and its derivative).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
+from ._interp import pchip
 from .geometry import h_z_from_theta, omega_from_theta
 from .waveform import FourierWaveform, SampledTrajectory, eval_fourier
 
@@ -73,9 +74,7 @@ def invert_remap(table: RemapTable, t_grid, h_x: float = 1.0) -> SampledTrajecto
     t = np.asarray(t_grid, dtype=float)
     if t[0] < -1e-12 or t[-1] > table.t_p * (1 + 1e-12):
         raise ValueError("t_grid outside [0, t(tau_p)]")
-    interp = PchipInterpolator(table.t_of_tau, table.theta_of_tau)
-    theta = interp(t)
-    dtheta = interp.derivative()(t)
+    theta, dtheta = pchip(table.t_of_tau, table.theta_of_tau, t)
     return SampledTrajectory(
         times=t,
         theta=theta,

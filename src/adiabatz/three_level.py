@@ -5,7 +5,9 @@ rotating at the drive frequency: level energies (0, -detuning, delta -
 2*detuning), drive matrix elements W/2 on 0<->1 and sqrt(2) W/2 on 1<->2.
 The complex envelope W = x - i D xdot / delta trades in-phase amplitude
 against a derivative quadrature to steer spectral weight away from the
-leakage transition.
+leakage transition; the propagators read it between samples from a
+not-a-knot cubic spline (_interp.cubic_spline).  Only the calibration needs
+scipy (least_squares), which it imports when first called.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import enum
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import least_squares
 
+from ._interp import cubic_spline
 from .dynamics import PHASE_PER_STEP, _fixed_step_count, _gauss_node_times, _su2_propagator
 
 __all__ = [
@@ -142,7 +143,7 @@ def _gauss_nodes(times: np.ndarray, w: np.ndarray, max_energy: float, n_steps: i
     elif n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     h, nodes = _gauss_node_times(times[0], t_p, n_steps)
-    w1, w2 = CubicSpline(times, w)(nodes)
+    w1, w2 = cubic_spline(times, w)(nodes)
     return h, w1, w2
 
 
@@ -296,6 +297,8 @@ def calibrate_pulse(
     det0 = 0.0
     if levels == 3:
         det0 = float(np.mean(stark_shift(amp0 * shape, drag_d, delta)))
+    from scipy.optimize import least_squares  # ~0.7 s to import, so not at the top
+
     fit = least_squares(
         lambda p: _subspace_residual(evolve(p).unitary[:2, :2], target),
         np.array([amp0, det0, 0.0]),

@@ -24,6 +24,7 @@ import numpy as np
 from .geometry import (
     THETA_MAX,
     THETA_MIN,
+    _transverse_field,
     h_z_from_theta,
     omega_from_theta,
 )
@@ -149,32 +150,45 @@ def eval_fourier(w: FourierWaveform, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < -1e-12) or np.any(t_arr > w.t_p * (1 + 1e-12)):
         raise ValueError("t outside [0, t_p]")
-    return _fourier_series(w.mode, w.coefficients, w.t_p, w.theta_i, t_arr)
+    return (
+        _theta_series(w.mode, w.coefficients, w.t_p, w.theta_i, t_arr),
+        _dtheta_series(w.mode, w.coefficients, w.t_p, t_arr),
+    )
 
 
-def _fourier_series(mode: BasisMode, coefficients, t_p: float, theta_i: float, t):
-    """eval_fourier's series at the times t; an (n_m, K) coefficient matrix
+def _phases(n_m: int, t_p: float, t):
+    return 2.0 * np.pi * np.multiply.outer(t / t_p, np.arange(1, n_m + 1))  # (..., n_m)
+
+
+def _theta_series(mode: BasisMode, coefficients, t_p: float, theta_i: float, t):
+    """eval_fourier's theta at the times t; an (n_m, K) coefficient matrix
     gives K waveforms at once, on a trailing axis."""
     n_m = len(coefficients)
-    terms = np.arange(1, n_m + 1)
-    phases = 2.0 * np.pi * np.multiply.outer(t / t_p, terms)  # (..., n_m)
+    phases = _phases(n_m, t_p, t)
     if mode is BasisMode.DERIVATIVE:
-        dtheta = (1.0 - np.cos(phases)) @ coefficients
         # closed-form integral of the series, exact at the sample points
-        theta = theta_i + (
+        terms = np.arange(1, n_m + 1)
+        return theta_i + (
             np.multiply.outer(t, np.ones(n_m))
             - (t_p / (2.0 * np.pi * terms)) * np.sin(phases)
         ) @ coefficients
-    else:
-        theta = theta_i + (1.0 - np.cos(phases)) @ coefficients
-        n = terms.reshape((n_m,) + (1,) * (np.ndim(coefficients) - 1))
-        dtheta = np.sin(phases) @ (coefficients * 2.0 * np.pi * n / t_p)
-    return theta, dtheta
+    return theta_i + (1.0 - np.cos(phases)) @ coefficients
+
+
+def _dtheta_series(mode: BasisMode, coefficients, t_p: float, t):
+    """eval_fourier's dtheta/dt at the times t, shaped as _theta_series."""
+    n_m = len(coefficients)
+    phases = _phases(n_m, t_p, t)
+    if mode is BasisMode.DERIVATIVE:
+        return (1.0 - np.cos(phases)) @ coefficients
+    n = np.arange(1, n_m + 1).reshape((n_m,) + (1,) * (np.ndim(coefficients) - 1))
+    return np.sin(phases) @ (coefficients * 2.0 * np.pi * n / t_p)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SampledTrajectory:
-    """Uniformly sampled control trajectory.
+    """Uniformly sampled control trajectory; arrays that cannot be
+    propagated raise ValueError.
 
     Attributes
     ----------
@@ -184,7 +198,7 @@ class SampledTrajectory:
     theta : np.ndarray
         Control angle per sample, inside (0, pi).
     dtheta_dt : np.ndarray
-        Angle rate per sample (analytic where available).
+        Finite angle rate per sample (analytic where available).
     h_z : np.ndarray
         Longitudinal field, h_x / tan(theta).
     omega : np.ndarray
@@ -193,7 +207,7 @@ class SampledTrajectory:
         idealization (small_angle_trajectory) pins it instead.  The exact
         propagators ignore it and take the gap from theta and h_x.
     h_x : float
-        Fixed transverse field.
+        Fixed transverse field, finite and positive.
     """
 
     times: np.ndarray
@@ -212,8 +226,13 @@ class SampledTrajectory:
             raise ValueError("times must be strictly increasing")
         _uniform_step(t)
         th = np.asarray(self.theta, dtype=float)
-        if np.any(th <= 0) or np.any(th >= np.pi):
+        if th.shape != t.shape or np.shape(self.dtheta_dt) != t.shape:
+            raise ValueError("theta and dtheta_dt need one sample per time")
+        if not np.all((th > 0) & (th < np.pi)):  # refuses nan too
             raise ValueError("theta must stay inside (0, pi)")
+        if not np.all(np.isfinite(self.dtheta_dt)):
+            raise ValueError("dtheta_dt must be finite")
+        _transverse_field(self.h_x)
 
     @property
     def t_p(self) -> float:

@@ -141,6 +141,33 @@ def test_trajectory_rejects_nonuniform_grid():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("theta", np.full(4, 0.5), "one sample per time"),
+        ("dtheta_dt", np.zeros(6), "one sample per time"),
+        ("theta", np.array([0.5, np.nan, 0.5, 0.5, 0.5]), r"\(0, pi\)"),
+        ("dtheta_dt", np.array([0.0, 0.0, np.nan, 0.0, 0.0]), "finite"),
+        ("dtheta_dt", np.array([0.0, np.inf, 0.0, 0.0, 0.0]), "finite"),
+        ("h_x", 0.0, "h_x"),
+        ("h_x", np.nan, "h_x"),
+    ],
+)
+def test_trajectory_rejects_what_cannot_be_propagated(field, value, message):
+    # before these checks each case got through: the first two failed later
+    # in the spline, the nan angle passed the (0, pi) test, the nan rate
+    # failed in the ODE's step count, and h_x = 0 propagated to P_e = 6e-35
+    from adiabatz.waveform import SampledTrajectory
+
+    fields = dict(
+        times=np.linspace(0.0, 1.0, 5), theta=np.full(5, 0.5), dtheta_dt=np.zeros(5),
+        h_z=np.full(5, 1.0), omega=np.full(5, 2.0), h_x=1.0,
+    )
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        SampledTrajectory(**fields)
+
+
 def test_trajectory_accepts_rounded_grid_far_from_the_origin():
     # |t| / d = 2e8: the rounding of the times alone is ~2e-8 d, the same
     # grid fourier_integral accepts; a sample moved by 1e-6 d is refused
