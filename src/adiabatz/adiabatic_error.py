@@ -87,13 +87,17 @@ def landau_zener_error(h_x: float, ramp_rate: float) -> float:
 class ErrorCurve:
     """(t_p, P_e) pairs tagged by evaluation method.
 
-    Failed points carry NaN in p_e and an entry in failures.
+    Failed points carry NaN in p_e and an entry in failures.  An EXACT curve
+    sums the propagator steps of its points in steps and keeps their worst
+    step-error estimate in step_error (None without an exact point).
     """
 
     t_p: np.ndarray
     p_e: np.ndarray
     evaluator: Evaluator
     failures: tuple = ()
+    steps: int = 0
+    step_error: float | None = None
 
 
 def error_curve(
@@ -118,14 +122,16 @@ def error_curve(
     if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("t_p grid must be positive and strictly increasing")
     p_e = np.full(len(grid), np.nan)
-    failures = []
+    failures, exact = [], []
     for i, t_p in enumerate(grid):
         try:
             traj = generator(float(t_p))
             if evaluator is Evaluator.LINEARIZED:
                 p_e[i] = geometric_error(traj).p_e
             else:
-                p_e[i] = evolve_two_level_direct(traj).p_e
+                exact.append(evolve_two_level_direct(traj))
+                p_e[i] = exact[-1].p_e
         except Exception as exc:  # per-point failure -> partial curve
             failures.append((i, f"{type(exc).__name__}: {exc}"))
-    return ErrorCurve(t_p=grid, p_e=p_e, evaluator=evaluator, failures=tuple(failures))
+    return ErrorCurve(grid, p_e, evaluator, tuple(failures), sum(r.steps for r in exact),
+                      max((r.step_error for r in exact), default=None))

@@ -3,10 +3,10 @@
 Each experiment reads a JSON parameter file, runs one reproducible
 computation, and writes a result table (CSV or JSON) plus a small manifest
 with the config hash, library versions, wall time and diagnostics (the
-cz-pulse search's report, the failed error-curve points, the lz-sweep step
-work, each drag-sweep calibration's optimizer status and reached error).
-The manifest lives in a separate file so result bytes depend only on
-config + seed.
+cz-pulse search's report, the failed error-curve points and an exact curve's
+step work, the lz-sweep step work, each drag-sweep calibration's optimizer
+status and reached error). The manifest lives in a separate file so result
+bytes depend only on config + seed.
 
 Exit codes: 0 success, 2 config validation failure (no files written),
 3 numerical failure during the computation.
@@ -258,7 +258,10 @@ def _run_error_curve(params: dict, seed: int):
     columns = ["t_p_over_Tx", "t_p_time", f"p_e_{evaluator.value}"]
     rows = np.column_stack([grid / T_X, grid, curve.p_e]).tolist()
     # failed points read NaN in the table; the manifest says why
-    return columns, rows, {"failures": [list(failure) for failure in curve.failures]}
+    diagnostics = {"failures": [list(failure) for failure in curve.failures]}
+    if evaluator is Evaluator.EXACT:  # and the step work of the exact points
+        diagnostics.update(steps=curve.steps, step_error=curve.step_error)
+    return columns, rows, diagnostics
 
 
 def _run_lz_sweep(params: dict, seed: int):

@@ -1,25 +1,26 @@
-"""Exact two-level dynamics: moving-frame product ODE and a direct propagator.
+"""Exact two-level dynamics: moving-frame RK4 ODE and a direct propagator.
 
 Two independent formulations of the same evolution serve as mutual checks.
-The first integrates the instantaneous-eigenbasis amplitude product
-u = alpha* beta with fixed-step RK4 on the PHASE_PER_STEP rule; the second
-chains per-step SU(2) exponentials of the lab-frame 2x2 Hamiltonian as unit
-quaternions, with a fourth-order two-node Magnus step, doubling its step
-count from a coarse pilot until a Richardson estimate of the step error
-meets STEP_ATOL + STEP_RTOL * P_e, and reports that estimate with the
-answer.  Both derive the Hamiltonian from theta(t) and h_x alone, read
-between the samples from a not-a-knot cubic spline (_interp.cubic_spline,
-scipy's CubicSpline in numpy); a pinned omega field on the trajectory is a
-linearized-analysis device and is ignored here.  The same quaternion
-chain also steps remapped Fourier waveforms directly in the constant-gap
-frame (remapped_p_e, the kernel of
-the unrounded exact search objectives), with a sixth-order three-node
-Magnus step whose exponent is a polynomial in the duration scale, on its
-own rule (TAU_PHASE_PER_STEP) under the same doubling loop (_richardson):
-one call takes a (K, n_m) coefficient matrix of shapes and returns a frozen
-RemappedResult, with the shapes whose angle leaves (0, pi) masked; searches
-pass a loose tolerance, and the default tolerance 0 doubles up to the
-fixed rule's own count.
+The first takes fixed-step RK4 on the PHASE_PER_STEP rule for the
+instantaneous-eigenbasis amplitudes; its step maps are (non-unit)
+quaternions, built elementwise and chained pairwise, with the norm drift
+from the product of the step norms.  The second chains per-step SU(2)
+exponentials of the lab-frame 2x2 Hamiltonian as unit quaternions, with a
+fourth-order two-node Magnus step, doubling its step count from a coarse
+pilot until a Richardson estimate of the step error meets STEP_ATOL +
+STEP_RTOL * P_e, and reports that estimate with the answer.  Both derive the
+Hamiltonian from theta(t) and h_x alone, read between the samples from a
+not-a-knot cubic spline (_interp.cubic_spline, scipy's CubicSpline in
+numpy); a pinned omega field on the trajectory is a linearized-analysis
+device and is ignored here.  The same quaternion chain also steps remapped
+Fourier waveforms directly in the constant-gap frame (remapped_p_e, the
+kernel of the unrounded exact search objectives), with a sixth-order
+three-node Magnus step whose exponent is a polynomial in the duration scale,
+on its own rule (TAU_PHASE_PER_STEP) under the same doubling loop
+(_richardson): one call takes a (K, n_m) coefficient matrix of shapes and
+returns a frozen RemappedResult, with the shapes whose angle leaves (0, pi)
+masked; searches pass a loose tolerance, and the default tolerance 0 doubles
+up to the fixed rule's own count.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class TwoLevelState:
 
     ab_product is alpha* beta (conjugated ground amplitude times excited
     amplitude); on a unit state its magnitude cannot exceed 1/2.  amplitudes
-    carries (alpha, beta) when the propagator tracked them explicitly.
+    carries (alpha, beta), which both propagators track.
     """
 
     ab_product: complex
@@ -96,7 +97,8 @@ class EvolutionResult:
     """Excitation probability plus the final state and a drift diagnostic.
 
     norm_drift is the worst deviation of the conserved quantity: state-norm
-    error for the direct propagator, |4|u|^2 + d^2 - 1| for the product ODE.
+    error for the direct propagator, |4|u|^2 + d^2 - 1| = | |psi|^4 - 1 |
+    over the steps of the ODE.
     step_error is the Richardson estimate of the step error in p_e, set only
     by the error-controlled direct propagator (None for a fixed n_steps and
     for the ODE).  steps counts the integration steps over all runs made.
@@ -175,69 +177,58 @@ def _p_e_from_product(u: complex, d: float) -> float:
 def evolve_two_level_exact(
     traj: SampledTrajectory, n_steps: int | None = None
 ) -> EvolutionResult:
-    """Fixed-step RK4 on the moving-frame amplitude-product ODE.
+    """Fixed-step RK4 on the moving-frame amplitudes psi = (alpha, beta),
+    psi' = X psi from the instantaneous ground state, with X the quaternion
+    [[a, -b*], [b, a*]], (a, b) = (-i omega/2, (dtheta/dt)/2).  Then
+    u = alpha* beta obeys du/dt = i omega u + (dtheta/dt) d/2, where
+    d = |alpha|^2 - |beta|^2, and P_e = sin^2(Theta/2) with
+    sin(Theta) e^{i phi} = 2u and cos(Theta) = d.
 
-    Starting from the instantaneous ground state, the product u = alpha* beta
-    obeys
-
-        du/dt = i omega u + sign(d) sqrt(1 - 4|u|^2) (dtheta/dt)/2,
-
-    where d = |alpha|^2 - |beta|^2 is integrated alongside through
-    dd/dt = -2 (dtheta/dt) Re u and supplies the square-root sign.  The
-    excitation probability is sin^2(Theta/2) with sin(Theta) e^{i phi} = 2u.
+    Each RK4 step map, a real polynomial in the X of its ends and midpoint,
+    is a (non-unit) quaternion; the maps are chained pairwise (_su2_blocks).
+    The norm is multiplicative: norm_drift is the worst | |psi_k|^4 - 1 |
+    over the steps, and |alpha* beta| <= |psi_k|^2 / 2 must stay within
+    1/2 + AB_PRODUCT_TOL.
     """
     n = _n_steps(traj, n_steps)
     h = float(traj.t_p / n)
-    # spline the coefficients once, then evaluate on step ends and midpoints;
-    # memoryviews hand the loop Python floats without copying the arrays, and
-    # the loop keeps u = ur + i ui in the operation order of the complex form
-    grid = traj.times[0] + np.linspace(0.0, traj.t_p, 2 * n + 1)
-    om = memoryview(cubic_spline(traj.times, 2.0 * traj.h_x / np.sin(traj.theta))(grid))
-    gm = memoryview(cubic_spline(traj.times, traj.dtheta_dt)(grid))
-
     h2, h6 = 0.5 * h, h / 6.0
-    sqrt = math.sqrt
-    ur = ui = 0.0
-    d = 1.0
-    max_ab = 0.0
-    max_drift = 0.0
-    # step k reads the coefficients at t_k, t_k + h/2 and t_k + h
-    for w0, w1, w2, g0, g1, g2 in zip(om[:-1:2], om[1::2], om[2::2], gm[:-1:2], gm[1::2], gm[2::2]):
-        r = 1.0 - 4.0 * (ur * ur + ui * ui)
-        q = (0.5 if d >= 0.0 else -0.5) * sqrt(r if r > 0.0 else 0.0) * g0
-        k1r, k1i, k1d = q - w0 * ui, w0 * ur, -2.0 * g0 * ur
-        ar, ai, ad = ur + h2 * k1r, ui + h2 * k1i, d + h2 * k1d
-        r = 1.0 - 4.0 * (ar * ar + ai * ai)
-        q = (0.5 if ad >= 0.0 else -0.5) * sqrt(r if r > 0.0 else 0.0) * g1
-        k2r, k2i, k2d = q - w1 * ai, w1 * ar, -2.0 * g1 * ar
-        ar, ai, ad = ur + h2 * k2r, ui + h2 * k2i, d + h2 * k2d
-        r = 1.0 - 4.0 * (ar * ar + ai * ai)
-        q = (0.5 if ad >= 0.0 else -0.5) * sqrt(r if r > 0.0 else 0.0) * g1
-        k3r, k3i, k3d = q - w1 * ai, w1 * ar, -2.0 * g1 * ar
-        ar, ai, ad = ur + h * k3r, ui + h * k3i, d + h * k3d
-        r = 1.0 - 4.0 * (ar * ar + ai * ai)
-        q = (0.5 if ad >= 0.0 else -0.5) * sqrt(r if r > 0.0 else 0.0) * g2
-        k4r, k4i, k4d = q - w2 * ai, w2 * ar, -2.0 * g2 * ar
-        ur = ur + h6 * (k1r + 2.0 * (k2r + k3r) + k4r)
-        ui = ui + h6 * (k1i + 2.0 * (k2i + k3i) + k4i)
-        d = d + h6 * (k1d + 2.0 * (k2d + k3d) + k4d)
-        ab2 = ur * ur + ui * ui
-        if ab2 > max_ab:
-            max_ab = ab2
-        drift = abs(4.0 * ab2 + d * d - 1.0)
-        if drift > max_drift:
-            max_drift = drift
-    max_ab = math.sqrt(max_ab)
-    if max_ab > 0.5 + AB_PRODUCT_TOL:
+    # spline b + a = (dtheta/dt)/2 - i omega/2 as one complex series, then
+    # read it on the step ends and midpoints
+    grid = traj.times[0] + np.linspace(0.0, traj.t_p, 2 * n + 1)
+    x = cubic_spline(traj.times, 0.5 * traj.dtheta_dt - 1j * (traj.h_x / np.sin(traj.theta)))(grid)
+    norms = []
+
+    def step_maps(k, m):
+        # the stages K_j = X (1 + c K_{j-1}), K_1 = X_0, of steps k..m-1, with
+        # X (r, s) = (a r - b s, b r - a s) as a is imaginary and b real
+        y = x[2 * k:2 * m + 1]
+        a, b = 1j * y.imag, y.real
+        a0, a1, a2, b0, b1, b2 = a[:-1:2], a[1::2], a[2::2], b[:-1:2], b[1::2], b[2::2]
+        r, s = 1.0 + h2 * a0, h2 * b0
+        k2 = a1 * r - b1 * s, b1 * r - a1 * s
+        r, s = 1.0 + h2 * k2[0], h2 * k2[1]
+        k3 = a1 * r - b1 * s, b1 * r - a1 * s
+        r, s = 1.0 + h * k3[0], h * k3[1]
+        k4 = a2 * r - b2 * s, b2 * r - a2 * s
+        alpha = 1.0 + h6 * (a0 + 2.0 * (k2[0] + k3[0]) + k4[0])
+        beta = h6 * (b0 + 2.0 * (k2[1] + k3[1]) + k4[1])
+        norms.append(alpha.real**2 + alpha.imag**2 + beta.real**2 + beta.imag**2)
+        return alpha, beta
+
+    alpha, beta = map(complex, _su2_blocks(step_maps, n, 1)[:, 0])
+    norm = np.cumprod(np.concatenate(norms))  # |psi_k|^2 after each step
+    bound = float(np.max(norm)) / 2.0  # of |alpha* beta| over the steps
+    if bound > 0.5 + AB_PRODUCT_TOL:
         raise RuntimeError(
-            f"|alpha* beta| reached {max_ab:.12f} > 1/2 during integration: "
+            f"|alpha* beta| can reach {bound:.12f} > 1/2 during integration: "
             "numerical failure"
         )
-    u = complex(ur, ui)
+    u = alpha.conjugate() * beta
     return EvolutionResult(
-        p_e=_p_e_from_product(u, d),
-        final_state=TwoLevelState(ab_product=u),
-        norm_drift=max_drift,
+        p_e=_p_e_from_product(u, abs(alpha) ** 2 - abs(beta) ** 2),
+        final_state=TwoLevelState(ab_product=u, amplitudes=(alpha, beta)),
+        norm_drift=float(np.max(np.abs(norm * norm - 1.0))),
         step_error=None,
         steps=n,
     )
@@ -375,12 +366,12 @@ def remapped_p_e(
         s = ((h_x / np.sum(p1.real, axis=-1))[..., None] * t_ps)[..., None]
         s2 = s * s
 
-        def exponent(k, m):
+        def steps(k, m):
             p1_, p3_, p5_, q2_, q4_ = (c[..., None, k:m] for c in (p1, p3, p5, q2, q4))
             xz = s * (p1_ + s2 * (p3_ + s2 * p5_))
-            return xz.real, s2 * (q2_ + s2 * q4_), xz.imag
+            return _su2_exp(xz.real, s2 * (q2_ + s2 * q4_), xz.imag)
 
-        p = np.abs(_su2_blocks(exponent, n, s.size) @ psi0 @ bra)[..., 0] ** 2
+        p = np.abs(_su2_blocks(steps, n, s.size) @ psi0 @ bra)[..., 0] ** 2
         p[rejected] = 0.0  # the chains of masked shapes run, unread
         return p, None
 
@@ -438,10 +429,10 @@ def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     fields = (*f1, *f2)
     n = max(np.size(f) for f in fields)
 
-    def exponent(k, m):
-        return _magnus4([f[k:m] if np.ndim(f) else f for f in fields], h)
+    def steps(k, m):
+        return _su2_exp(*_magnus4([f[k:m] if np.ndim(f) else f for f in fields], h))
 
-    return _su2_blocks(exponent, n, 1)
+    return _su2_blocks(steps, n, 1)
 
 
 def _magnus4(fields, h: float):
@@ -455,41 +446,40 @@ def _magnus4(fields, h: float):
     return v_x, v_y, v_z
 
 
-def _su2_blocks(exponent, n: int, chains: int) -> np.ndarray:
-    """Time-ordered product, later step on the left, of n steps
-    exp(-i v.sigma), where exponent(k, m) gives (v_x, v_y, v_z) of steps
-    k..m-1 on the last axis, with leading axes for the independent chains.
+def _su2_blocks(steps, n: int, chains: int) -> np.ndarray:
+    """Time-ordered product, later step on the left, of n quaternion steps,
+    where steps(k, m) gives the Cayley-Klein pairs (alpha, beta) of steps
+    k..m-1 on the last axis, with leading axes for the independent chains
+    (_su2_exp for the exponentials exp(-i v.sigma)).
 
     The steps go in aligned blocks of the largest power of two
-    <= CHAIN_BLOCK / chains, each built and reduced to one step (_su2_exp)
-    before the next: they are subtrees of the pairwise reduction, so the
-    product is that of the whole chain, and a block's arrays bound the
-    memory.  The result is (..., 2, 2).
+    <= CHAIN_BLOCK / chains, built in order and each reduced to one step
+    (_su2_halve) before the next: they are subtrees of the pairwise
+    reduction, so the product is that of the whole chain, and a block's
+    arrays bound the memory.  The result is (..., 2, 2).
     """
     block = 1 << max(CHAIN_BLOCK // chains, 1).bit_length() - 1
-    blocks = [_su2_exp(*exponent(k, min(k + block, n))) for k in range(0, n, block)]
-    alpha, beta = blocks[0]
-    if len(blocks) > 1:
-        alpha, beta = _su2_halve(
-            np.concatenate([a for a, _ in blocks], -1), np.concatenate([b for _, b in blocks], -1)
-        )
+    blocks = [_su2_halve(*steps(k, min(k + block, n))) for k in range(0, n, block)]
+    merged = (np.concatenate(q, -1) for q in zip(*blocks))
+    alpha, beta = _su2_halve(*merged) if len(blocks) > 1 else blocks[0]
     alpha, beta = alpha[..., 0], beta[..., 0]
     return np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(alpha.shape + (2, 2))
 
 
 def _su2_exp(v_x, v_y, v_z):
-    """Cayley-Klein pair (alpha, beta) of the product of one block of steps
-    exp(-i v.sigma), with a last axis of length 1.  Each step is the unit
-    quaternion a - i(b, c, d).sigma held as alpha = a - i d, beta = c - i b."""
+    """Cayley-Klein pairs (alpha, beta) of the steps exp(-i v.sigma).  Each
+    step is the unit quaternion a - i(b, c, d).sigma held as
+    alpha = a - i d, beta = c - i b, the matrix [[alpha, -beta*], [beta, alpha*]]."""
     mag = np.sqrt(v_x**2 + v_y**2 + v_z**2)
     # sin|v|/|v|; where v = 0 the vector part is 0 whatever the factor
     s = np.divide(np.sin(mag), mag, out=np.ones_like(mag), where=mag > 0.0)
-    return _su2_halve(np.cos(mag) - 1j * (s * v_z), s * (v_y - 1j * v_x))
+    return np.cos(mag) - 1j * (s * v_z), s * (v_y - 1j * v_x)
 
 
 def _su2_halve(alpha, beta):
-    """Pairwise Hamilton products along the last axis down to one step; an
-    odd tail is padded with the identity step, which is exact."""
+    """Pairwise Hamilton products along the last axis down to one step, with
+    a last axis of length 1; an odd tail is padded with the identity step,
+    which is exact.  The pairs need not be unit quaternions."""
     while alpha.shape[-1] > 1:
         if alpha.shape[-1] % 2:
             pad = np.zeros(alpha.shape[:-1] + (1,))

@@ -30,9 +30,9 @@ class RemapTable:
     theta_of_tau: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.t_of_tau) <= 0):
+        if not np.all(np.diff(self.t_of_tau) > 0):
             raise ValueError("t(tau) must be strictly increasing")
-        if abs(self.t_of_tau[0]) > 0:
+        if self.t_of_tau[0] != 0:
             raise ValueError("t(0) must be 0")
 
     @property
@@ -54,9 +54,9 @@ def build_remap(theta_of_tau, tau_p: float, h_x: float = 1.0) -> RemapTable:
         omega_x = 2*h_x, the gap at the crossing.
     """
     theta = np.asarray(theta_of_tau, dtype=float)
-    if tau_p <= 0:
+    if not tau_p > 0:
         raise ValueError("tau_p must be positive")
-    if np.any(theta <= 0) or np.any(theta >= np.pi):
+    if not np.all((theta > 0) & (theta < np.pi)):  # refuses nan too
         raise ValueError("theta(tau) must stay strictly inside (0, pi)")
     tau = np.linspace(0.0, tau_p, len(theta))
     rate = 2.0 * h_x / omega_from_theta(theta, h_x)  # sin(theta)

@@ -8,7 +8,8 @@ from adiabatz import cli
 from adiabatz.cli import ValidationError, export_table, load_table, main
 from adiabatz.dynamics import evolve_two_level_direct
 from adiabatz.optimize import optimize_cz_pulse
-from adiabatz.waveform import linear_ramp_trajectory
+from adiabatz.remap import remapped_trajectory
+from adiabatz.waveform import derivative_waveform, linear_ramp_trajectory
 
 
 def write_config(tmp_path, params, name="config.json"):
@@ -233,6 +234,27 @@ def test_lz_sweep_tracks_formula(tmp_path):
     assert [r.p_e for r in results] == list(data[:, 1])
     manifest = json.loads((tmp_path / "lz-sweep_manifest.json").read_text())
     assert manifest["diagnostics"] == {
+        "steps": sum(r.steps for r in results),
+        "step_error": max(r.step_error for r in results),
+    }
+
+
+def test_exact_error_curve_reports_its_step_work(tmp_path):
+    cfg = write_config(tmp_path, {
+        "coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3, "theta_f_rad": 2.2,
+        "remap": True, "evaluator": "exact", "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0,
+        "n_points": 3, "n_samples": 512,
+    })
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, data = load_table(tmp_path / "error-curve.csv")
+    # the manifest sums the steps and keeps the worst step error estimate
+    w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
+    results = [evolve_two_level_direct(remapped_trajectory(w, t_p, n_samples=512))
+               for t_p in data[:, 1]]
+    assert [r.p_e for r in results] == list(data[:, 2])
+    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
+    assert manifest["diagnostics"] == {
+        "failures": [],
         "steps": sum(r.steps for r in results),
         "step_error": max(r.step_error for r in results),
     }

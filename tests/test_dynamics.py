@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from adiabatz import dynamics
+from adiabatz._interp import cubic_spline
 from adiabatz.adiabatic_error import landau_zener_error
 from adiabatz.dynamics import (
     STEP_ATOL,
@@ -84,6 +85,58 @@ def test_fourth_order_convergence():
         errs = [abs(evolve(traj, n_steps=n).p_e - ref) for n in (256, 512, 1024)]
         slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(slopes > 3.2), (evolve.__name__, errs, slopes)
+
+
+def rk4_loop(traj, n):
+    # classic RK4 on psi' = X psi, X = [[-i omega/2, -dtheta/2], [dtheta/2,
+    # i omega/2]], one 2x2 step at a time on the ODE's splined fields, with
+    # the norm drift | |psi|^4 - 1 | after every step
+    h = traj.t_p / n
+    grid = traj.times[0] + np.linspace(0.0, traj.t_p, 2 * n + 1)
+    omega = cubic_spline(traj.times, 2.0 * traj.h_x / np.sin(traj.theta))(grid)
+    rate = cubic_spline(traj.times, traj.dtheta_dt)(grid)
+    x = [np.array([[-0.5j * w, -0.5 * g], [0.5 * g, 0.5j * w]]) for w, g in zip(omega, rate)]
+    psi, drift = np.array([1.0, 0.0], dtype=complex), []
+    for k in range(n):
+        k1 = x[2 * k] @ psi
+        k2 = x[2 * k + 1] @ (psi + (h / 2) * k1)
+        k3 = x[2 * k + 1] @ (psi + (h / 2) * k2)
+        k4 = x[2 * k + 2] @ (psi + h * k3)
+        psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        drift.append(abs(np.vdot(psi, psi).real ** 2 - 1.0))
+    return psi, drift
+
+
+# fast enough that dtheta/dt outweighs omega, where RK4 steps can grow the
+# norm as well as shrink it: the worst drift comes before the last step
+FAST_SHAPES = {
+    "sweep": derivative_waveform([1.0866, -0.0866], 0.6, 0.3, 2.6),
+    "excursion": theta_waveform([0.8, -0.4], 1.5, 0.3, 1.9),
+}
+
+
+@pytest.mark.parametrize("w", FAST_SHAPES.values(), ids=FAST_SHAPES.keys())
+def test_chained_ode_is_the_step_by_step_loop(w):
+    # the quaternion chain of the RK4 step maps, in time order, is the loop
+    # that applies them one after another, and its drift is the loop's
+    # worst step, not its last
+    traj = sample_trajectory(w, 513)
+    psi, drift = rk4_loop(traj, 200)
+    ode = evolve_two_level_exact(traj, n_steps=200)
+    assert np.max(np.abs(np.array(ode.final_state.amplitudes) - psi)) < 1e-13
+    assert max(drift) - drift[-1] > 1e-12
+    assert abs(ode.norm_drift - max(drift)) < 1e-13
+    alpha, beta = psi
+    assert ode.final_state.ab_product == pytest.approx(alpha.conjugate() * beta, abs=1e-13)
+
+
+def test_ode_refuses_a_norm_that_lets_the_product_pass_one_half():
+    # this coarse run grows |psi|^2 by ~7e-9, so |alpha* beta| <= |psi|^2 / 2
+    # no longer keeps the product within 1/2 + AB_PRODUCT_TOL
+    traj = sample_trajectory(theta_waveform([1.0, 0.3], 0.8, 0.1, 2.1), 513)
+    with pytest.raises(RuntimeError, match="1/2"):
+        evolve_two_level_exact(traj, n_steps=180)
+    assert evolve_two_level_exact(traj, n_steps=240).norm_drift < 4e-9
 
 
 def test_landau_zener_ramp_matches_formula():
@@ -354,7 +407,8 @@ def test_blocked_chain_equals_the_whole_chain(seed, n, chains, chain_block):
             return _su2_propagator(f1, f2, 0.1)
         fields = (*f1, *f2)
         return dynamics._su2_blocks(
-            lambda k, m: _magnus4([f[..., k:m] for f in fields], 0.1), n, math.prod(chains)
+            lambda k, m: dynamics._su2_exp(*_magnus4([f[..., k:m] for f in fields], 0.1)),
+            n, math.prod(chains),
         )
 
     with pytest.MonkeyPatch.context() as mp:

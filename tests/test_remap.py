@@ -137,6 +137,19 @@ def test_build_remap_guards():
         build_remap(np.linspace(0.5, np.pi, 64), tau_p=1.0)
 
 
+def test_remap_refuses_nan():
+    # nan compares false both ways, so each check is written to fail on it
+    with pytest.raises(ValueError, match="inside"):
+        build_remap(np.array([0.5, np.nan, 0.5, 0.6]), tau_p=1.0)
+    with pytest.raises(ValueError, match="tau_p"):
+        build_remap(np.full(4, 0.5), tau_p=np.nan)
+    tau, theta = np.linspace(0.0, 1.0, 4), np.full(4, 0.5)
+    with pytest.raises(ValueError, match="increasing"):
+        RemapTable(tau=tau, t_of_tau=np.array([0.0, np.nan, 0.5, 0.6]), theta_of_tau=theta)
+    with pytest.raises(ValueError, match="t\\(0\\)"):
+        RemapTable(tau=tau[:1], t_of_tau=np.array([np.nan]), theta_of_tau=theta[:1])
+
+
 def test_remapped_trajectory_needs_two_samples():
     w = half_transition()
     with pytest.raises(ValueError, match="two samples"):
