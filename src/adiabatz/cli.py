@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .adiabatic_error import Evaluator, error_curve, landau_zener_error
@@ -247,8 +246,15 @@ def _run_error_curve(params: dict, seed: int):
         raise ValidationError(f"coefficients_lambda: {exc}") from exc
 
     if remap:
+        unit = None
+
         def generator(t_p: float) -> SampledTrajectory:
-            return remapped_trajectory(w, t_p, n_samples=n_samples)
+            # one remap per curve, at unit duration, stretched to each point;
+            # a failed remap is not kept, so every point reports it
+            nonlocal unit
+            if unit is None:
+                unit = remapped_trajectory(w, 1.0, n_samples=n_samples)
+            return unit.with_t_p(t_p)
     else:
         def generator(t_p: float) -> SampledTrajectory:
             return sample_trajectory(w.with_t_p(t_p), n_samples)
@@ -462,6 +468,8 @@ def run(config: RunConfig) -> list:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     result_path = config.output_dir / f"{config.experiment}.{config.format}"
     export_table(columns, rows, result_path, config.format)
+    import scipy  # for its version only; the experiments above need none of it
+
     manifest = {
         "diagnostics": diagnostics,
         "experiment": config.experiment,

@@ -17,7 +17,8 @@ the search steps it only until the step error estimates fall to STEP_ATOL +
 SEARCH_RTOL * P_e, and the winning candidate is scored again on the fixed
 step rule, which is the value reported.
 Gaussian rounding acts on the lab control h_z(t), so a rounded candidate is
-remapped onto a lab grid of ROUNDED_SAMPLES points, rounded there and
+remapped once onto a lab grid of ROUNDED_SAMPLES points at unit duration,
+stretched to each duration of the window, rounded there (by FFT) and
 propagated in lab time.
 """
 
@@ -237,8 +238,9 @@ class _ExactObjective:
         for k, lam in enumerate(lams):
             w = FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f)
             try:
+                unit = remapped_trajectory(w, 1.0, n_samples=ROUNDED_SAMPLES, h_x=obj.h_x)
                 for t_p in self._grid:
-                    lab = remapped_trajectory(w, float(t_p), n_samples=ROUNDED_SAMPLES, h_x=obj.h_x)
+                    lab = unit.with_t_p(float(t_p))
                     r = evolve_two_level_direct(convolve_trajectory(lab, obj.convolution_sigma))
                     self.steps += r.steps
                     worst[k], error[k] = max(worst[k], r.p_e), max(error[k], r.step_error)
@@ -447,7 +449,12 @@ def convolve_gaussian(values, sigma: float, dt: float) -> np.ndarray:
     padded = np.concatenate(
         [np.full(2 * half, values[0]), values, np.full(2 * half, values[-1])]
     )
-    return np.convolve(padded, kernel * dt, mode="valid")
+    # np.convolve's "valid" part is entries 2 half .. len(padded) - 1 of the
+    # full convolution, which a circular one of length >= len(padded) keeps
+    # free of wrap-around
+    size = 1 << (len(padded) - 1).bit_length()
+    spectrum = np.fft.rfft(padded, size) * np.fft.rfft(kernel * dt, size)
+    return np.fft.irfft(spectrum, size)[2 * half : len(padded)]
 
 
 def convolve_trajectory(traj: SampledTrajectory, sigma: float) -> SampledTrajectory:

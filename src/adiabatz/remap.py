@@ -6,6 +6,10 @@ crossing by the change of variables omega_x * dtau = omega(t) * dt, which
 reduces to dt = sin(theta) dtau.  The forward map is a
 cumulative quadrature; the inverse is monotone cubic (PCHIP) interpolation
 (_interp.pchip, bitwise scipy's PchipInterpolator and its derivative).
+The map is linear in the duration, so a shape is remapped once, at unit lab
+duration, and stretched to the duration asked for
+(SampledTrajectory.with_t_p); a sweep over durations stretches the one unit
+trajectory to each of them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from ._interp import pchip
 from .geometry import h_z_from_theta, omega_from_theta
-from .waveform import FourierWaveform, SampledTrajectory, eval_fourier
+from .waveform import FourierWaveform, SampledTrajectory, _theta_series
 
 __all__ = ["RemapTable", "build_remap", "invert_remap", "remapped_trajectory"]
 
@@ -94,16 +98,19 @@ def remapped_trajectory(
     """Map a tau-frame waveform onto a lab trajectory of target duration.
 
     The lab duration scales exactly linearly with the frame duration,
-    t_p = tau_p * mean(sin theta), so the frame waveform is stretched to
-    hit t_p_lab before building the map.  The tau grid and the lab grid both
-    have n_samples points.
+    t_p = tau_p * mean(sin theta), so the map is built at unit lab duration
+    (tau_p = 1 / mean(sin theta)) and its lab trajectory is stretched to
+    t_p_lab.  The tau grid and the lab grid both have n_samples points.
+    A duration sweep builds remapped_trajectory(w, 1.0, n) once and stretches
+    it to each t_p with with_t_p, which gives remapped_trajectory(w, t_p, n)
+    bitwise.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     u = np.linspace(0.0, 1.0, n_samples)
-    theta_shape, _ = eval_fourier(w.with_t_p(1.0), u)
+    shape = w.with_t_p(1.0)  # eval_fourier's theta, without its unused rate
+    theta_shape = _theta_series(shape.mode, shape.coefficients, 1.0, shape.theta_i, u)
     mean_rate = float(np.trapezoid(np.sin(theta_shape), u))
-    tau_p = t_p_lab / mean_rate
-    table = build_remap(theta_shape, tau_p, h_x=h_x)
+    table = build_remap(theta_shape, 1.0 / mean_rate, h_x=h_x)
     t_grid = np.linspace(0.0, table.t_p, n_samples)
-    return invert_remap(table, t_grid, h_x=h_x)
+    return invert_remap(table, t_grid, h_x=h_x).with_t_p(t_p_lab)

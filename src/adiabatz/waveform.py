@@ -242,6 +242,25 @@ class SampledTrajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def with_t_p(self, t_p: float) -> "SampledTrajectory":
+        """Same samples stretched to a new duration, as FourierWaveform.with_t_p.
+
+        The times become times[0] + linspace(0, t_p, n); theta, h_z and omega
+        are kept and dtheta/dt scales by the old duration over the new.  The
+        remap is linear in the duration, so a remapped trajectory stretched
+        this way is the remapped trajectory of the new duration.
+        """
+        if not 0 < t_p < np.inf:
+            raise ValueError(f"t_p must be finite and positive, got {t_p}")
+        return SampledTrajectory(
+            times=self.times[0] + np.linspace(0.0, t_p, len(self.times)),
+            theta=self.theta,
+            dtheta_dt=self.dtheta_dt * self.t_p / t_p,
+            h_z=self.h_z,
+            omega=self.omega,
+            h_x=self.h_x,
+        )
+
 
 def _clamp_theta(theta: np.ndarray) -> np.ndarray:
     if np.any(theta < THETA_MIN) or np.any(theta > THETA_MAX):

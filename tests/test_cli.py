@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from adiabatz import cli
+from adiabatz import cli, remap
+from adiabatz.adiabatic_error import geometric_error
 from adiabatz.cli import ValidationError, export_table, load_table, main
 from adiabatz.dynamics import evolve_two_level_direct
 from adiabatz.optimize import optimize_cz_pulse
@@ -193,6 +194,45 @@ def test_error_curve_failures_reach_the_manifest(tmp_path, monkeypatch):
     assert list(np.isnan(data[:, 2])) == [False, True, False]
     manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
     assert manifest["diagnostics"] == {"failures": [[1, "ValueError: no trajectory here"]]}
+
+
+def test_remapped_curve_remaps_its_shape_once(tmp_path, monkeypatch):
+    # the 60 durations stretch one unit-duration remap, and every point is
+    # the per-duration remapped trajectory's value, bitwise
+    calls = []
+    build = remap.build_remap
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(remap, "build_remap", counting)
+    cfg = write_config(tmp_path, {
+        "coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3, "theta_f_rad": 2.2,
+        "remap": True, "t_p_min_over_Tx": 0.8, "t_p_max_over_Tx": 1.5, "n_points": 60,
+    })
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    _, data = load_table(tmp_path / "error-curve.csv")
+    w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
+    assert [geometric_error(remapped_trajectory(w, t_p, n_samples=2048)).p_e
+            for t_p in data[:, 1]] == list(data[:, 2])
+
+
+def test_remapped_curve_failures_reach_the_manifest(tmp_path):
+    # the shape dips below theta = 0, so its remap fails: every point reads
+    # NaN and the manifest names the remap's error once per point
+    cfg = write_config(tmp_path, {
+        "basis": "theta", "coefficients_lambda": [0.25, -0.5], "theta_i_rad": 0.3,
+        "theta_f_rad": 0.8, "remap": True, "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0,
+        "n_points": 3,
+    })
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, data = load_table(tmp_path / "error-curve.csv")
+    assert np.all(np.isnan(data[:, 2]))
+    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
+    reason = "ValueError: theta(tau) must stay strictly inside (0, pi)"
+    assert manifest["diagnostics"] == {"failures": [[i, reason] for i in range(3)]}
 
 
 def test_drag_sweep_two_level_area_theorem(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from adiabatz import dynamics
+from adiabatz import optimize as optimize_module
 from adiabatz.dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
 from adiabatz.optimize import (
     CZ_ROUNDING_SIGMA_PERIODS,
@@ -339,6 +340,26 @@ def test_masked_candidate_is_counted_once():
     )
 
 
+def test_rounded_score_remaps_each_candidate_once(monkeypatch):
+    # the window's nine durations stretch one unit-duration remap
+    calls = []
+    remap = optimize_module.remapped_trajectory
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return remap(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "remapped_trajectory", counting)
+    objective = Objective(
+        kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(1.85 * np.pi, 2.15 * np.pi),
+        convolution_sigma=CZ_ROUNDING_SIGMA_PERIODS * np.pi, theta_i=0.1, theta_f=0.6,
+    )
+    value = _ExactObjective(objective, BasisMode.THETA, 2)
+    scores, _ = value.score(np.array([[0.25, -0.05]]), STEP_ATOL, SEARCH_RTOL)
+    assert calls == [1.0]
+    assert value.rejected == 0 and 0.0 < scores[0] < 1.0
+
+
 def test_term_profile_matches_quadrature():
     # dual route: the closed-form term profile against a direct Fourier
     # integral of the sampled term shape over unit duration
@@ -409,6 +430,22 @@ def test_convolution_preserves_interior_ramp():
     out = convolve_gaussian(vals, 0.05, dt)
     half = (len(gaussian_kernel(0.05, dt)) - 1) // 2
     assert out[2 * half : 400] == pytest.approx(vals[half : 400 - half], abs=1e-10)
+
+
+@pytest.mark.parametrize("ramp", [False, True])
+@pytest.mark.parametrize("n, sigma, dt", [(200, 0.1, 0.01), (2048, 0.1 * np.pi, 0.003), (3, 0.05, 0.04)])
+def test_fft_rounding_is_the_direct_convolution(ramp, n, sigma, dt):
+    # the FFT gives np.convolve's "valid" part of the endpoint-continued
+    # signal, at the same length, to rounding
+    rng = np.random.default_rng(n)
+    vals = np.linspace(-10.0, 10.0, n) if ramp else rng.uniform(-10.0, 10.0, n)
+    kernel = gaussian_kernel(sigma, dt)
+    half = (len(kernel) - 1) // 2
+    padded = np.concatenate([np.full(2 * half, vals[0]), vals, np.full(2 * half, vals[-1])])
+    direct = np.convolve(padded, kernel * dt, mode="valid")
+    out = convolve_gaussian(vals, sigma, dt)
+    assert len(out) == len(direct) == n + 2 * half
+    assert np.max(np.abs(out - direct)) <= 1e-13 * np.max(np.abs(vals))
 
 
 def test_convolve_trajectory_extends_and_smooths():

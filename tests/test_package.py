@@ -66,3 +66,6 @@ def test_propagation_path_leaves_heavy_scipy_unimported():
     modules = set(json.loads(out.stdout.strip().splitlines()[-1]))
     # a submodule import leaves its parent package in sys.modules as well
     assert not [f"scipy.{name}" for name in HEAVY_SCIPY if f"scipy.{name}" in modules]
+    # and importing the command-line front end leaves scipy itself out: only
+    # the manifest writer reads its version
+    assert "scipy" not in modules

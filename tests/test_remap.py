@@ -73,6 +73,34 @@ def test_round_trip_theta_recovery(w, span, n):
     assert np.max(np.abs(traj.theta - theta_direct)) < 1e-6
 
 
+@settings(deadline=None, max_examples=30)
+@given(gentle_waveforms, st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4),
+       st.sampled_from([2, 3, 257, 2048]))
+@example(half_transition(), [1.1 * T_X, 4.0], 4096)
+def test_unit_remap_stretches_to_every_duration_bitwise(w, t_ps, n):
+    # the remap is linear in the duration: a sweep remaps the shape once at
+    # unit duration and stretches it, and gets the per-duration arrays bitwise
+    unit = remapped_trajectory(w, 1.0, n_samples=n)
+    for t_p in t_ps:
+        stretched, direct = unit.with_t_p(t_p), remapped_trajectory(w, t_p, n_samples=n)
+        for field in ("times", "theta", "dtheta_dt", "h_z", "omega"):
+            assert np.array_equal(getattr(stretched, field), getattr(direct, field)), field
+        assert stretched.h_x == direct.h_x
+        assert stretched.times[-1] == t_p
+
+
+def test_stretch_keeps_the_samples_and_refuses_bad_durations():
+    traj = small_angle_trajectory(half_transition().with_t_p(2.0), omega0=2.0, n_samples=65)
+    stretched = traj.with_t_p(3.0)
+    assert np.array_equal(stretched.times, np.linspace(0.0, 3.0, 65))
+    for field in ("theta", "h_z", "omega"):
+        assert np.array_equal(getattr(stretched, field), getattr(traj, field))
+    assert np.array_equal(stretched.dtheta_dt, traj.dtheta_dt * 2.0 / 3.0)
+    for t_p in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_p"):
+            traj.with_t_p(t_p)
+
+
 def test_endpoints_preserved():
     w = half_transition()
     traj = remapped_trajectory(w, 4.0, n_samples=1025)
