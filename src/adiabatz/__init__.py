@@ -31,9 +31,7 @@ from .optimize import (
     ObjectiveKind,
     OptimizationReport,
     basis_transform,
-    convolve_gaussian,
     convolve_trajectory,
-    gaussian_kernel,
     optimize_cz_pulse,
     optimize_coefficients,
 )

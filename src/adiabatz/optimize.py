@@ -11,11 +11,12 @@ left by exact two-level dynamics, and are searched by a restarted simplex
 whose restarts run in lockstep, each round's points scored as one batch.
 Without rounding the batch's coefficient matrix goes to the constant-gap
 kernel (dynamics.remapped_p_e), where theta(tau) is the waveform in closed
-form, in one call on one grid for every candidate and duration of the
-window, and a candidate whose angle leaves (0, pi) is masked and scores 1.0;
-the search steps it only until the step error estimates fall to STEP_ATOL +
-SEARCH_RTOL * P_e, and the winning candidate is scored again on the fixed
-step rule, which is the value reported.
+form, in one call on one grid for every candidate and distinct duration of
+the window (a window with lo = hi scores its one duration), and a candidate
+whose angle leaves (0, pi) is masked and scores 1.0; the search steps it
+only until the step error estimates fall to STEP_ATOL + SEARCH_RTOL * P_e,
+and the winning candidate is scored again on the fixed step rule, which is
+the value reported.
 Gaussian rounding acts on the lab control h_z(t), so a rounded candidate is
 remapped once onto a lab grid of ROUNDED_SAMPLES points at unit duration,
 stretched to each duration of the window, rounded there (by FFT) and
@@ -41,8 +42,6 @@ __all__ = [
     "Objective",
     "OptimizationReport",
     "basis_transform",
-    "gaussian_kernel",
-    "convolve_gaussian",
     "convolve_trajectory",
     "optimize_coefficients",
     "optimize_cz_pulse",
@@ -54,7 +53,8 @@ EDGE_SOFTNESS = 0.10
 # so the weight beyond u = 400 is negligible against the band integral
 U_MAX = 400.0
 RESTARTS = 8
-# durations scored across the window of EXACT_ERROR_MAX_OVER_WINDOW
+# evenly spaced durations across the window of an exact objective; the
+# distinct ones are scored, so a (t, t) window scores one
 WINDOW_DURATIONS = 9
 # lab grid of the rounded path: tau and lab samples per remapped duration
 ROUNDED_SAMPLES = 2048
@@ -68,8 +68,9 @@ CZ_ROUNDING_SIGMA_PERIODS = 0.10
 
 class ObjectiveKind(enum.Enum):
     INTEGRATED_PSD_ABOVE_CUTOFF = "integrated-psd-above-cutoff"
-    EXACT_ERROR_AT_TP = "exact-error-at-tp"
     EXACT_ERROR_MAX_OVER_WINDOW = "exact-error-max-over-window"
+    # an alias kept for callers that name it: one duration t is the (t, t) window
+    EXACT_ERROR_AT_TP = "exact-error-max-over-window"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,10 +78,11 @@ class Objective:
     """What the coefficient search minimizes.
 
     The spectral kind needs only the dimensionless band edge `cutoff`
-    (omega t_p / 2 pi).  The exact kinds score trajectories and need the
-    endpoint angles, the lab-duration window, and optionally a Gaussian
-    rounding width (lab time units) applied to the control h_z(t).  The
-    worst-over-window kind scores WINDOW_DURATIONS evenly spaced durations.
+    (omega t_p / 2 pi).  The exact kind scores trajectories and needs the
+    endpoint angles, the lab-duration window 0 < lo <= hi < inf, and
+    optionally a finite Gaussian rounding width (lab time units) applied to
+    the control h_z(t).  It scores the worst error over the distinct values of
+    WINDOW_DURATIONS evenly spaced durations, one duration when lo = hi.
     Unrounded exact objectives step in the constant-gap frame and size their
     own grid; a rounded one is remapped onto ROUNDED_SAMPLES lab samples.
     """
@@ -95,8 +97,10 @@ class Objective:
 
     def __post_init__(self):
         _transverse_field(self.h_x)
-        if self.convolution_sigma < 0:
-            raise ValueError("convolution_sigma must be >= 0")
+        if not 0 <= self.convolution_sigma < np.inf:
+            raise ValueError(
+                f"convolution_sigma must be finite and >= 0, got {self.convolution_sigma}"
+            )
         if self.kind is ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF:
             # the u grid runs from the band edge + 5 up to U_MAX
             if self.cutoff is None or not 0 < self.cutoff < U_MAX - 5.0:
@@ -110,7 +114,7 @@ class Objective:
             if self.t_p_window is None or self.theta_i is None or self.theta_f is None:
                 raise ValueError("exact objectives need t_p_window and endpoint angles")
             lo, hi = self.t_p_window
-            if not 0 < lo <= hi:
+            if not 0 < lo <= hi < np.inf:
                 raise ValueError(f"bad t_p window ({lo}, {hi})")
 
 
@@ -203,18 +207,16 @@ class _SpectralObjective:
 
 
 class _ExactObjective:
-    """Worst exact-dynamics error of the remapped waveform over the window:
-    stepped in the constant-gap frame, or on the lab grid when rounded.
-    score() scores a batch of candidates; report() scores the result."""
+    """Worst exact-dynamics error of the remapped waveform over the distinct
+    durations of the window grid: stepped in the constant-gap frame, or on the
+    lab grid when rounded.  score() scores a batch of candidates; report()
+    scores the result."""
 
     def __init__(self, objective: Objective, mode: BasisMode, n_m: int):
         self._obj = objective
         self._mode = mode
-        lo, hi = objective.t_p_window
-        if objective.kind is ObjectiveKind.EXACT_ERROR_AT_TP:
-            self._grid = np.array([lo])
-        else:
-            self._grid = np.linspace(lo, hi, WINDOW_DURATIONS)
+        # the distinct durations, sorted; np.unique would import numpy.ma
+        self._grid = np.array(sorted(set(np.linspace(*objective.t_p_window, WINDOW_DURATIONS))))
         self.rejected = 0
         self.evaluations = 0
         self.steps = 0
@@ -422,51 +424,34 @@ def _lockstep(searches, score):
         sent = dict(zip(asks, np.split(values, np.cumsum([len(p) for p in points[:-1]]))))
 
 
-def gaussian_kernel(sigma: float, dt: float) -> np.ndarray:
-    """Unit-integral Gaussian density sampled on the dt grid, cut at 5 sigma."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    half = int(math.ceil(5.0 * sigma / dt))
-    k = np.arange(-half, half + 1) * dt
-    kernel = np.exp(-0.5 * (k / sigma) ** 2)
-    return kernel / (kernel.sum() * dt)
+def convolve_trajectory(traj: SampledTrajectory, sigma: float) -> SampledTrajectory:
+    """Round the physical control h_z(t) and rebuild the trajectory.
 
-
-def convolve_gaussian(values, sigma: float, dt: float) -> np.ndarray:
-    """Gaussian smoothing that extends the grid by the kernel half-width.
-
-    The input is continued by its endpoint values before convolving, so a
-    constant signal passes through unchanged; the output has
-    n + 2*ceil(5 sigma/dt) samples on the same dt grid.
+    Smoothing acts on the longitudinal field (the signal the electronics
+    actually produce), not on theta.  The kernel is the unit-integral Gaussian
+    of width sigma sampled on the dt grid and cut at 5 sigma, half = ceil(5
+    sigma / dt) samples each side.  h_z is continued by its endpoint values
+    before convolving, so a constant control passes through unchanged, and
+    the pulse grows by the kernel support: n + 2 half samples on the same dt
+    grid.  sigma = 0 returns traj itself.
     """
-    values = np.asarray(values, dtype=float)
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
-        return values.copy()
-    kernel = gaussian_kernel(sigma, dt)
-    half = (len(kernel) - 1) // 2
+        return traj
+    dt = traj.dt
+    half = math.ceil(5.0 * sigma / dt)
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * dt / sigma) ** 2)
+    kernel = kernel / (kernel.sum() * dt)
     padded = np.concatenate(
-        [np.full(2 * half, values[0]), values, np.full(2 * half, values[-1])]
+        [np.full(2 * half, traj.h_z[0]), traj.h_z, np.full(2 * half, traj.h_z[-1])]
     )
     # np.convolve's "valid" part is entries 2 half .. len(padded) - 1 of the
     # full convolution, which a circular one of length >= len(padded) keeps
     # free of wrap-around
     size = 1 << (len(padded) - 1).bit_length()
     spectrum = np.fft.rfft(padded, size) * np.fft.rfft(kernel * dt, size)
-    return np.fft.irfft(spectrum, size)[2 * half : len(padded)]
-
-
-def convolve_trajectory(traj: SampledTrajectory, sigma: float) -> SampledTrajectory:
-    """Round the physical control h_z(t) and rebuild the trajectory.
-
-    Smoothing acts on the longitudinal field (the signal the electronics
-    actually produce), not on theta; the pulse grows by the kernel support.
-    """
-    if sigma == 0:
-        return traj
-    dt = traj.dt
-    h_z = convolve_gaussian(traj.h_z, sigma, dt)
+    h_z = np.fft.irfft(spectrum, size)[2 * half : len(padded)]
     times = np.arange(len(h_z)) * dt
     theta = theta_from_fields(h_z, traj.h_x)
     return SampledTrajectory(

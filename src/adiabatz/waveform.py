@@ -295,16 +295,8 @@ def small_angle_trajectory(
     """Constant-frequency idealization: theta follows the waveform, omega is
     pinned at omega0.  This is the regime in which the error equals the
     waveform's spectral density at omega0 (up to the 1/4 factor)."""
-    times = np.linspace(0.0, w.t_p, n_samples)
-    theta, dtheta = eval_fourier(w, times)
-    theta = _clamp_theta(theta)
-    return SampledTrajectory(
-        times=times,
-        theta=theta,
-        dtheta_dt=dtheta,
-        h_z=h_z_from_theta(theta, h_x),
-        omega=np.full_like(theta, float(omega0)),
-        h_x=h_x,
+    return dataclasses.replace(
+        sample_trajectory(w, n_samples, h_x), omega=np.full(n_samples, float(omega0))
     )
 
 

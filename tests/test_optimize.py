@@ -10,6 +10,7 @@ from scipy.optimize import minimize
 from adiabatz import dynamics
 from adiabatz import optimize as optimize_module
 from adiabatz.dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
+from adiabatz.geometry import omega_from_theta, theta_from_fields
 from adiabatz.optimize import (
     CZ_ROUNDING_SIGMA_PERIODS,
     ROUNDED_SAMPLES,
@@ -21,9 +22,7 @@ from adiabatz.optimize import (
     _simplex,
     _SpectralObjective,
     basis_transform,
-    convolve_gaussian,
     convolve_trajectory,
-    gaussian_kernel,
     optimize_coefficients,
     optimize_cz_pulse,
 )
@@ -31,6 +30,7 @@ from adiabatz.remap import remapped_trajectory
 from adiabatz.spectral import fourier_integral
 from adiabatz.waveform import (
     BasisMode,
+    SampledTrajectory,
     constraint_residual,
     derivative_waveform,
     sample_trajectory,
@@ -85,7 +85,7 @@ def test_constraint_enforced_exactly():
 def test_bitwise_reproducibility():
     # the seeded restarts of the exact-dynamics simplex
     objective = Objective(
-        kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(4.0, 4.0),
+        kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(4.0, 4.0),
         theta_i=0.3, theta_f=2.2,
     )
     a, b = (
@@ -181,7 +181,7 @@ def test_rejected_candidates_are_counted():
     # candidates whose angle leaves it; each is scored 1.0 and counted
     theta_i, theta_f = 0.05, np.pi - 0.05
     objective = Objective(
-        kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(4.0, 4.0),
+        kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(4.0, 4.0),
         theta_i=theta_i, theta_f=theta_f,
     )
     rep = optimize_coefficients(
@@ -234,6 +234,46 @@ def test_rounded_report_carries_the_lab_estimate():
     assert rep.step_error == max(r.step_error for r in results)
 
 
+def single_duration_search(seed, kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW):
+    """The benchmark's single-duration derivative search: a (t, t) window at
+    1.34 T_x through an avoided crossing, 20 iterations."""
+    theta_i, theta_f = math.atan2(1.0, 10.0), math.atan2(1.0, -10.0)
+    t_p = 1.34 * np.pi
+    objective = Objective(kind=kind, t_p_window=(t_p, t_p), theta_i=theta_i, theta_f=theta_f)
+    return optimize_coefficients(
+        2, BasisMode.DERIVATIVE, objective, theta_f - theta_i, seed=seed, max_iterations=20
+    )
+
+
+def test_single_duration_kind_is_the_degenerate_window():
+    # EXACT_ERROR_AT_TP, which the benchmark names, is an alias of the window
+    # kind; a (t, t) window scores its one duration, not nine copies of it
+    assert ObjectiveKind.EXACT_ERROR_AT_TP is ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW
+    assert len(list(ObjectiveKind)) == 2
+    window = single_duration_search(0)
+    alias = single_duration_search(0, ObjectiveKind.EXACT_ERROR_AT_TP)
+    assert np.array_equal(window.coefficients, alias.coefficients)
+    for field in ("objective_value", "iterations", "converged", "evaluations", "rejected",
+                  "steps", "step_error"):
+        assert getattr(window, field) == getattr(alias, field), field
+    lam = window.coefficients[None]
+    one = remapped_p_e(BasisMode.DERIVATIVE, lam, math.atan2(1.0, 10.0), np.array([1.34 * np.pi]))
+    assert window.objective_value == one.p_e[0, 0]
+
+
+def test_rounded_degenerate_window_steps_one_duration():
+    # a rounded (t, t) excursion (n_m = 1: no search) propagates one lab
+    # trajectory, not nine
+    theta_i, theta_f, t_p = 0.1, 0.8, 2.0 * np.pi
+    sigma = CZ_ROUNDING_SIGMA_PERIODS * np.pi
+    rep = optimize_cz_pulse(theta_i, theta_f, 1, sigma, t_p_window=(t_p, t_p))
+    w = theta_waveform(rep.coefficients, 1.0, theta_i, theta_f)
+    lab = remapped_trajectory(w, t_p, n_samples=ROUNDED_SAMPLES)
+    result = evolve_two_level_direct(convolve_trajectory(lab, sigma))
+    assert (rep.evaluations, rep.steps) == (1, result.steps)
+    assert (rep.objective_value, rep.step_error) == (result.p_e, result.step_error)
+
+
 def exact_search_work(monkeypatch, seed):
     """Kernel work of the two benchmark searches (excursion window and single
     duration), rescore included: (grid steps, chains x steps) per call of
@@ -249,15 +289,7 @@ def exact_search_work(monkeypatch, seed):
 
     monkeypatch.setattr(dynamics, "_richardson", counting)
     excursion = optimize_cz_pulse(0.1, 0.55 * np.pi / 2, 2, 0.0, seed=seed, max_iterations=10)
-    theta_i, theta_f = math.atan2(1.0, 10.0), math.atan2(1.0, -10.0)
-    t_p = 1.34 * np.pi
-    objective = Objective(
-        kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(t_p, t_p),
-        theta_i=theta_i, theta_f=theta_f,
-    )
-    single = optimize_coefficients(
-        2, BasisMode.DERIVATIVE, objective, theta_f - theta_i, seed=seed, max_iterations=20
-    )
+    single = single_duration_search(seed)
     reports = (excursion, single)
     return (
         np.array(counts), sum(r.evaluations for r in reports), sum(r.steps for r in reports)
@@ -385,7 +417,7 @@ def test_objective_validation():
             convolution_sigma=0.1,
         )
     with pytest.raises(ValueError):
-        Objective(kind=ObjectiveKind.EXACT_ERROR_AT_TP)
+        Objective(kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW)
     with pytest.raises(ValueError):
         Objective(
             kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW,
@@ -395,29 +427,58 @@ def test_objective_validation():
         )
     with pytest.raises(ValueError):
         optimize_coefficients(0, BasisMode.DERIVATIVE, spectral_objective(), 1.0)
+    # a non-finite rounding width or window is refused, not scored 1.0 per
+    # candidate or left to fail inside the kernel
+    for sigma in (np.nan, np.inf, -0.1):
+        with pytest.raises(ValueError, match="convolution_sigma"):
+            Objective(
+                kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(4.0, 4.0),
+                theta_i=0.3, theta_f=2.2, convolution_sigma=sigma,
+            )
+    for window in ((3.0, np.inf), (np.nan, 4.0), (3.0, np.nan), (np.inf, np.inf), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="window"):
+            Objective(
+                kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=window,
+                theta_i=0.3, theta_f=2.2,
+            )
     for h_x in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="h_x"):
             Objective(
-                kind=ObjectiveKind.EXACT_ERROR_AT_TP, t_p_window=(4.0, 4.0),
+                kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(4.0, 4.0),
                 theta_i=0.3, theta_f=2.2, h_x=h_x,
             )
 
 
+def trajectory_of(h_z, dt, h_x=1.0):
+    """The trajectory whose lab control is h_z on the dt grid."""
+    h_z = np.asarray(h_z, dtype=float)
+    theta = theta_from_fields(h_z, h_x)
+    return SampledTrajectory(
+        times=np.arange(len(h_z)) * dt, theta=theta, dtheta_dt=np.gradient(theta, dt),
+        h_z=h_z, omega=omega_from_theta(theta, h_x), h_x=h_x,
+    )
+
+
 def test_gaussian_kernel_mass():
-    dt = 0.01
-    kernel = gaussian_kernel(0.3, dt)
-    assert len(kernel) % 2 == 1
-    assert np.sum(kernel) * dt == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        gaussian_kernel(0.0, dt)
+    # an impulse comes out as the kernel times dt: 2 half + 1 samples,
+    # symmetric about the impulse, with unit sum
+    dt, sigma = 0.01, 0.3
+    half = math.ceil(5 * sigma / dt)
+    h_z = np.zeros(201)
+    h_z[100] = 1.0
+    out = convolve_trajectory(trajectory_of(h_z, dt), sigma).h_z
+    response = out[100 : 100 + 2 * half + 1]
+    assert np.sum(response) == pytest.approx(1.0, abs=1e-12)
+    assert response == pytest.approx(response[::-1], abs=1e-15)
+    assert np.max(np.abs(np.delete(out, np.s_[100 : 100 + 2 * half + 1]))) < 1e-15
 
 
 def test_convolution_identity_and_dc_gain():
     rng = np.random.default_rng(5)
-    vals = rng.normal(size=200)
-    assert np.array_equal(convolve_gaussian(vals, 0.0, 0.01), vals)
-    out = convolve_gaussian(np.full(200, 2.5), 0.1, 0.01)
-    half = (len(gaussian_kernel(0.1, 0.01)) - 1) // 2
+    traj = trajectory_of(rng.normal(size=200), 0.01)
+    assert convolve_trajectory(traj, 0.0) is traj
+    out = convolve_trajectory(trajectory_of(np.full(200, 2.5), 0.01), 0.1).h_z
+    half = math.ceil(5 * 0.1 / 0.01)
     assert len(out) == 200 + 2 * half
     assert out == pytest.approx(np.full(len(out), 2.5), abs=1e-12)
 
@@ -427,8 +488,8 @@ def test_convolution_preserves_interior_ramp():
     # from the padded ends
     dt = 0.01
     vals = np.linspace(-1.0, 3.0, 400)
-    out = convolve_gaussian(vals, 0.05, dt)
-    half = (len(gaussian_kernel(0.05, dt)) - 1) // 2
+    out = convolve_trajectory(trajectory_of(vals, dt), 0.05).h_z
+    half = math.ceil(5 * 0.05 / dt)
     assert out[2 * half : 400] == pytest.approx(vals[half : 400 - half], abs=1e-10)
 
 
@@ -439,20 +500,27 @@ def test_fft_rounding_is_the_direct_convolution(ramp, n, sigma, dt):
     # signal, at the same length, to rounding
     rng = np.random.default_rng(n)
     vals = np.linspace(-10.0, 10.0, n) if ramp else rng.uniform(-10.0, 10.0, n)
-    kernel = gaussian_kernel(sigma, dt)
-    half = (len(kernel) - 1) // 2
+    half = math.ceil(5 * sigma / dt)
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * dt / sigma) ** 2)
     padded = np.concatenate([np.full(2 * half, vals[0]), vals, np.full(2 * half, vals[-1])])
-    direct = np.convolve(padded, kernel * dt, mode="valid")
-    out = convolve_gaussian(vals, sigma, dt)
+    direct = np.convolve(padded, kernel / kernel.sum(), mode="valid")
+    out = convolve_trajectory(trajectory_of(vals, dt), sigma).h_z
     assert len(out) == len(direct) == n + 2 * half
     assert np.max(np.abs(out - direct)) <= 1e-13 * np.max(np.abs(vals))
+
+
+def test_rounding_width_must_be_finite_and_non_negative():
+    traj = trajectory_of(np.linspace(-1.0, 1.0, 50), 0.01)
+    for sigma in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="sigma"):
+            convolve_trajectory(traj, sigma)
 
 
 def test_convolve_trajectory_extends_and_smooths():
     w = derivative_waveform(np.array([1.0866, -0.0866]), 10.0, 0.4, 1.8)
     traj = sample_trajectory(w, 2048)
     out = convolve_trajectory(traj, 0.3)
-    half = (len(gaussian_kernel(0.3, traj.dt)) - 1) // 2
+    half = math.ceil(5 * 0.3 / traj.dt)
     assert len(out.times) == len(traj.times) + 2 * half
     assert out.t_p == pytest.approx(traj.t_p + 2 * half * traj.dt, rel=1e-12)
     # positive unit-mass kernel: smoothed h_z stays inside the input range
@@ -477,6 +545,8 @@ def test_excursion_search_preconditions():
         optimize_cz_pulse(0.1, np.pi / 2, 2, 0.0)
     with pytest.raises(ValueError):
         optimize_cz_pulse(0.6, 0.5, 2, 0.0)
+    with pytest.raises(ValueError, match="convolution_sigma"):
+        optimize_cz_pulse(0.1, 0.8, 1, float("nan"))
     # refused before the crossing period pi / h_x is worked out
     for h_x in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="h_x"):

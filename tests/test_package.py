@@ -1,9 +1,11 @@
 import importlib
+import importlib.util
 import inspect
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import adiabatz
 
@@ -32,6 +34,22 @@ def test_package_reexports_exactly_the_module_exports():
         if not n.startswith("_") and not inspect.ismodule(v)
     }
     assert public == exported
+
+
+
+def test_benchmark_span_targets_resolve():
+    # bench/spans.py wraps these functions by name; one pruned or renamed
+    # fails here, not in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{name}" for module, name in spans.TARGETS
+        if not callable(getattr(importlib.import_module(f"adiabatz.{module}"), name, None))
+    ]
+    assert spans.TARGETS
+    assert not missing
 
 
 # the scipy subpackages whose import dominated a run's start-up
