@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -245,22 +246,16 @@ def _run_error_curve(params: dict, seed: int):
     except ValueError as exc:
         raise ValidationError(f"coefficients_lambda: {exc}") from exc
 
-    if remap:
-        unit = None
-
-        def generator(t_p: float) -> SampledTrajectory:
-            # one remap per curve, at unit duration, stretched to each point;
-            # a failed remap is not kept, so every point reports it
-            nonlocal unit
-            if unit is None:
-                unit = remapped_trajectory(w, 1.0, n_samples=n_samples)
-            return unit.with_t_p(t_p)
-    else:
-        def generator(t_p: float) -> SampledTrajectory:
-            return sample_trajectory(w.with_t_p(t_p), n_samples)
+    # one unit-duration trajectory per curve, stretched to each point; a
+    # failed build is not cached, so every point reports it
+    @functools.cache
+    def unit() -> SampledTrajectory:
+        if remap:
+            return remapped_trajectory(w, 1.0, n_samples=n_samples)
+        return sample_trajectory(w, n_samples)
 
     grid = np.linspace(t_lo, t_hi, n_points) * T_X
-    curve = error_curve(generator, grid, evaluator)
+    curve = error_curve(lambda t_p: unit().with_t_p(t_p), grid, evaluator)
     columns = ["t_p_over_Tx", "t_p_time", f"p_e_{evaluator.value}"]
     rows = np.column_stack([grid / T_X, grid, curve.p_e]).tolist()
     # failed points read NaN in the table; the manifest says why
@@ -346,7 +341,10 @@ def _run_table1(params: dict, seed: int):
         raise ValidationError("n_m_list: must be a non-empty list of integers >= 1")
     cutoff = _num(params, "cutoff_cycles", 2.3, lo=0, open_lo=True)
 
-    objective = Objective(kind=ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF, cutoff=cutoff)
+    try:
+        objective = Objective(kind=ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF, cutoff=cutoff)
+    except ValueError as exc:
+        raise ValidationError(f"cutoff_cycles: {exc}") from exc
     width = max(n_m_list)
     columns = ["n_m", "objective_rad2"] + [f"lambda_{n}" for n in range(1, width + 1)]
     rows = []

@@ -20,10 +20,6 @@ __all__ = [
     "excited_state",
 ]
 
-# theta is kept strictly inside (0, pi): the poles correspond to |h_z| -> inf.
-THETA_MIN = 1e-6
-THETA_MAX = np.pi - 1e-6
-
 
 def _transverse_field(h_x: float) -> float:
     if not 0 < h_x < math.inf:  # refuses nan too

@@ -244,7 +244,6 @@ class CalibrationResult:
     err2_avg: float
     converged: bool
     optimizer_success: bool
-    pulse: ThreeLevelPulse
 
 
 def calibrate_pulse(
@@ -314,5 +313,4 @@ def calibrate_pulse(
         err2_avg=final.err2_avg,
         converged=bool(final.qubit_subspace_error <= ERROR_TARGET),
         optimizer_success=bool(fit.success),
-        pulse=build(fit.x),
     )

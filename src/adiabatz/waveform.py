@@ -11,23 +11,20 @@ theta basis the angle itself is the series (out-and-back trajectories),
     theta(t) = theta_i + sum_n lam'_n * (1 - cos(2 pi n t / t_p)),
 
 whose midpoint excursion fixes theta_f - theta_i = 2 * sum_{n odd} lam'_n.
+
+A SampledTrajectory refuses an angle outside (0, pi): with h_x > 0 fixed no
+field points there (the ends are |h_z| -> inf).  Sampling such a shape
+raises ValueError, as remapping it does, rather than clamping the angle.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import warnings
 
 import numpy as np
 
-from .geometry import (
-    THETA_MAX,
-    THETA_MIN,
-    _transverse_field,
-    h_z_from_theta,
-    omega_from_theta,
-)
+from .geometry import _transverse_field, h_z_from_theta, omega_from_theta
 from .spectral import _uniform_step
 
 __all__ = [
@@ -89,10 +86,6 @@ class FourierWaveform:
                 f"endpoint constraint violated: residual {res:.3e} exceeds {tol:.1e} "
                 f"for mode {self.mode.value}"
             )
-
-    @property
-    def n_m(self) -> int:
-        return len(self.coefficients)
 
     def with_t_p(self, t_p: float) -> "FourierWaveform":
         """Same shape stretched to a new duration.
@@ -188,7 +181,9 @@ def _dtheta_series(mode: BasisMode, coefficients, t_p: float, t):
 @dataclasses.dataclass(frozen=True, eq=False)
 class SampledTrajectory:
     """Uniformly sampled control trajectory; arrays that cannot be
-    propagated raise ValueError.
+    propagated raise ValueError.  theta, dtheta_dt, h_z and omega need one
+    sample per time; theta must lie inside (0, pi) and the other three must
+    be finite.
 
     Attributes
     ----------
@@ -218,6 +213,7 @@ class SampledTrajectory:
     h_x: float
 
     def __post_init__(self):
+        _transverse_field(self.h_x)  # first: a bad h_x also spoils h_z and omega
         t = np.asarray(self.times, dtype=float)
         if len(t) < 2:
             raise ValueError("need at least two samples")
@@ -226,13 +222,14 @@ class SampledTrajectory:
             raise ValueError("times must be strictly increasing")
         _uniform_step(t)
         th = np.asarray(self.theta, dtype=float)
-        if th.shape != t.shape or np.shape(self.dtheta_dt) != t.shape:
-            raise ValueError("theta and dtheta_dt need one sample per time")
+        shapes = {th.shape, np.shape(self.dtheta_dt), np.shape(self.h_z), np.shape(self.omega)}
+        if shapes != {t.shape}:
+            raise ValueError("theta, dtheta_dt, h_z and omega need one sample per time")
         if not np.all((th > 0) & (th < np.pi)):  # refuses nan too
             raise ValueError("theta must stay inside (0, pi)")
-        if not np.all(np.isfinite(self.dtheta_dt)):
-            raise ValueError("dtheta_dt must be finite")
-        _transverse_field(self.h_x)
+        for name in ("dtheta_dt", "h_z", "omega"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def t_p(self) -> float:
@@ -248,44 +245,31 @@ class SampledTrajectory:
         The times become times[0] + linspace(0, t_p, n); theta, h_z and omega
         are kept and dtheta/dt scales by the old duration over the new.  The
         remap is linear in the duration, so a remapped trajectory stretched
-        this way is the remapped trajectory of the new duration.
+        this way is the remapped trajectory of the new duration, and a sampled
+        one the sampled trajectory of the new duration up to rounding.
         """
         if not 0 < t_p < np.inf:
             raise ValueError(f"t_p must be finite and positive, got {t_p}")
-        return SampledTrajectory(
+        return dataclasses.replace(
+            self,
             times=self.times[0] + np.linspace(0.0, t_p, len(self.times)),
-            theta=self.theta,
             dtheta_dt=self.dtheta_dt * self.t_p / t_p,
-            h_z=self.h_z,
-            omega=self.omega,
-            h_x=self.h_x,
         )
-
-
-def _clamp_theta(theta: np.ndarray) -> np.ndarray:
-    if np.any(theta < THETA_MIN) or np.any(theta > THETA_MAX):
-        warnings.warn(
-            "theta clamped away from {0, pi}; omega diverges only as |h_z| -> inf",
-            stacklevel=3,
-        )
-        return np.clip(theta, THETA_MIN, THETA_MAX)
-    return theta
 
 
 def sample_trajectory(
     w: FourierWaveform, n_samples: int = 1024, h_x: float = 1.0
 ) -> SampledTrajectory:
-    """Sample a waveform into a physical trajectory (omega tied to theta)."""
+    """Sample a waveform into a physical trajectory (omega tied to theta).
+
+    A shape whose angle leaves (0, pi) raises ValueError; it is not clamped.
+    """
     times = np.linspace(0.0, w.t_p, n_samples)
     theta, dtheta = eval_fourier(w, times)
-    theta = _clamp_theta(theta)
+    with np.errstate(divide="ignore"):  # at theta = 0; the constructor refuses it
+        h_z, omega = h_z_from_theta(theta, h_x), omega_from_theta(theta, h_x)
     return SampledTrajectory(
-        times=times,
-        theta=theta,
-        dtheta_dt=dtheta,
-        h_z=h_z_from_theta(theta, h_x),
-        omega=omega_from_theta(theta, h_x),
-        h_x=h_x,
+        times=times, theta=theta, dtheta_dt=dtheta, h_z=h_z, omega=omega, h_x=h_x
     )
 
 

@@ -10,7 +10,12 @@ from adiabatz.cli import ValidationError, export_table, load_table, main
 from adiabatz.dynamics import evolve_two_level_direct
 from adiabatz.optimize import optimize_cz_pulse
 from adiabatz.remap import remapped_trajectory
-from adiabatz.waveform import derivative_waveform, linear_ramp_trajectory
+from adiabatz.waveform import (
+    SampledTrajectory,
+    derivative_waveform,
+    linear_ramp_trajectory,
+    sample_trajectory,
+)
 
 
 def write_config(tmp_path, params, name="config.json"):
@@ -114,6 +119,16 @@ def test_table1_two_term_row(tmp_path):
     assert cols == ["n_m", "objective_rad2", "lambda_1", "lambda_2"]
 
 
+def test_table1_cutoff_out_of_range_is_a_config_error(tmp_path, capsys):
+    # the spectral grid ends at 400 cycles, so the objective refuses a
+    # cutoff of 395 or more; that is the config's fault, not a numerical one
+    cfg = write_config(tmp_path, {"n_m_list": [2], "cutoff_cycles": 395})
+    out = tmp_path / "out"
+    assert main(["table1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cutoff_cycles: ")
+    assert not out.exists()
+
+
 def test_manifest_records_config_hash_and_seed(tmp_path):
     cfg = write_config(tmp_path, {"n_m_list": [1], "seed": 4})
     assert main(["table1", "--config", str(cfg), "--out", str(tmp_path), "--seed", "7"]) == 0
@@ -177,14 +192,14 @@ def test_cz_pulse_diagnostics_stay_out_of_the_data_file(tmp_path):
 def test_error_curve_failures_reach_the_manifest(tmp_path, monkeypatch):
     # a point whose trajectory cannot be built reads NaN in the data file
     # and is named, with the reason, in the manifest
-    sample = cli.sample_trajectory
+    stretch = SampledTrajectory.with_t_p
 
-    def failing(w, n_samples):
-        if abs(w.t_p - 1.5 * np.pi) < 1e-9:
+    def failing(traj, t_p):
+        if abs(t_p - 1.5 * np.pi) < 1e-9:
             raise ValueError("no trajectory here")
-        return sample(w, n_samples)
+        return stretch(traj, t_p)
 
-    monkeypatch.setattr(cli, "sample_trajectory", failing)
+    monkeypatch.setattr(SampledTrajectory, "with_t_p", failing)
     cfg = write_config(tmp_path, {
         "coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3, "theta_f_rad": 2.2,
         "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0, "n_points": 3,
@@ -217,6 +232,49 @@ def test_remapped_curve_remaps_its_shape_once(tmp_path, monkeypatch):
     w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
     assert [geometric_error(remapped_trajectory(w, t_p, n_samples=2048)).p_e
             for t_p in data[:, 1]] == list(data[:, 2])
+
+
+def test_sampled_curve_samples_its_shape_once(tmp_path, monkeypatch):
+    # without the remap the 60 durations stretch one unit-duration sample;
+    # each point is that stretch's value, bitwise, and per-duration
+    # sampling's up to rounding
+    calls = []
+    sample = cli.sample_trajectory
+
+    def counting(w, n_samples):
+        calls.append(w.t_p)
+        return sample(w, n_samples)
+
+    monkeypatch.setattr(cli, "sample_trajectory", counting)
+    cfg = write_config(tmp_path, {
+        "coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3, "theta_f_rad": 2.2,
+        "t_p_min_over_Tx": 0.8, "t_p_max_over_Tx": 1.5, "n_points": 60,
+    })
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert calls == [1.0]
+    _, data = load_table(tmp_path / "error-curve.csv")
+    w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
+    unit = sample_trajectory(w, 2048)
+    assert [geometric_error(unit.with_t_p(t_p)).p_e for t_p in data[:, 1]] == list(data[:, 2])
+    per_duration = [geometric_error(sample_trajectory(w.with_t_p(t_p), 2048)).p_e
+                    for t_p in data[:, 1]]
+    assert np.max(np.abs(data[:, 2] - per_duration)) <= 1e-14
+
+
+def test_sampled_curve_failures_reach_the_manifest(tmp_path):
+    # the shape of the remapped case below, sampled: the sample is refused,
+    # not clamped, so every point reads NaN with the refusal once per point
+    cfg = write_config(tmp_path, {
+        "basis": "theta", "coefficients_lambda": [0.25, -0.5], "theta_i_rad": 0.3,
+        "theta_f_rad": 0.8, "remap": False, "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0,
+        "n_points": 3,
+    })
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, data = load_table(tmp_path / "error-curve.csv")
+    assert np.all(np.isnan(data[:, 2]))
+    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
+    reason = "ValueError: theta must stay inside (0, pi)"
+    assert manifest["diagnostics"] == {"failures": [[i, reason] for i in range(3)]}
 
 
 def test_remapped_curve_failures_reach_the_manifest(tmp_path):

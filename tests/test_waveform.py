@@ -151,12 +151,18 @@ def test_trajectory_rejects_nonuniform_grid():
         ("dtheta_dt", np.array([0.0, np.inf, 0.0, 0.0, 0.0]), "finite"),
         ("h_x", 0.0, "h_x"),
         ("h_x", np.nan, "h_x"),
+        ("h_z", np.full(10, 1.0), "one sample per time"),
+        ("omega", np.full(3, 2.0), "one sample per time"),
+        ("h_z", np.array([1.0, 1.0, np.inf, 1.0, 1.0]), "finite"),
+        ("omega", np.array([2.0, np.nan, 2.0, 2.0, 2.0]), "finite"),
     ],
 )
 def test_trajectory_rejects_what_cannot_be_propagated(field, value, message):
     # before these checks each case got through: the first two failed later
     # in the spline, the nan angle passed the (0, pi) test, the nan rate
-    # failed in the ODE's step count, and h_x = 0 propagated to P_e = 6e-35
+    # failed in the ODE's step count, h_x = 0 propagated to P_e = 6e-35, a
+    # mismatched h_z changed the rounded trajectory's length, a short omega
+    # failed to broadcast in the error integral and a nan omega gave nan P_e
     from adiabatz.waveform import SampledTrajectory
 
     fields = dict(
@@ -185,12 +191,14 @@ def test_trajectory_accepts_rounded_grid_far_from_the_origin():
         SampledTrajectory(times=t, **fields)
 
 
-def test_out_of_range_theta_is_clamped_with_warning():
+def test_out_of_range_theta_is_refused():
+    # sampling refuses an angle outside (0, pi), as the remap does, rather
+    # than clamping it; an angle of exactly 0 is refused without a warning
     w = theta_waveform(np.array([0.26, -0.3, 0.05]), 1.0, 0.1, 0.72)
-    with pytest.warns(UserWarning):
-        traj = sample_trajectory(w, n_samples=257)
-    assert np.all(traj.theta > 0)
-    assert np.all(traj.theta < np.pi)
+    with pytest.raises(ValueError, match=r"\(0, pi\)"):
+        sample_trajectory(w, n_samples=257)
+    with pytest.raises(ValueError, match=r"\(0, pi\)"):
+        sample_trajectory(derivative_waveform([1.0], 1.0, 0.0, 1.0), n_samples=257)
 
 
 # ------------------------------------------------------------------ windows
