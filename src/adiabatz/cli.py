@@ -8,6 +8,10 @@ step work, the lz-sweep step work, each drag-sweep calibration's optimizer
 status and reached error). The manifest lives in a separate file so result
 bytes depend only on config + seed.
 
+Each parameter is named once, where its experiment reads it: a read pops
+the key from a copy of the config, and the keys left after the last read
+are unknown and refused, before any computation.
+
 Exit codes: 0 success, 2 config validation failure (no files written),
 3 numerical failure during the computation.
 """
@@ -81,16 +85,23 @@ _REQUIRED = object()
 
 
 def _get(params: dict, name: str, default):
+    """Pop ``name`` from ``params``: a read consumes its key, so whatever an
+    experiment leaves unread is unknown (see ``_reject_unknown``)."""
     if name in params:
-        return params[name]
+        return params.pop(name)
     if default is _REQUIRED:
         raise ValidationError(f"{name}: required parameter missing")
     return default
 
 
+def _finite(v) -> bool:
+    # abs(v) <= max also refuses nan, inf and an integer beyond float range
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _num(params, name, default=_REQUIRED, lo=None, hi=None, open_lo=False, open_hi=False):
     v = _get(params, name, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not np.isfinite(v):
+    if not _finite(v):
         raise ValidationError(f"{name}: must be a finite number, got {v!r}")
     v = float(v)
     if lo is not None and (v < lo or (open_lo and v == lo)):
@@ -118,23 +129,26 @@ def _bool(params, name, default):
 
 def _choice(params, name, options, default=_REQUIRED):
     v = _get(params, name, default)
-    if v not in options:
+    if not isinstance(v, str) or v not in options:  # a list is unhashable
         raise ValidationError(f"{name}: must be one of {sorted(options)}, got {v!r}")
     return v
 
 
 def _num_list(params, name, default=_REQUIRED, min_len=1):
     v = _get(params, name, default)
+    if v is default:  # a default needs no check, and None leaves the list out
+        return v
     if not isinstance(v, list) or len(v) < min_len:
         raise ValidationError(f"{name}: must be a list with at least {min_len} entries")
     for x in v:
-        if not isinstance(x, (int, float)) or isinstance(x, bool) or not np.isfinite(x):
+        if not _finite(x):
             raise ValidationError(f"{name}: entries must be finite numbers, got {x!r}")
     return [float(x) for x in v]
 
 
-def _reject_unknown(params: dict, allowed: set, experiment: str):
-    unknown = sorted(set(params) - allowed - {"seed"})
+def _reject_unknown(params: dict, experiment: str):
+    """Refuse the keys left after an experiment's reads, bar ``seed``."""
+    unknown = sorted(set(params) - {"seed"})
     if unknown:
         raise ValidationError(f"{experiment}: unknown parameter(s): {', '.join(unknown)}")
 
@@ -151,12 +165,6 @@ def _label_ok(label) -> bool:
 
 
 def _run_psd_windows(params: dict, seed: int):
-    _reject_unknown(
-        params,
-        {"coefficients_lambda", "labels", "u_min_cycles", "u_max_cycles",
-         "n_points", "include_rect_reference"},
-        "psd-windows",
-    )
     sets = _get(params, "coefficients_lambda", _REQUIRED)
     if not isinstance(sets, list) or len(sets) == 0:
         raise ValidationError(
@@ -182,18 +190,19 @@ def _run_psd_windows(params: dict, seed: int):
     u_max = _num(params, "u_max_cycles", 8.0, lo=u_min, open_lo=True)
     n_points = _int(params, "n_points", 400, lo=2)
     rect = _bool(params, "include_rect_reference", True)
+    columns = ["u_cycles"] + ["psd_rect_rad2"] * rect + [f"psd_{s}_rad2" for s in labels]
+    if len(set(columns)) < len(columns):
+        raise ValidationError(
+            "labels: must be distinct, and 'rect' only without include_rect_reference"
+        )
+    _reject_unknown(params, "psd-windows")
 
     u = np.linspace(u_min, u_max, n_points)
-    columns = ["u_cycles"]
-    series = [u]
-    if rect:
-        columns.append("psd_rect_rad2")
-        series.append(np.sinc(u) ** 2)
-    for label, lam in zip(labels, lams):
+    series = [u] + [np.sinc(u) ** 2] * rect
+    for lam in lams:
         profile = np.zeros_like(u)
         for n, c in enumerate(lam, start=1):
             profile += c * basis_transform(u, n, BasisMode.DERIVATIVE)
-        columns.append(f"psd_{label}_rad2")
         series.append(profile**2)
     return columns, np.column_stack(series).tolist(), {}
 
@@ -201,15 +210,11 @@ def _run_psd_windows(params: dict, seed: int):
 def _run_error_curve(params: dict, seed: int):
     window = _choice(params, "window", {"rect", "hanning", "fourier"}, "fourier")
     if window in ("rect", "hanning"):
-        _reject_unknown(
-            params,
-            {"window", "delta_theta_rad", "u_min_cycles", "u_max_cycles", "n_points"},
-            "error-curve",
-        )
         dth = _num(params, "delta_theta_rad", 1.0, lo=0, open_lo=True)
         u_min = _num(params, "u_min_cycles", 0.1, lo=0, open_lo=True)
         u_max = _num(params, "u_max_cycles", 10.0, lo=u_min, open_lo=True)
         n_points = _int(params, "n_points", 500, lo=2)
+        _reject_unknown(params, "error-curve")
         u = np.linspace(u_min, u_max, n_points)
         # constant-omega closed forms: P_e of the abrupt window is the
         # squared sinc; one cosine term divides it by (1 - u^2)^2
@@ -220,14 +225,9 @@ def _run_error_curve(params: dict, seed: int):
         rows = np.column_stack([u, p_e]).tolist()
         return ["u_cycles", "p_e_linearized"], rows, {"failures": []}
 
-    _reject_unknown(
-        params,
-        {"window", "basis", "coefficients_lambda", "theta_i_rad", "theta_f_rad",
-         "remap", "evaluator", "t_p_min_over_Tx", "t_p_max_over_Tx", "n_points",
-         "n_samples"},
-        "error-curve",
-    )
-    basis = _choice(params, "basis", {"derivative", "theta"}, "derivative")
+    build = {"derivative": derivative_waveform, "theta": theta_waveform}[
+        _choice(params, "basis", {"derivative", "theta"}, "derivative")
+    ]
     lam = np.array(_num_list(params, "coefficients_lambda"))
     theta_i = _num(params, "theta_i_rad", _REQUIRED, lo=0, hi=np.pi, open_lo=True, open_hi=True)
     theta_f = _num(params, "theta_f_rad", _REQUIRED, lo=0, hi=np.pi, open_lo=True, open_hi=True)
@@ -237,12 +237,10 @@ def _run_error_curve(params: dict, seed: int):
     t_hi = _num(params, "t_p_max_over_Tx", _REQUIRED, lo=t_lo, open_lo=True)
     n_points = _int(params, "n_points", 60, lo=2)
     n_samples = _int(params, "n_samples", 2048, lo=16)
+    _reject_unknown(params, "error-curve")
 
     try:
-        if basis == "derivative":
-            w = derivative_waveform(lam, 1.0, theta_i, theta_f)
-        else:
-            w = theta_waveform(lam, 1.0, theta_i, theta_f)
+        w = build(lam, 1.0, theta_i, theta_f)
     except ValueError as exc:
         raise ValidationError(f"coefficients_lambda: {exc}") from exc
 
@@ -266,18 +264,13 @@ def _run_error_curve(params: dict, seed: int):
 
 
 def _run_lz_sweep(params: dict, seed: int):
-    _reject_unknown(
-        params,
-        {"span_over_hx", "rate_min_hx2", "rate_max_hx2", "n_points",
-         "log_spacing", "n_samples"},
-        "lz-sweep",
-    )
     span = _num(params, "span_over_hx", 10.0, lo=1.0)
     r_lo = _num(params, "rate_min_hx2", _REQUIRED, lo=0, open_lo=True)
     r_hi = _num(params, "rate_max_hx2", _REQUIRED, lo=r_lo, open_lo=True)
     n_points = _int(params, "n_points", 20, lo=2)
     log_spacing = _bool(params, "log_spacing", True)
     n_samples = _int(params, "n_samples", 4097, lo=64)
+    _reject_unknown(params, "lz-sweep")
     if log_spacing:
         rates = np.geomspace(r_lo, r_hi, n_points)
     else:
@@ -290,25 +283,19 @@ def _run_lz_sweep(params: dict, seed: int):
 
 
 def _run_cz_pulse(params: dict, seed: int):
-    _reject_unknown(
-        params,
-        {"theta_i_rad", "theta_f_rad", "n_coeffs", "sigma_over_Tx",
-         "t_p_window_over_Tx", "max_iterations"},
-        "cz-pulse",
-    )
     theta_i = _num(params, "theta_i_rad", _REQUIRED, lo=0, hi=np.pi / 2, open_lo=True, open_hi=True)
     theta_f = _num(params, "theta_f_rad", _REQUIRED, lo=theta_i, hi=np.pi / 2, open_hi=True)
     n_coeffs = _int(params, "n_coeffs", _REQUIRED, lo=1)
     sigma = _num(params, "sigma_over_Tx", 0.0, lo=0.0)
-    window = _get(params, "t_p_window_over_Tx", None)
+    window = _num_list(params, "t_p_window_over_Tx", None, min_len=2)
     if window is not None:
-        window = _num_list({"t_p_window_over_Tx": window}, "t_p_window_over_Tx", min_len=2)
         if len(window) != 2 or not 0 < window[0] <= window[1]:
             raise ValidationError(
                 "t_p_window_over_Tx: must be [lo, hi] with 0 < lo <= hi"
             )
         window = (window[0] * T_X, window[1] * T_X)
     max_iterations = _int(params, "max_iterations", 300, lo=1)
+    _reject_unknown(params, "cz-pulse")
 
     rep = optimize_cz_pulse(
         theta_i,
@@ -331,7 +318,6 @@ def _run_cz_pulse(params: dict, seed: int):
 
 
 def _run_table1(params: dict, seed: int):
-    _reject_unknown(params, {"n_m_list", "cutoff_cycles"}, "table1")
     n_m_list = _get(params, "n_m_list", [2, 4, 10])
     if (
         not isinstance(n_m_list, list)
@@ -340,6 +326,7 @@ def _run_table1(params: dict, seed: int):
     ):
         raise ValidationError("n_m_list: must be a non-empty list of integers >= 1")
     cutoff = _num(params, "cutoff_cycles", 2.3, lo=0, open_lo=True)
+    _reject_unknown(params, "table1")
 
     try:
         objective = Objective(kind=ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF, cutoff=cutoff)
@@ -360,12 +347,6 @@ def _run_table1(params: dict, seed: int):
 
 
 def _run_drag_sweep(params: dict, seed: int):
-    _reject_unknown(
-        params,
-        {"drag_d_list", "delta_rad_per_time", "t_p_time", "n_envelope_samples",
-         "target", "levels"},
-        "drag-sweep",
-    )
     d_list = _num_list(params, "drag_d_list", [0.0, -0.48, -1.20])
     delta = _num(params, "delta_rad_per_time", -2.0 * np.pi)
     if delta == 0:
@@ -378,6 +359,7 @@ def _run_drag_sweep(params: dict, seed: int):
     levels = _int(params, "levels", 3)
     if levels not in (2, 3):
         raise ValidationError(f"levels: must be 2 or 3, got {levels}")
+    _reject_unknown(params, "drag-sweep")
 
     t = np.linspace(0.0, t_p, n_env)
     shape = 1.0 - np.cos(2.0 * np.pi * t / t_p)
@@ -462,7 +444,8 @@ def run(config: RunConfig) -> list:
     if config.format not in ("csv", "json"):
         raise ValidationError(f"format: must be csv or json, got {config.format!r}")
     started = time.monotonic()
-    columns, rows, diagnostics = EXPERIMENTS[config.experiment](config.parameters, config.seed)
+    params = dict(config.parameters)  # the experiment's reads consume this copy
+    columns, rows, diagnostics = EXPERIMENTS[config.experiment](params, config.seed)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     result_path = config.output_dir / f"{config.experiment}.{config.format}"
     export_table(columns, rows, result_path, config.format)
@@ -504,9 +487,7 @@ def main(argv=None) -> int:
 
     try:
         params, digest = load_config(args.config)
-        seed = params.pop("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValidationError(f"seed: must be an integer, got {seed!r}")
+        seed = _int(params, "seed", 0)
         if args.seed is not None:
             seed = args.seed
         config = RunConfig(
@@ -518,10 +499,7 @@ def main(argv=None) -> int:
             config_sha256=digest,
         )
         paths = run(config)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

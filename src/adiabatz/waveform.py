@@ -77,11 +77,13 @@ class FourierWaveform:
         object.__setattr__(
             self, "coefficients", np.atleast_1d(np.asarray(self.coefficients, dtype=float))
         )
-        if self.t_p <= 0:
-            raise ValueError(f"t_p must be positive, got {self.t_p}")
+        if not 0 < self.t_p < np.inf:
+            raise ValueError(f"t_p must be finite and positive, got {self.t_p}")
+        if not np.isfinite(self.coefficients).all():
+            raise ValueError(f"coefficients must be finite, got {self.coefficients}")
         res = constraint_residual(self)
         tol = CONSTRAINT_TOL * max(1.0, abs(self.theta_f - self.theta_i))
-        if abs(res) > tol:
+        if not abs(res) <= tol:  # a nan residual fails too
             raise ValueError(
                 f"endpoint constraint violated: residual {res:.3e} exceeds {tol:.1e} "
                 f"for mode {self.mode.value}"

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from adiabatz.waveform import (
 )
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def write_config(tmp_path, params, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(params))
@@ -32,10 +37,107 @@ def test_validation_failure_writes_nothing(tmp_path):
     assert not out.exists()
 
 
-def test_unknown_parameter_rejected(tmp_path):
-    cfg = write_config(tmp_path, {"coefficients_lambda": [[1.0]], "n_pionts": 5})
-    rc = main(["psd-windows", "--config", str(cfg), "--out", str(tmp_path)])
-    assert rc == 2
+FOURIER_CURVE = {"coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3,
+                 "theta_f_rad": 2.2, "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0}
+
+
+@pytest.mark.parametrize(
+    "experiment, params, key",
+    [
+        ("psd-windows", {"coefficients_lambda": [[1.0]], "n_pionts": 5}, "n_pionts"),
+        # a key of the fourier branch is unknown to the closed-form one, and back
+        ("error-curve", {"window": "rect", "basis": "theta"}, "basis"),
+        ("error-curve", {**FOURIER_CURVE, "delta_theta_rad": 1.0}, "delta_theta_rad"),
+        ("lz-sweep", {"rate_min_hx2": 0.3, "rate_max_hx2": 0.5, "rate": 1.0}, "rate"),
+        ("cz-pulse", {"theta_i_rad": 0.3, "theta_f_rad": 0.3, "n_coeffs": 2, "sigma": 0.1},
+         "sigma"),
+        ("table1", {"n_m_list": [2], "cutoff": 2.3}, "cutoff"),
+        ("drag-sweep", {"levels": 2, "n_envelope_sample": 8}, "n_envelope_sample"),
+    ],
+    ids=["psd-windows", "error-curve-rect", "error-curve-fourier", "lz-sweep", "cz-pulse",
+         "table1", "drag-sweep"],
+)
+def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
+    # the keys left after an experiment's reads are refused before it computes
+    cfg = write_config(tmp_path, {**params, "seed": 1})
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {experiment}: unknown parameter(s): {key}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, params, message",
+    [
+        # a legal JSON integer that no float holds used to crash np.isfinite
+        ("table1", {"n_m_list": [2], "cutoff_cycles": 10**400},
+         "cutoff_cycles: must be a finite number, got 1000"),
+        ("psd-windows", {"coefficients_lambda": [[1.0, 10**400]]},
+         "coefficients_lambda[0]: entries must be finite numbers, got 1000"),
+        # a list where a name belongs used to crash the set lookup
+        ("error-curve", {"window": ["rect"]},
+         "window: must be one of ['fourier', 'hanning', 'rect'], got ['rect']\n"),
+        # two columns of one name would leave a reader by name the wrong one
+        ("psd-windows", {"coefficients_lambda": [[1.0], [1.0]], "labels": ["a", "a"]},
+         "labels: must be distinct"),
+        ("psd-windows", {"coefficients_lambda": [[1.0]], "labels": ["rect"]},
+         "labels: must be distinct"),
+        ("psd-windows", {"coefficients_lambda": [[1.0], [1.0]], "labels": ["a", "a"],
+                         "include_rect_reference": False}, "labels: must be distinct"),
+        # the known keys are checked before the leftovers are refused
+        ("table1", {"n_m_list": [2], "cutoff_cycles": -1.0, "cutof": 2.3},
+         "cutoff_cycles: must be > 0, got -1.0\n"),
+    ],
+    ids=["huge-number", "huge-list-entry", "list-for-name", "repeated-label", "rect-label",
+         "repeated-label-without-rect", "bad-value-and-unknown-key"],
+)
+def test_bad_value_is_a_config_error(tmp_path, capsys, experiment, params, message):
+    cfg = write_config(tmp_path, params)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)
+    assert not out.exists()
+
+
+def test_psd_windows_takes_rect_label_without_the_reference(tmp_path):
+    cfg = write_config(tmp_path, {"coefficients_lambda": [[1.0]], "labels": ["rect"],
+                                  "include_rect_reference": False, "n_points": 3})
+    assert main(["psd-windows", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    cols, _ = load_table(tmp_path / "psd-windows.csv")
+    assert cols == ["u_cycles", "psd_rect_rad2"]
+
+
+def test_run_leaves_the_config_untouched(tmp_path):
+    # the reads consume a copy: a second run of one RunConfig, as the
+    # benchmark makes, reads the same parameters and writes the same bytes
+    params = {"n_m_list": [2], "cutoff_cycles": 3.0, "seed": 1}
+    config = cli.RunConfig("table1", params, tmp_path, "csv", 0, "0" * 64)
+    data = []
+    for _ in range(2):
+        data.append(cli.run(config)[0].read_bytes())
+        assert config.parameters == {"n_m_list": [2], "cutoff_cycles": 3.0, "seed": 1}
+    assert data[0] == data[1]
+    assert data[0].splitlines()[0] == b"n_m,objective_rad2,lambda_1,lambda_2"
+
+
+def readme_examples():
+    """The README's example configs, as (experiment, parameters) pairs."""
+    text = README.read_text()
+    heredocs = dict(re.findall(r"cat > (\S+) << 'EOF'\n(.*?)\nEOF", text, re.S))
+    runs = re.findall(r"^adiabatz ([a-z0-9-]+) --config (\S+)", text, re.M)
+    (curve,) = re.findall(r"^```json\n(.*?)^```", text, re.S | re.M)
+    return [(exp, json.loads(heredocs[name])) for exp, name in runs] + [
+        ("error-curve", json.loads(curve))
+    ]
+
+
+def test_readme_examples_run(tmp_path):
+    # the documented keys cannot drift from what the experiments read
+    examples = readme_examples()
+    assert [exp for exp, _ in examples] == ["psd-windows", "table1", "error-curve"]
+    for exp, params in examples:
+        cfg = write_config(tmp_path, params, f"{exp}.json")
+        assert main([exp, "--config", str(cfg), "--out", str(tmp_path / exp)]) == 0
 
 
 def test_psd_windows_error_names_the_bad_list(tmp_path, capsys):

@@ -46,6 +46,23 @@ def test_theta_constraint_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: derivative_waveform([1.0], np.nan, 0.1, 1.0), "t_p"),
+        (lambda: theta_waveform([0.3], np.nan, 0.1, 0.7), "t_p"),
+        (lambda: theta_waveform([0.3], np.inf, 0.1, 0.7), "t_p"),
+        (lambda: theta_waveform([np.nan], 1.0, 0.1, 0.7), "finite"),
+    ],
+    ids=["derivative-nan-t_p", "theta-nan-t_p", "theta-inf-t_p", "nan-coefficient"],
+)
+def test_waveform_refuses_what_is_not_finite(build, message):
+    # each of these was accepted before, its nan residual passing the
+    # endpoint check, and failed later with a misleading message
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_constraint_residual_zero_for_builders():
     w = derivative_waveform(np.array([1.0866, -0.0866]), 2.0, 0.1, 1.2)
     assert abs(constraint_residual(w)) < 1e-12
