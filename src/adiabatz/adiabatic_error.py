@@ -85,7 +85,7 @@ def landau_zener_error(h_x: float, ramp_rate: float) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class ErrorCurve:
-    """(t_p, P_e) pairs tagged by evaluation method.
+    """(t_p, P_e) pairs.
 
     Failed points carry NaN in p_e and an entry in failures.  An EXACT curve
     sums the propagator steps of its points in steps and keeps their worst
@@ -94,7 +94,6 @@ class ErrorCurve:
 
     t_p: np.ndarray
     p_e: np.ndarray
-    evaluator: Evaluator
     failures: tuple = ()
     steps: int = 0
     step_error: float | None = None
@@ -133,5 +132,5 @@ def error_curve(
                 p_e[i] = exact[-1].p_e
         except Exception as exc:  # per-point failure -> partial curve
             failures.append((i, f"{type(exc).__name__}: {exc}"))
-    return ErrorCurve(grid, p_e, evaluator, tuple(failures), sum(r.steps for r in exact),
+    return ErrorCurve(grid, p_e, tuple(failures), sum(r.steps for r in exact),
                       max((r.step_error for r in exact), default=None))

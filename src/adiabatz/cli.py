@@ -174,9 +174,11 @@ def _run_psd_windows(params: dict, seed: int):
     for i, entry in enumerate(sets):
         key = f"coefficients_lambda[{i}]"
         lam = np.array(_num_list({key: entry}, key))
-        if lam.sum() == 0:
-            raise ValidationError(f"{key}: sum must be nonzero")
-        lams.append(lam / lam.sum())
+        with np.errstate(over="ignore"):
+            total = lam.sum()
+        if not (np.isfinite(total) and total != 0):
+            raise ValidationError(f"{key}: sum must be finite and nonzero, got {total}")
+        lams.append(lam / total)
     labels = _get(params, "labels", [f"w{i + 1}" for i in range(len(lams))])
     if (
         not isinstance(labels, list)
@@ -201,9 +203,10 @@ def _run_psd_windows(params: dict, seed: int):
     series = [u] + [np.sinc(u) ** 2] * rect
     for lam in lams:
         profile = np.zeros_like(u)
-        for n, c in enumerate(lam, start=1):
-            profile += c * basis_transform(u, n, BasisMode.DERIVATIVE)
-        series.append(profile**2)
+        with np.errstate(over="raise", invalid="raise"):  # exit 3, not an inf column
+            for n, c in enumerate(lam, start=1):
+                profile += c * basis_transform(u, n, BasisMode.DERIVATIVE)
+            series.append(profile**2)
     return columns, np.column_stack(series).tolist(), {}
 
 

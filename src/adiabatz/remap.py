@@ -44,8 +44,8 @@ class RemapTable:
         return float(self.t_of_tau[-1])
 
 
-def build_remap(theta_of_tau, tau_p: float, h_x: float = 1.0) -> RemapTable:
-    """Integrate dt/dtau = 2 h_x/omega(theta) = sin(theta) on a uniform tau grid.
+def build_remap(theta_of_tau, tau_p: float) -> RemapTable:
+    """Integrate dt/dtau = omega_x/omega(theta) = sin(theta) on a uniform tau grid.
 
     Parameters
     ----------
@@ -55,7 +55,7 @@ def build_remap(theta_of_tau, tau_p: float, h_x: float = 1.0) -> RemapTable:
         lab frame).
     tau_p : float
         Duration in the constant-frequency frame, whose frequency is
-        omega_x = 2*h_x, the gap at the crossing.
+        omega_x = 2*h_x, the gap at the crossing; the map is the same for every h_x.
     """
     theta = np.asarray(theta_of_tau, dtype=float)
     if not tau_p > 0:
@@ -63,7 +63,7 @@ def build_remap(theta_of_tau, tau_p: float, h_x: float = 1.0) -> RemapTable:
     if not np.all((theta > 0) & (theta < np.pi)):  # refuses nan too
         raise ValueError("theta(tau) must stay strictly inside (0, pi)")
     tau = np.linspace(0.0, tau_p, len(theta))
-    rate = 2.0 * h_x / omega_from_theta(theta, h_x)  # sin(theta)
+    rate = 2.0 / omega_from_theta(theta)  # sin(theta)
     dt_mid = (rate[1:] + rate[:-1]) / 2.0 * np.diff(tau)
     t = np.concatenate([[0.0], np.cumsum(dt_mid)])
     return RemapTable(tau=tau, t_of_tau=t, theta_of_tau=theta)
@@ -111,6 +111,6 @@ def remapped_trajectory(
     shape = w.with_t_p(1.0)  # eval_fourier's theta, without its unused rate
     theta_shape = _theta_series(shape.mode, shape.coefficients, 1.0, shape.theta_i, u)
     mean_rate = float(np.trapezoid(np.sin(theta_shape), u))
-    table = build_remap(theta_shape, 1.0 / mean_rate, h_x=h_x)
+    table = build_remap(theta_shape, 1.0 / mean_rate)
     t_grid = np.linspace(0.0, table.t_p, n_samples)
     return invert_remap(table, t_grid, h_x=h_x).with_t_p(t_p_lab)

@@ -70,10 +70,13 @@ class ThreeLevelPulse:
         object.__setattr__(
             self, "envelope_x", np.atleast_1d(np.asarray(self.envelope_x, dtype=float))
         )
-        if self.delta == 0:
-            raise ValueError("delta must be nonzero")
-        if self.t_p <= 0:
-            raise ValueError(f"t_p must be positive, got {self.t_p}")
+        if not 0 < self.t_p < math.inf:  # refuses nan too
+            raise ValueError(f"t_p must be positive and finite, got {self.t_p}")
+        if not (math.isfinite(self.delta) and self.delta != 0):
+            raise ValueError(f"delta must be finite and nonzero, got {self.delta}")
+        for name in ("drag_d", "detuning", "drive_phase", "envelope_x"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if len(self.envelope_x) < 8:
             raise ValueError("need at least 8 envelope samples")
 
@@ -269,6 +272,10 @@ def calibrate_pulse(
     if levels not in (2, 3):
         raise ValueError("levels must be 2 or 3")
     shape = np.atleast_1d(np.asarray(shape, dtype=float))
+    if not 0 < t_p < math.inf:
+        raise ValueError(f"t_p must be positive and finite, got {t_p}")
+    if not np.all(np.isfinite(shape)):
+        raise ValueError("shape must be finite")
     times = np.linspace(0.0, t_p, len(shape))
     area = float(np.trapezoid(shape, times))
     if area == 0:
@@ -295,6 +302,7 @@ def calibrate_pulse(
 
     det0 = 0.0
     if levels == 3:
+        build((amp0, 0.0, 0.0))  # names a drag_d or delta that is not finite
         det0 = float(np.mean(stark_shift(amp0 * shape, drag_d, delta)))
     from scipy.optimize import least_squares  # ~0.7 s to import, so not at the top
 

@@ -74,6 +74,9 @@ def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
          "cutoff_cycles: must be a finite number, got 1000"),
         ("psd-windows", {"coefficients_lambda": [[1.0, 10**400]]},
          "coefficients_lambda[0]: entries must be finite numbers, got 1000"),
+        # a sum that overflows used to normalize every coefficient to 0
+        ("psd-windows", {"coefficients_lambda": [[1.0], [1e308, 1e308]]},
+         "coefficients_lambda[1]: sum must be finite and nonzero, got inf\n"),
         # a list where a name belongs used to crash the set lookup
         ("error-curve", {"window": ["rect"]},
          "window: must be one of ['fourier', 'hanning', 'rect'], got ['rect']\n"),
@@ -88,14 +91,23 @@ def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
         ("table1", {"n_m_list": [2], "cutoff_cycles": -1.0, "cutof": 2.3},
          "cutoff_cycles: must be > 0, got -1.0\n"),
     ],
-    ids=["huge-number", "huge-list-entry", "list-for-name", "repeated-label", "rect-label",
-         "repeated-label-without-rect", "bad-value-and-unknown-key"],
+    ids=["huge-number", "huge-list-entry", "overflowing-sum", "list-for-name", "repeated-label",
+         "rect-label", "repeated-label-without-rect", "bad-value-and-unknown-key"],
 )
 def test_bad_value_is_a_config_error(tmp_path, capsys, experiment, params, message):
     cfg = write_config(tmp_path, params)
     out = tmp_path / "out"
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: " + message)
+    assert not out.exists()
+
+
+def test_psd_windows_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # the sum is 1.0 but the profile overflows: no inf column is written
+    cfg = write_config(tmp_path, {"coefficients_lambda": [[1e308, -1e308, 1.0]]})
+    out = tmp_path / "out"
+    assert main(["psd-windows", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: overflow")
     assert not out.exists()
 
 

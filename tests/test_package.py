@@ -1,13 +1,15 @@
 import importlib
 import importlib.util
-import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import adiabatz
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # every module but the command-line front end
 LIBRARY_MODULES = (
@@ -22,25 +24,46 @@ LIBRARY_MODULES = (
 )
 
 
-def test_package_reexports_exactly_the_module_exports():
-    exported = set()
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+
+
+def test_each_public_name_is_declared_once_in_its_module():
+    owner = {}
     for name in LIBRARY_MODULES:
         module = importlib.import_module(f"adiabatz.{name}")
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, f"{name}.__all__ names undefined {missing}"
-        exported |= set(module.__all__)
-    public = {
-        n for n, v in vars(adiabatz).items()
-        if not n.startswith("_") and not inspect.ismodule(v)
-    }
-    assert public == exported
+        shared = {n: owner[n] for n in module.__all__ if n in owner}
+        assert not shared, f"{name}.__all__ repeats {shared}"
+        owner.update(dict.fromkeys(module.__all__, name))
+    # the package is no second import path: it holds the version only
+    assert not set(owner) & set(vars(adiabatz))
+    assert {n for n in vars(adiabatz) if not n.startswith("_")} <= set(LIBRARY_MODULES) | {"cli"}
 
+
+def test_package_import_loads_no_module():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, adiabatz; print(json.dumps(sorted(sys.modules)))"],
+        env=_env(), capture_output=True, text=True, timeout=60, check=True,
+    )
+    modules = json.loads(out.stdout)
+    assert not [m for m in modules if m.startswith("adiabatz.")]
+    assert "numpy" not in modules
+
+
+def test_readme_library_quickstart_runs():
+    # the documented import paths are the only ones the package has
+    text = (ROOT / "README.md").read_text()
+    (code,) = re.findall(r"^## Library quickstart\n.*?^```python\n(.*?)^```", text, re.S | re.M)
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_benchmark_span_targets_resolve():
     # bench/spans.py wraps these functions by name; one pruned or renamed
     # fails here, not in a benchmark run
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    path = ROOT / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -58,10 +81,12 @@ HEAVY_SCIPY = ("interpolate", "optimize", "linalg", "special", "sparse")
 PROPAGATION_RUN = """
 import json, math, sys
 import numpy as np
-import adiabatz, adiabatz.cli
-from adiabatz import (RotationTarget, ThreeLevelPulse, convolve_trajectory,
-    derivative_waveform, evolve_three_level, evolve_two_level_direct,
-    evolve_two_level_exact, hanning_window, remapped_trajectory, sample_trajectory)
+import adiabatz.cli
+from adiabatz.dynamics import evolve_two_level_direct, evolve_two_level_exact
+from adiabatz.optimize import convolve_trajectory
+from adiabatz.remap import remapped_trajectory
+from adiabatz.three_level import RotationTarget, ThreeLevelPulse, evolve_three_level
+from adiabatz.waveform import derivative_waveform, hanning_window, sample_trajectory
 
 w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
 lab = convolve_trajectory(remapped_trajectory(w, 4.0, n_samples=256), 0.2)
@@ -76,9 +101,8 @@ print(json.dumps(sorted(sys.modules)))
 def test_propagation_path_leaves_heavy_scipy_unimported():
     # deterministic stand-in for the start-up time: only the DRAG
     # calibration (least_squares) may pull in these subpackages
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run(
-        [sys.executable, "-c", PROPAGATION_RUN], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", PROPAGATION_RUN], env=_env(), capture_output=True, text=True,
         timeout=120, check=True,
     )
     modules = set(json.loads(out.stdout.strip().splitlines()[-1]))

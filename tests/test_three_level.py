@@ -180,6 +180,35 @@ def test_pulse_validation():
         calibrate_pulse(np.ones(64), T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=4)
 
 
+PULSE = dict(envelope_x=np.ones(64), drag_d=0.0, delta=DELTA, detuning=0.0, t_p=T_P)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("delta", np.nan), ("delta", np.inf), ("t_p", np.nan), ("t_p", np.inf),
+     ("drag_d", np.nan), ("detuning", np.nan), ("drive_phase", np.nan),
+     ("envelope_x", np.r_[np.ones(63), np.nan])],
+)
+def test_pulse_refuses_what_is_not_finite(field, value):
+    # each used to be accepted, and evolve_three_level then failed elsewhere
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ThreeLevelPulse(**{**PULSE, field: value})
+
+
+@pytest.mark.parametrize(
+    "levels, field, value",
+    [(levels, field, value) for levels in (2, 3) for field, value in
+     [("t_p", np.nan), ("t_p", np.inf), ("shape", np.r_[np.ones(63), np.nan])]]
+    + [(3, "drag_d", np.nan), (3, "delta", np.nan)],  # levels=2 reads neither
+)
+def test_calibration_refuses_what_is_not_finite(levels, field, value):
+    # least_squares used to refuse the seed: "Initial guess is outside of provided bounds"
+    args = dict(shape=np.ones(64), t_p=T_P, drag_d=0.0, delta=DELTA,
+                target=RotationTarget.PI_PULSE, levels=levels)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        calibrate_pulse(**{**args, field: value})
+
+
 @pytest.mark.parametrize("n_steps", [0, -3])
 def test_step_count_validation(n_steps):
     _, x = raised_cosine(64)
