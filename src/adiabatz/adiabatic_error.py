@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import evolve_two_level_direct
+from .geometry import _transverse_field
 from .waveform import SampledTrajectory
 
 __all__ = [
@@ -78,7 +79,8 @@ def landau_zener_error(h_x: float, ramp_rate: float) -> float:
     ramp_rate is dH_z/dt (hbar = 1); the formula holds for a sweep through
     the crossing from far below to far above.
     """
-    if ramp_rate <= 0:
+    _transverse_field(h_x)
+    if not ramp_rate > 0:  # refuses nan too
         raise ValueError(f"ramp_rate must be positive, got {ramp_rate}")
     return float(np.exp(-np.pi * h_x**2 / ramp_rate))
 

@@ -9,18 +9,20 @@ exponentials of the lab-frame 2x2 Hamiltonian as unit quaternions, with a
 fourth-order two-node Magnus step, doubling its step count from a coarse
 pilot until a Richardson estimate of the step error meets STEP_ATOL +
 STEP_RTOL * P_e, and reports that estimate with the answer.  Both derive the
-Hamiltonian from theta(t) and h_x alone, read between the samples from a
-not-a-knot cubic spline (_interp.cubic_spline, scipy's CubicSpline in
-numpy); a pinned omega field on the trajectory is a linearized-analysis
-device and is ignored here.  The same quaternion chain also steps remapped
-Fourier waveforms directly in the constant-gap frame (remapped_p_e, the
-kernel of the unrounded exact search objectives), with a sixth-order
-three-node Magnus step whose exponent is a polynomial in the duration scale,
-on its own rule (TAU_PHASE_PER_STEP) under the same doubling loop
-(_richardson): one call takes a (K, n_m) coefficient matrix of shapes and
-returns a frozen RemappedResult, with the shapes whose angle leaves (0, pi)
-masked; searches pass a loose tolerance, and the default tolerance 0 doubles
-up to the fixed rule's own count.
+Hamiltonian from theta(t) and the trajectory's h_x alone, read between the
+samples from a not-a-knot cubic spline (_interp.cubic_spline, scipy's
+CubicSpline in numpy); a pinned omega field on the trajectory is a
+linearized-analysis device and is ignored here.  Both report P_e = |beta|^2
+off the final amplitudes (alpha, beta) on the instantaneous eigenstates.
+The same quaternion chain also steps remapped Fourier waveforms at h_x = 1
+directly in the constant-gap frame (remapped_p_e, the kernel of the
+unrounded exact search objectives), with a sixth-order three-node Magnus
+step whose exponent is a polynomial in the duration scale, on its own rule
+(TAU_PHASE_PER_STEP) under the same doubling loop (_richardson): one call
+takes a (K, n_m) coefficient matrix of shapes and returns a frozen
+RemappedResult, with the shapes whose angle leaves (0, pi) masked; searches
+pass a loose tolerance, and the default tolerance 0 doubles up to the fixed
+rule's own count.
 """
 
 from __future__ import annotations
@@ -74,15 +76,16 @@ GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 @dataclasses.dataclass(frozen=True)
 class TwoLevelState:
-    """State summary in the instantaneous-eigenbasis frame.
+    """Final amplitudes (alpha, beta) on the instantaneous ground and excited
+    eigenstates.  ab_product = alpha* beta; on a unit state its magnitude
+    cannot exceed 1/2."""
 
-    ab_product is alpha* beta (conjugated ground amplitude times excited
-    amplitude); on a unit state its magnitude cannot exceed 1/2.  amplitudes
-    carries (alpha, beta), which both propagators track.
-    """
+    amplitudes: tuple
 
-    ab_product: complex
-    amplitudes: tuple | None = None
+    @property
+    def ab_product(self) -> complex:
+        alpha, beta = self.amplitudes
+        return alpha.conjugate() * beta
 
     def __post_init__(self):
         mag = abs(self.ab_product)
@@ -94,11 +97,11 @@ class TwoLevelState:
 
 @dataclasses.dataclass(frozen=True)
 class EvolutionResult:
-    """Excitation probability plus the final state and a drift diagnostic.
+    """Excitation probability |beta|^2 plus the final state and a drift
+    diagnostic.
 
-    norm_drift is the worst deviation of the conserved quantity: state-norm
-    error for the direct propagator, |4|u|^2 + d^2 - 1| = | |psi|^4 - 1 |
-    over the steps of the ODE.
+    norm_drift is the state-norm error of the direct propagator and the
+    worst | |psi|^4 - 1 | over the steps of the ODE.
     step_error is the Richardson estimate of the step error in p_e, set only
     by the error-controlled direct propagator (None for a fixed n_steps and
     for the ODE).  steps counts the integration steps over all runs made.
@@ -165,24 +168,13 @@ def _n_steps(traj: SampledTrajectory, n_steps: int | None) -> int:
     return _fixed_step_count(traj.t_p * rate, PHASE_PER_STEP, len(traj.times) - 1)
 
 
-def _p_e_from_product(u: complex, d: float) -> float:
-    # sin(Theta) e^{i phi} = 2u; the branch of Theta follows the population
-    # difference d = cos(Theta)
-    big_theta = math.asin(min(1.0, 2.0 * abs(u)))
-    if d < 0:
-        big_theta = math.pi - big_theta
-    return math.sin(big_theta / 2.0) ** 2
-
-
 def evolve_two_level_exact(
     traj: SampledTrajectory, n_steps: int | None = None
 ) -> EvolutionResult:
     """Fixed-step RK4 on the moving-frame amplitudes psi = (alpha, beta),
     psi' = X psi from the instantaneous ground state, with X the quaternion
-    [[a, -b*], [b, a*]], (a, b) = (-i omega/2, (dtheta/dt)/2).  Then
-    u = alpha* beta obeys du/dt = i omega u + (dtheta/dt) d/2, where
-    d = |alpha|^2 - |beta|^2, and P_e = sin^2(Theta/2) with
-    sin(Theta) e^{i phi} = 2u and cos(Theta) = d.
+    [[a, -b*], [b, a*]], (a, b) = (-i omega/2, (dtheta/dt)/2); P_e = |beta|^2
+    at t_p.
 
     Each RK4 step map, a real polynomial in the X of its ends and midpoint,
     is a (non-unit) quaternion; the maps are chained pairwise (_su2_blocks).
@@ -224,10 +216,9 @@ def evolve_two_level_exact(
             f"|alpha* beta| can reach {bound:.12f} > 1/2 during integration: "
             "numerical failure"
         )
-    u = alpha.conjugate() * beta
     return EvolutionResult(
-        p_e=_p_e_from_product(u, abs(alpha) ** 2 - abs(beta) ** 2),
-        final_state=TwoLevelState(ab_product=u, amplitudes=(alpha, beta)),
+        p_e=beta.real**2 + beta.imag**2,
+        final_state=TwoLevelState((alpha, beta)),
         norm_drift=float(np.max(np.abs(norm * norm - 1.0))),
         step_error=None,
         steps=n,
@@ -274,9 +265,7 @@ def evolve_two_level_direct(
     alpha = complex(np.vdot(ground_state(traj.theta[-1]), psi))
     return EvolutionResult(
         p_e=p_e,
-        final_state=TwoLevelState(
-            ab_product=alpha.conjugate() * beta, amplitudes=(alpha, beta)
-        ),
+        final_state=TwoLevelState((alpha, beta)),
         norm_drift=drift,
         step_error=step_error,
         steps=steps,
@@ -297,7 +286,7 @@ class RemappedResult:
 
 
 def remapped_p_e(
-    mode, coefficients, theta_i: float, t_ps, h_x: float = 1.0, atol: float = 0.0, rtol: float = 0.0
+    mode, coefficients, theta_i: float, t_ps, atol: float = 0.0, rtol: float = 0.0
 ) -> RemappedResult:
     """P_e of remapped Fourier waveforms at each lab duration in t_ps,
     stepped in the constant-gap frame on one shared grid, with step error
@@ -305,11 +294,11 @@ def remapped_p_e(
     unit-duration coefficients of a shape in the basis mode, from theta_i
     to its own theta(u = 1); K x len(t_ps) chains share the grid.
 
-    Under the remap 2 h_x dtau = omega(t) dt the lab Hamiltonian becomes
-    h_x (sin theta sigma_x + cos theta sigma_z) in tau: the gap is a constant
-    2 h_x and theta(tau) is the waveform shape in closed form.  On
+    At h_x = 1, under the remap 2 dtau = omega(t) dt the lab Hamiltonian
+    becomes sin theta sigma_x + cos theta sigma_z in tau: the gap is a
+    constant 2 and theta(tau) is the waveform shape in closed form.  On
     u = tau/tau_p the fields are s (sin theta, 0, cos theta) with the scale
-    s = h_x tau_p, tau_p = t_p / int_0^1 sin theta du, so every duration
+    s = tau_p = t_p / int_0^1 sin theta du, so every duration
     shares the theta nodes and differs only by s.  This is the continuum
     limit of remapped_trajectory + evolve_two_level_direct.
 
@@ -324,15 +313,16 @@ def remapped_p_e(
     (_richardson, order 6, from 1/TAU_PILOT_DIVISOR of the rule's count),
     which stops once every estimate falls to atol + rtol * P_e.  The default
     tolerance 0 is never met, so P_e is the fixed rule's answer.  A shape
-    whose theta leaves (0, pi) at any node is masked.  Coefficients that are
-    not 2-D and durations that are not finite and positive raise ValueError.
+    whose theta leaves (0, pi), or is nan, at any node is masked.
+    Coefficients that are not a 2-D matrix with at least one row, and
+    durations that are empty or not finite and positive, raise ValueError.
     """
     lam = np.asarray(coefficients, dtype=float)
     t_ps = np.atleast_1d(np.asarray(t_ps, dtype=float))
-    if lam.ndim != 2:
-        raise ValueError("coefficients must be a (K, n_m) matrix")
-    if not np.all(np.isfinite(t_ps) & (t_ps > 0.0)):
-        raise ValueError("durations t_ps must be finite and positive")
+    if lam.ndim != 2 or not len(lam):
+        raise ValueError("coefficients must be a (K, n_m) matrix with K >= 1")
+    if not (t_ps.size and np.all(np.isfinite(t_ps) & (t_ps > 0.0))):
+        raise ValueError("durations t_ps must be given, finite and positive")
     lam = np.ascontiguousarray(lam.T)  # the basis evaluation takes (n_m, K)
     rejected = np.zeros(lam.shape[1], dtype=bool)
 
@@ -343,18 +333,18 @@ def remapped_p_e(
     def shapes(theta):
         # (3, n, K) to (K, 3, n), masking the shapes that leave (0, pi)
         theta = theta.transpose(2, 0, 1)
-        rejected[:] |= np.any((theta <= 0.0) | (theta >= math.pi), axis=(1, 2))
+        rejected[:] |= ~np.all((theta > 0.0) & (theta < math.pi), axis=(1, 2))  # and nan
         return theta
 
     # a coarse pass sizes the fixed step rule for the longest duration, with
-    # the constant gap 2 h_x tau_p; its last point, u = 1, gives each shape
+    # the constant gap 2 tau_p; its last point, u = 1, gives each shape
     # its end angle
     u = np.append(nodes(64), 1.0)
     theta, dtheta = _theta_series(mode, lam, 1.0, theta_i, u), _dtheta_series(mode, lam, 1.0, u)
     bra = np.ascontiguousarray(excited_state(theta[-1]).T.conj()[..., None])  # (K, 2, 1)
     theta, dtheta = shapes(theta[:-1].reshape(3, 64, -1)), dtheta[:-1].reshape(3, 64, -1)
     tau_max = np.max(t_ps) / (np.mean(np.sin(theta), axis=-1) @ GAUSS3_WEIGHTS)
-    phase = 2.0 * h_x * tau_max + np.max(np.abs(dtheta), axis=(0, 1))
+    phase = 2.0 * tau_max + np.max(np.abs(dtheta), axis=(0, 1))
     n_rule = _fixed_step_count(
         float(np.max(phase, where=~rejected, initial=0.0)), TAU_PHASE_PER_STEP, 64
     )
@@ -363,7 +353,7 @@ def remapped_p_e(
     def run(n):
         p1, p3, p5, q2, q4 = _tau_exponent(shapes(_theta_series(mode, lam, 1.0, theta_i, nodes(n))))
         # one chain per shape and duration; Re p1 sums to int sin theta
-        s = ((h_x / np.sum(p1.real, axis=-1))[..., None] * t_ps)[..., None]
+        s = ((1.0 / np.sum(p1.real, axis=-1))[..., None] * t_ps)[..., None]
         s2 = s * s
 
         def steps(k, m):

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
-from .geometry import _transverse_field, omega_from_theta, theta_from_fields
+from .geometry import omega_from_theta, theta_from_fields
 from .remap import remapped_trajectory
 from .waveform import BasisMode, FourierWaveform, SampledTrajectory
 
@@ -78,8 +78,9 @@ class Objective:
     """What the coefficient search minimizes.
 
     The spectral kind needs only the dimensionless band edge `cutoff`
-    (omega t_p / 2 pi).  The exact kind scores trajectories and needs the
-    endpoint angles, the lab-duration window 0 < lo <= hi < inf, and
+    (omega t_p / 2 pi).  The exact kind scores trajectories at h_x = 1 (the
+    crossing period is pi) and needs the endpoint angles, the lab-duration
+    window 0 < lo <= hi < inf, and
     optionally a finite Gaussian rounding width (lab time units) applied to
     the control h_z(t).  It scores the worst error over the distinct values of
     WINDOW_DURATIONS evenly spaced durations, one duration when lo = hi.
@@ -93,10 +94,8 @@ class Objective:
     convolution_sigma: float = 0.0
     theta_i: float | None = None
     theta_f: float | None = None
-    h_x: float = 1.0
 
     def __post_init__(self):
-        _transverse_field(self.h_x)
         if not 0 <= self.convolution_sigma < np.inf:
             raise ValueError(
                 f"convolution_sigma must be finite and >= 0, got {self.convolution_sigma}"
@@ -212,7 +211,7 @@ class _ExactObjective:
     lab grid when rounded.  score() scores a batch of candidates; report()
     scores the result."""
 
-    def __init__(self, objective: Objective, mode: BasisMode, n_m: int):
+    def __init__(self, objective: Objective, mode: BasisMode):
         self._obj = objective
         self._mode = mode
         # the distinct durations, sorted; np.unique would import numpy.ma
@@ -231,7 +230,7 @@ class _ExactObjective:
         obj = self._obj
         self.evaluations += len(lams)
         if obj.convolution_sigma == 0:
-            result = remapped_p_e(self._mode, lams, obj.theta_i, self._grid, obj.h_x, atol, rtol)
+            result = remapped_p_e(self._mode, lams, obj.theta_i, self._grid, atol, rtol)
             self.steps += result.p_e.size * result.steps
             worst, error = result.p_e.max(1), result.step_error.max(1)
             self.rejected += int(np.count_nonzero(result.rejected))
@@ -240,7 +239,7 @@ class _ExactObjective:
         for k, lam in enumerate(lams):
             w = FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f)
             try:
-                unit = remapped_trajectory(w, 1.0, n_samples=ROUNDED_SAMPLES, h_x=obj.h_x)
+                unit = remapped_trajectory(w, 1.0, n_samples=ROUNDED_SAMPLES)
                 for t_p in self._grid:
                     lab = unit.with_t_p(float(t_p))
                     r = evolve_two_level_direct(convolve_trajectory(lab, obj.convolution_sigma))
@@ -308,7 +307,7 @@ def optimize_coefficients(
         value = _SpectralObjective(objective, mode, n_m)
         lam = value.minimizer(constraint_value)
         return OptimizationReport(lam, value(lam), iterations=0, converged=True)
-    value = _ExactObjective(objective, mode, n_m)
+    value = _ExactObjective(objective, mode)
     if n_m == 1:
         return value.report(_assemble(mode, np.empty(0), 1, constraint_value), 0, True)
 
@@ -471,32 +470,30 @@ def optimize_cz_pulse(
     sigma: float,
     t_p_window: tuple | None = None,
     seed: int = 0,
-    h_x: float = 1.0,
     max_iterations: int = 300,
 ) -> OptimizationReport:
     """Out-and-back excursion search scored by exact dynamics.
 
     The candidate is a theta-basis waveform from theta_i out to theta_f and
     back, remapped onto lab time, optionally rounded with a Gaussian of
-    width sigma (lab time), and scored by the worst exact error over the
-    duration window (default windows frozen against the reference solutions:
-    around one crossing period without rounding, around two with it).
+    width sigma (lab time), and scored by the worst exact error at h_x = 1
+    over the duration window (default windows frozen against the reference
+    solutions: around one crossing period, pi, without rounding, around two
+    with it).
     """
     if not 0 < theta_i <= theta_f < np.pi / 2:
         raise ValueError("need 0 < theta_i <= theta_f < pi/2")
-    t_x = np.pi / _transverse_field(h_x)
     if t_p_window is None:
-        t_p_window = (0.9 * t_x, 1.15 * t_x) if sigma == 0 else (1.85 * t_x, 2.15 * t_x)
+        t_p_window = (0.9 * np.pi, 1.15 * np.pi) if sigma == 0 else (1.85 * np.pi, 2.15 * np.pi)
     objective = Objective(
         kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW,
         t_p_window=t_p_window,
         convolution_sigma=sigma,
         theta_i=theta_i,
         theta_f=theta_f,
-        h_x=h_x,
     )
     if theta_f == theta_i:
-        value = _ExactObjective(objective, BasisMode.THETA, n_coeffs)
+        value = _ExactObjective(objective, BasisMode.THETA)
         return value.report(np.zeros(n_coeffs), 0, True)
     return optimize_coefficients(
         n_coeffs,

@@ -69,8 +69,8 @@ def build_remap(theta_of_tau, tau_p: float) -> RemapTable:
     return RemapTable(tau=tau, t_of_tau=t, theta_of_tau=theta)
 
 
-def invert_remap(table: RemapTable, t_grid, h_x: float = 1.0) -> SampledTrajectory:
-    """Resample theta onto a uniform lab-time grid.
+def invert_remap(table: RemapTable, t_grid) -> SampledTrajectory:
+    """Resample theta onto a uniform lab-time grid, at h_x = 1.
 
     Uses shape-preserving (monotone) cubic interpolation of (t(tau), theta)
     so dtheta/dt stays continuous for the dynamics backends.
@@ -83,9 +83,9 @@ def invert_remap(table: RemapTable, t_grid, h_x: float = 1.0) -> SampledTrajecto
         times=t,
         theta=theta,
         dtheta_dt=dtheta,
-        h_z=h_z_from_theta(theta, h_x),
-        omega=omega_from_theta(theta, h_x),
-        h_x=h_x,
+        h_z=h_z_from_theta(theta),
+        omega=omega_from_theta(theta),
+        h_x=1.0,
     )
 
 
@@ -93,9 +93,9 @@ def remapped_trajectory(
     w: FourierWaveform,
     t_p_lab: float,
     n_samples: int = 4096,
-    h_x: float = 1.0,
 ) -> SampledTrajectory:
-    """Map a tau-frame waveform onto a lab trajectory of target duration.
+    """Map a tau-frame waveform onto a lab trajectory of target duration, at
+    h_x = 1.
 
     The lab duration scales exactly linearly with the frame duration,
     t_p = tau_p * mean(sin theta), so the map is built at unit lab duration
@@ -113,4 +113,4 @@ def remapped_trajectory(
     mean_rate = float(np.trapezoid(np.sin(theta_shape), u))
     table = build_remap(theta_shape, 1.0 / mean_rate)
     t_grid = np.linspace(0.0, table.t_p, n_samples)
-    return invert_remap(table, t_grid, h_x=h_x).with_t_p(t_p_lab)
+    return invert_remap(table, t_grid).with_t_p(t_p_lab)

@@ -95,10 +95,10 @@ def psd(times, values, omegas) -> SpectralDensity:
     values : array
         Real signal samples f(t).
     omegas : array
-        Nonnegative angular frequencies at which to evaluate S.
+        Finite, nonnegative angular frequencies at which to evaluate S.
     """
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if np.any(w < 0):
-        raise ValueError("frequency grid must be nonnegative")
+    if not np.all((w >= 0) & (w < np.inf)):  # refuses nan too
+        raise ValueError("frequency grid must be finite and nonnegative")
     F = fourier_integral(times, values, w)
     return SpectralDensity(omegas=w, values=np.abs(F) ** 2)

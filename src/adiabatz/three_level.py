@@ -72,8 +72,7 @@ class ThreeLevelPulse:
         )
         if not 0 < self.t_p < math.inf:  # refuses nan too
             raise ValueError(f"t_p must be positive and finite, got {self.t_p}")
-        if not (math.isfinite(self.delta) and self.delta != 0):
-            raise ValueError(f"delta must be finite and nonzero, got {self.delta}")
+        _anharmonicity(self.delta)
         for name in ("drag_d", "detuning", "drive_phase", "envelope_x"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -114,6 +113,11 @@ class ThreeLevelResult:
     qubit_subspace_error: float
 
 
+def _anharmonicity(delta: float) -> None:
+    if not (math.isfinite(delta) and delta != 0):  # refuses nan too
+        raise ValueError(f"delta must be finite and nonzero, got {delta}")
+
+
 def drag_envelope(envelope_x, drag_d: float, delta: float, dt: float) -> np.ndarray:
     """Complex envelope W = x - i D xdot / delta.
 
@@ -121,8 +125,7 @@ def drag_envelope(envelope_x, drag_d: float, delta: float, dt: float) -> np.ndar
     Fourier-basis envelopes vanish at the ends, so the one-sided error there
     is benign.
     """
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
+    _anharmonicity(delta)
     x = np.asarray(envelope_x, dtype=float)
     xdot = np.gradient(x, dt)
     return x - 1j * drag_d * xdot / delta
@@ -130,8 +133,7 @@ def drag_envelope(envelope_x, drag_d: float, delta: float, dt: float) -> np.ndar
 
 def stark_shift(x, drag_d: float, delta: float):
     """Drive-induced frequency shift -(1 + 2D) x^2 / (2 delta); array-friendly."""
-    if delta == 0:
-        raise ValueError("delta must be nonzero")
+    _anharmonicity(delta)
     x = np.asarray(x, dtype=float)
     return -(1.0 + 2.0 * drag_d) * x**2 / (2.0 * delta)
 
@@ -278,15 +280,15 @@ def calibrate_pulse(
         raise ValueError("shape must be finite")
     times = np.linspace(0.0, t_p, len(shape))
     area = float(np.trapezoid(shape, times))
-    if area == 0:
-        raise ValueError("shape must have nonzero area")
-    amp0 = target.angle / area
+    amp0 = target.angle / area if area else math.inf
+    if not math.isfinite(amp0):  # a zero or subnormal area
+        raise ValueError(f"shape must have an area with a finite reciprocal, got {area!r}")
 
     def build(params) -> ThreeLevelPulse:
         amp, det, phase = params
         return ThreeLevelPulse(
             envelope_x=amp * shape,
-            drag_d=drag_d if levels == 3 else 0.0,
+            drag_d=drag_d,
             delta=delta,
             detuning=det,
             t_p=t_p,

@@ -12,9 +12,12 @@ theta basis the angle itself is the series (out-and-back trajectories),
 
 whose midpoint excursion fixes theta_f - theta_i = 2 * sum_{n odd} lam'_n.
 
-A SampledTrajectory refuses an angle outside (0, pi): with h_x > 0 fixed no
-field points there (the ends are |h_z| -> inf).  Sampling such a shape
-raises ValueError, as remapping it does, rather than clamping the angle.
+A SampledTrajectory carries its transverse field h_x; the builders here
+(sample_trajectory, small_angle_trajectory, linear_ramp_trajectory) work at
+h_x = 1, the units of every caller.  It refuses an angle outside (0, pi):
+with h_x > 0 fixed no field points there (the ends are |h_z| -> inf).
+Sampling such a shape raises ValueError, as remapping it does, rather than
+clamping the angle.
 """
 
 from __future__ import annotations
@@ -259,36 +262,37 @@ class SampledTrajectory:
         )
 
 
-def sample_trajectory(
-    w: FourierWaveform, n_samples: int = 1024, h_x: float = 1.0
-) -> SampledTrajectory:
-    """Sample a waveform into a physical trajectory (omega tied to theta).
+def sample_trajectory(w: FourierWaveform, n_samples: int = 1024) -> SampledTrajectory:
+    """Sample a waveform into a physical trajectory at h_x = 1 (omega tied
+    to theta).
 
     A shape whose angle leaves (0, pi) raises ValueError; it is not clamped.
     """
     times = np.linspace(0.0, w.t_p, n_samples)
     theta, dtheta = eval_fourier(w, times)
     with np.errstate(divide="ignore"):  # at theta = 0; the constructor refuses it
-        h_z, omega = h_z_from_theta(theta, h_x), omega_from_theta(theta, h_x)
+        h_z, omega = h_z_from_theta(theta), omega_from_theta(theta)
     return SampledTrajectory(
-        times=times, theta=theta, dtheta_dt=dtheta, h_z=h_z, omega=omega, h_x=h_x
+        times=times, theta=theta, dtheta_dt=dtheta, h_z=h_z, omega=omega, h_x=1.0
     )
 
 
 def small_angle_trajectory(
-    w: FourierWaveform, omega0: float, n_samples: int = 1024, h_x: float = 1.0
+    w: FourierWaveform, omega0: float, n_samples: int = 1024
 ) -> SampledTrajectory:
     """Constant-frequency idealization: theta follows the waveform, omega is
     pinned at omega0.  This is the regime in which the error equals the
     waveform's spectral density at omega0 (up to the 1/4 factor)."""
     return dataclasses.replace(
-        sample_trajectory(w, n_samples, h_x), omega=np.full(n_samples, float(omega0))
+        sample_trajectory(w, n_samples), omega=np.full(n_samples, float(omega0))
     )
 
 
 def linear_ramp_trajectory(span: float, rate: float, n_samples: int) -> SampledTrajectory:
     """Linear h_z sweep from +span to -span at |dh_z/dt| = rate with h_x = 1
     (the Landau-Zener ramp), with theta and its rate in closed form."""
+    if not (0 < span < np.inf and 0 < rate < np.inf):  # refuses nan too
+        raise ValueError(f"span and rate must be finite and positive, got {span}, {rate}")
     t = np.linspace(0.0, 2.0 * span / rate, n_samples)
     h_z = span - rate * t
     return SampledTrajectory(

@@ -132,8 +132,12 @@ def test_landau_zener_formula():
         < landau_zener_error(1.0, 0.3)
         < landau_zener_error(1.0, 0.5)
     )
-    with pytest.raises(ValueError):
-        landau_zener_error(1.0, 0.0)
+    for rate in (0.0, -1.0, np.nan):  # nan gave a nan probability
+        with pytest.raises(ValueError, match="ramp_rate"):
+            landau_zener_error(1.0, rate)
+    for h_x in (0.0, -1.0, np.inf, np.nan):  # each used to be accepted
+        with pytest.raises(ValueError, match="h_x"):
+            landau_zener_error(h_x, 0.3)
 
 
 def test_error_result_validates_probability():

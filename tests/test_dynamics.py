@@ -52,7 +52,7 @@ def smooth_sweep(t_p=20.0, n=2049):
 def test_stationary_state_stays_put():
     traj = constant_theta(0.7)
     assert evolve_two_level_direct(traj).p_e < 1e-12
-    # the product ODE has u = 0 as an exact fixed point when dtheta/dt = 0
+    # the ODE's excited amplitude stays exactly 0 when dtheta/dt = 0
     assert evolve_two_level_exact(traj).p_e == 0.0
 
 
@@ -173,10 +173,11 @@ def test_remapped_two_coefficient_minimum():
 
 
 def test_ab_product_bound_enforced():
+    # |alpha* beta| of (0.8, 0.7j), not a unit state, is 0.56 > 1/2
     with pytest.raises(RuntimeError):
-        TwoLevelState(ab_product=0.3 + 0.45j)
-    state = TwoLevelState(ab_product=0.5 + 0.0j)
-    assert state.amplitudes is None
+        TwoLevelState((0.8 + 0j, 0.7j))
+    state = TwoLevelState((np.sqrt(0.5) + 0j, np.sqrt(0.5) + 0j))
+    assert state.ab_product == pytest.approx(0.5)
 
 
 def test_argument_validation():
@@ -186,12 +187,26 @@ def test_argument_validation():
     # the constant-gap kernel takes positive finite durations and a
     # (K, n_m) coefficient matrix
     lams = np.array([[1.0, 0.1]])
-    for t_ps in ([T_X, 0.0], [-T_X], [np.nan], [T_X, np.inf]):
+    # (empty durations and an empty batch failed inside numpy)
+    for t_ps in ([T_X, 0.0], [-T_X], [np.nan], [T_X, np.inf], []):
         with pytest.raises(ValueError, match="t_ps"):
             remapped_p_e(BasisMode.DERIVATIVE, lams, 0.3, t_ps)
-    for coefficients in (lams[0], lams[None]):
+    for coefficients in (lams[0], lams[None], lams[:0]):
         with pytest.raises(ValueError, match="coefficients"):
             remapped_p_e(BasisMode.DERIVATIVE, coefficients, 0.3, [T_X])
+
+
+def test_tau_frame_masks_nan_angles():
+    # a nan angle passed the (0, pi) mask and failed the step rule with
+    # "cannot convert float NaN to integer"; now its row is masked and the
+    # others score what they score alone
+    good = np.array([[0.25, 0.05]])
+    alone = remapped_p_e(BasisMode.THETA, good, 0.1, [T_X])
+    mixed = remapped_p_e(BasisMode.THETA, np.vstack([[np.nan, 0.0], good[0]]), 0.1, [T_X])
+    assert list(mixed.rejected) == [True, False]
+    assert mixed.p_e[0, 0] == 0.0 and np.array_equal(mixed.p_e[1:], alone.p_e)
+    everything = remapped_p_e(BasisMode.THETA, good, np.nan, [T_X])
+    assert list(everything.rejected) == [True] and everything.p_e[0, 0] == 0.0
 
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -245,7 +260,7 @@ def kernel(ws, t_ps, atol=0.0, rtol=0.0):
     # mode and start angle, one row each
     ws = ws if isinstance(ws, list) else [ws]
     lams = np.array([w.with_t_p(1.0).coefficients for w in ws])
-    return remapped_p_e(ws[0].mode, lams, ws[0].theta_i, t_ps, 1.0, atol, rtol)
+    return remapped_p_e(ws[0].mode, lams, ws[0].theta_i, t_ps, atol, rtol)
 
 
 # the criterion-05 sweep (h_z from +10 to -10) and an out-and-back excursion
@@ -526,6 +541,23 @@ def test_unmet_tolerance_stops_at_the_fixed_rule(monkeypatch):
     assert result.p_e == evolve_two_level_direct(traj, n_steps=n_rule).p_e
     assert result.steps == sum(doubling_series(n_rule, dynamics.PILOT_DIVISOR))
     assert result.step_error > 0.0
+
+
+@settings(deadline=None, max_examples=25)
+@given(gentle_waveforms, st.floats(0.8, 2.5), st.floats(0.2, 5.0))
+def test_transverse_field_only_sets_the_time_unit(w, span, c):
+    # c (sin theta sigma_x + cos theta sigma_z) over t is the h_x = 1
+    # Hamiltonian over c t: a trajectory at h_x = c is its h_x = 1 copy with
+    # the times divided by c and dtheta/dt times c, so the builders and the
+    # search, which work at h_x = 1, lose nothing
+    unit = sample_trajectory(w.with_t_p(span * T_X), 1024)
+    scaled = SampledTrajectory(
+        unit.times / c, unit.theta, unit.dtheta_dt * c, unit.h_z * c, unit.omega * c, c
+    )
+    for evolve in (evolve_two_level_direct, evolve_two_level_exact):
+        at_c, at_1 = evolve(scaled), evolve(unit)
+        assert at_c.steps == at_1.steps
+        assert abs(at_c.p_e - at_1.p_e) <= 1e-12
 
 
 @settings(deadline=None, max_examples=25)

@@ -356,17 +356,17 @@ def test_masked_candidate_is_counted_once():
         theta_i=0.1, theta_f=0.6,
     )
     lams = np.array([[0.25, 0.0], [0.25, 0.05], [0.25, -0.2], [0.25, -0.05]])
-    value = _ExactObjective(objective, BasisMode.THETA, 2)
+    value = _ExactObjective(objective, BasisMode.THETA)
     scores, errors = value.score(lams, STEP_ATOL, SEARCH_RTOL)
     assert (value.rejected, value.evaluations) == (1, 4)
     assert scores[2] == 1.0 and np.isnan(errors[2])
-    alone, _ = _ExactObjective(objective, BasisMode.THETA, 2).score(
+    alone, _ = _ExactObjective(objective, BasisMode.THETA).score(
         np.delete(lams, 2, 0), STEP_ATOL, SEARCH_RTOL
     )
     assert np.array_equal(np.delete(scores, 2), alone)
     assert np.all(alone < 0.1)
     # reported, the masked candidate reads 1.0 with no step error
-    rep = _ExactObjective(objective, BasisMode.THETA, 2).report(lams[2], 0, True)
+    rep = _ExactObjective(objective, BasisMode.THETA).report(lams[2], 0, True)
     assert (rep.objective_value, rep.step_error, rep.rejected, rep.evaluations) == (
         1.0, None, 1, 1
     )
@@ -386,7 +386,7 @@ def test_rounded_score_remaps_each_candidate_once(monkeypatch):
         kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(1.85 * np.pi, 2.15 * np.pi),
         convolution_sigma=CZ_ROUNDING_SIGMA_PERIODS * np.pi, theta_i=0.1, theta_f=0.6,
     )
-    value = _ExactObjective(objective, BasisMode.THETA, 2)
+    value = _ExactObjective(objective, BasisMode.THETA)
     scores, _ = value.score(np.array([[0.25, -0.05]]), STEP_ATOL, SEARCH_RTOL)
     assert calls == [1.0]
     assert value.rejected == 0 and 0.0 < scores[0] < 1.0
@@ -440,12 +440,6 @@ def test_objective_validation():
             Objective(
                 kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=window,
                 theta_i=0.3, theta_f=2.2,
-            )
-    for h_x in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="h_x"):
-            Objective(
-                kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(4.0, 4.0),
-                theta_i=0.3, theta_f=2.2, h_x=h_x,
             )
 
 
@@ -547,7 +541,3 @@ def test_excursion_search_preconditions():
         optimize_cz_pulse(0.6, 0.5, 2, 0.0)
     with pytest.raises(ValueError, match="convolution_sigma"):
         optimize_cz_pulse(0.1, 0.8, 1, float("nan"))
-    # refused before the crossing period pi / h_x is worked out
-    for h_x in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="h_x"):
-            optimize_cz_pulse(0.1, 0.5, 2, 0.0, h_x=h_x)

@@ -75,6 +75,22 @@ def test_benchmark_span_targets_resolve():
     assert not missing
 
 
+def test_benchmark_jobs_pass_on_the_library(tmp_path, monkeypatch):
+    # every job of each workload in bench/workloads.py, once at its small
+    # size: a pruning that breaks the benchmark's use of the library fails
+    # here, not in a benchmark run
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert workloads.BUILDERS
+    for name, build in workloads.BUILDERS.items():
+        ctx = workloads.PassContext(tmp_path / name, {})
+        for job in build(0, small=True).jobs:
+            job.run(ctx)
+
+
 # the scipy subpackages whose import dominated a run's start-up
 HEAVY_SCIPY = ("interpolate", "optimize", "linalg", "special", "sparse")
 

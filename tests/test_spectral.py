@@ -155,9 +155,11 @@ def test_accepts_rounded_grid_far_from_the_origin():
 
 
 def test_rejects_negative_frequency():
+    # and nan and inf, which gave a nan density with RuntimeWarnings
     t = np.linspace(0.0, 1.0, 16)
-    with pytest.raises(ValueError):
-        psd(t, np.ones(16), np.array([-1.0]))
+    for omega in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="frequency grid must be finite and nonnegative"):
+            psd(t, np.ones(16), np.array([1.0, omega]))
 
 
 def test_rejects_non_finite_signal():

@@ -28,8 +28,9 @@ def test_drag_envelope_trivials():
     dt = t[1] - t[0]
     assert np.array_equal(drag_envelope(x, 0.0, DELTA, dt), x)
     assert np.all(drag_envelope(np.zeros(64), -1.0, DELTA, dt) == 0)
-    with pytest.raises(ValueError):
-        drag_envelope(x, -1.0, 0.0, dt)
+    for delta in (0.0, np.nan, np.inf):  # nan gave a nan envelope
+        with pytest.raises(ValueError, match="^delta must be"):
+            drag_envelope(x, -1.0, delta, dt)
 
 
 def test_full_derivative_nulls_leakage_frequency():
@@ -56,8 +57,9 @@ def test_stark_shift_formula():
     # D = -1/2 cancels the shift at any amplitude
     x = np.linspace(0.0, 3.0, 7)
     assert np.all(stark_shift(x, -0.5, DELTA) == 0)
-    with pytest.raises(ValueError):
-        stark_shift(1.0, 0.0, 0.0)
+    for delta in (0.0, np.nan, np.inf):  # nan gave a nan shift
+        with pytest.raises(ValueError, match="^delta must be"):
+            stark_shift(1.0, 0.0, delta)
 
 
 def test_zero_envelope_is_phase_diagonal():
@@ -207,6 +209,16 @@ def test_calibration_refuses_what_is_not_finite(levels, field, value):
                 target=RotationTarget.PI_PULSE, levels=levels)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         calibrate_pulse(**{**args, field: value})
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+def test_calibration_refuses_a_shape_whose_seed_overflows(levels):
+    # a subnormal area made the area-theorem seed pi / area overflow, and the
+    # run failed inside numpy ("cannot convert float NaN to integer")
+    _, x = raised_cosine(64)
+    for shape in (np.zeros(64), 1e-320 * x):
+        with pytest.raises(ValueError, match="^shape must"):
+            calibrate_pulse(shape, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=levels)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3])

@@ -8,6 +8,7 @@ from adiabatz.waveform import (
     derivative_waveform,
     eval_fourier,
     hanning_window,
+    linear_ramp_trajectory,
     rectangular_window,
     sample_trajectory,
     small_angle_trajectory,
@@ -129,12 +130,13 @@ def test_with_t_p_keeps_theta_coefficients():
 
 def test_sample_trajectory_consistency():
     w = derivative_waveform(np.array([1.0866, -0.0866]), 4.0, 0.15, np.pi / 2)
-    traj = sample_trajectory(w, n_samples=513, h_x=0.7)
+    traj = sample_trajectory(w, n_samples=513)
     assert len(traj.times) == 513
     assert np.all(np.diff(traj.times) > 0)
     assert traj.times[-1] == pytest.approx(4.0)
-    assert traj.omega == pytest.approx(2 * 0.7 / np.sin(traj.theta), rel=1e-13)
-    assert traj.h_z == pytest.approx(0.7 / np.tan(traj.theta), rel=1e-12)
+    assert traj.h_x == 1.0
+    assert traj.omega == pytest.approx(2 / np.sin(traj.theta), rel=1e-13)
+    assert traj.h_z == pytest.approx(1 / np.tan(traj.theta), rel=1e-12)
 
 
 def test_small_angle_trajectory_pins_omega():
@@ -216,6 +218,16 @@ def test_out_of_range_theta_is_refused():
         sample_trajectory(w, n_samples=257)
     with pytest.raises(ValueError, match=r"\(0, pi\)"):
         sample_trajectory(derivative_waveform([1.0], 1.0, 0.0, 1.0), n_samples=257)
+
+
+def test_linear_ramp_refuses_a_span_or_rate_that_is_not_finite_and_positive():
+    # a zero rate raised ZeroDivisionError, a nan span or rate "time grid
+    # must be uniform"
+    for span, rate in [(10.0, r) for r in (0.0, -0.3, np.nan, np.inf)] + [
+        (s, 0.3) for s in (0.0, -1.0, np.nan, np.inf)
+    ]:
+        with pytest.raises(ValueError, match="^span and rate must be"):
+            linear_ramp_trajectory(span, rate, 65)
 
 
 # ------------------------------------------------------------------ windows
