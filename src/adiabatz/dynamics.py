@@ -291,8 +291,8 @@ def remapped_p_e(
     """P_e of remapped Fourier waveforms at each lab duration in t_ps,
     stepped in the constant-gap frame on one shared grid, with step error
     estimates.  Row k of the (K, n_m) matrix coefficients holds the
-    unit-duration coefficients of a shape in the basis mode, from theta_i
-    to its own theta(u = 1); K x len(t_ps) chains share the grid.
+    coefficients of a shape in the basis mode, from theta_i to its own
+    theta(u = 1); K x len(t_ps) chains share the grid.
 
     At h_x = 1, under the remap 2 dtau = omega(t) dt the lab Hamiltonian
     becomes sin theta sigma_x + cos theta sigma_z in tau: the gap is a
@@ -340,7 +340,7 @@ def remapped_p_e(
     # the constant gap 2 tau_p; its last point, u = 1, gives each shape
     # its end angle
     u = np.append(nodes(64), 1.0)
-    theta, dtheta = _theta_series(mode, lam, 1.0, theta_i, u), _dtheta_series(mode, lam, 1.0, u)
+    theta, dtheta = _theta_series(mode, lam, theta_i, u), _dtheta_series(mode, lam, u)
     bra = np.ascontiguousarray(excited_state(theta[-1]).T.conj()[..., None])  # (K, 2, 1)
     theta, dtheta = shapes(theta[:-1].reshape(3, 64, -1)), dtheta[:-1].reshape(3, 64, -1)
     tau_max = np.max(t_ps) / (np.mean(np.sin(theta), axis=-1) @ GAUSS3_WEIGHTS)
@@ -351,7 +351,7 @@ def remapped_p_e(
     psi0 = ground_state(theta_i)
 
     def run(n):
-        p1, p3, p5, q2, q4 = _tau_exponent(shapes(_theta_series(mode, lam, 1.0, theta_i, nodes(n))))
+        p1, p3, p5, q2, q4 = _tau_exponent(shapes(_theta_series(mode, lam, theta_i, nodes(n))))
         # one chain per shape and duration; Re p1 sums to int sin theta
         s = ((1.0 / np.sum(p1.real, axis=-1))[..., None] * t_ps)[..., None]
         s2 = s * s

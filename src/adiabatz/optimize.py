@@ -5,12 +5,14 @@ above a band edge, with the edge realized as a narrow logistic ramp rather
 than a hard step (the soft edge keeps the quadratic form well conditioned
 and reproduces the published optima; see the closed-form basis transforms
 below).  It is a quadratic form in the coefficients and the endpoint
-constraint is linear, so its optimum is one linear least-squares solve.
+constraint a . lam = theta_f - theta_i is linear, so its optimum is one
+linear least-squares solve.  Coefficients are the shape over the unit
+duration in both bases (waveform), so one row serves every duration.
 Exact-dynamics objectives score candidate waveforms by the excitation
 left by exact two-level dynamics, and are searched by a restarted simplex
 whose restarts run in lockstep, each round's points scored as one batch.
 Without rounding the batch's coefficient matrix goes to the constant-gap
-kernel (dynamics.remapped_p_e), where theta(tau) is the waveform in closed
+kernel (dynamics.remapped_p_e), where theta(u) is the shape in closed
 form, in one call on one grid for every candidate and distinct duration of
 the window (a window with lo = hi scores its one duration), and a candidate
 whose angle leaves (0, pi) is masked and scores 1.0; the search steps it
@@ -34,7 +36,7 @@ import numpy as np
 from .dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
 from .geometry import omega_from_theta, theta_from_fields
 from .remap import remapped_trajectory
-from .waveform import BasisMode, FourierWaveform, SampledTrajectory
+from .waveform import CONSTRAINT_TOL, BasisMode, FourierWaveform, SampledTrajectory, _constraint_row
 
 __all__ = [
     "CZ_ROUNDING_SIGMA_PERIODS",
@@ -196,13 +198,12 @@ class _SpectralObjective:
         weighted amplitude is affine in the free terms, so the optimum is one
         least-squares solve on sqrt(w) B (conditioned like B, not like
         B^T diag(w) B; never above the one-term window, free = 0)."""
-        n_m = self._basis.shape[1]
-        a = _constraint_row(self._mode, n_m)
+        a = _constraint_row(self._mode, self._basis.shape[1])
         root = np.sqrt(self._weighted)
         first = root * self._basis[:, 0] / a[0]
         design = root[:, None] * self._basis[:, 1:] - np.outer(first, a[1:])
         free, *_ = np.linalg.lstsq(design, -c * first, rcond=None)
-        return _assemble(self._mode, free, n_m, c)
+        return _assemble(a, free, c)
 
 
 class _ExactObjective:
@@ -259,22 +260,10 @@ class _ExactObjective:
         )
 
 
-def _constraint_row(mode: BasisMode, n_m: int) -> np.ndarray:
-    # a with a.lam = theta_f - theta_i at unit duration (constraint_residual)
-    if mode is BasisMode.DERIVATIVE:
-        return np.ones(n_m)
-    return 2.0 * (np.arange(n_m) % 2 == 0)
-
-
-def _assemble(mode: BasisMode, free: np.ndarray, n_m: int, constraint_value: float) -> np.ndarray:
-    """Fill lambda_1 from the endpoint constraint (hard elimination)."""
-    lam = np.empty(n_m)
-    lam[1:] = free
-    if mode is BasisMode.DERIVATIVE:
-        lam[0] = constraint_value - lam[1:].sum()
-    else:
-        lam[0] = constraint_value / 2.0 - lam[2::2].sum()
-    return lam
+def _assemble(a: np.ndarray, free: np.ndarray, constraint_value: float) -> np.ndarray:
+    """Fill lambda_1 from the endpoint constraint a . lam = constraint_value
+    (hard elimination)."""
+    return np.concatenate([[(constraint_value - np.sum(a[1:] * free)) / a[0]], free])
 
 
 def optimize_coefficients(
@@ -287,12 +276,13 @@ def optimize_coefficients(
 ) -> OptimizationReport:
     """Coefficients minimizing the objective under the endpoint constraint.
 
-    lambda_1 is solved out of the endpoint constraint, so the result
-    satisfies it exactly.  The spectral band power is a quadratic form with a
-    linear constraint, so its optimum is one linear solve (seed and
-    max_iterations go unused; iterations 0, converged True).  Exact
-    objectives get a simplex search over the n_m - 1 free coefficients with
-    eight seeded restarts: a flat start (the one-term waveform),
+    lambda_1 is solved out of the endpoint constraint a . lam =
+    constraint_value; an exact objective refuses any constraint_value but
+    its theta_f - theta_i (to CONSTRAINT_TOL).  The spectral band power is a
+    quadratic form with a linear constraint, so its optimum is one linear
+    solve (seed and max_iterations go unused; iterations 0, converged True).
+    Exact objectives get a simplex search over the n_m - 1 free coefficients
+    with eight seeded restarts: a flat start (the one-term waveform),
     deterministic single-coordinate spokes (that landscape is multimodal and
     the useful basins sit well away from zero), and random perturbations
     from the given seed.  The restarts (_simplex) advance in lockstep and
@@ -307,9 +297,12 @@ def optimize_coefficients(
         value = _SpectralObjective(objective, mode, n_m)
         lam = value.minimizer(constraint_value)
         return OptimizationReport(lam, value(lam), iterations=0, converged=True)
-    value = _ExactObjective(objective, mode)
+    delta = objective.theta_f - objective.theta_i
+    if not abs(constraint_value - delta) <= CONSTRAINT_TOL * max(1.0, abs(delta)):
+        raise ValueError(f"constraint_value {constraint_value} is not theta_f - theta_i = {delta}")
+    value, a = _ExactObjective(objective, mode), _constraint_row(mode, n_m)
     if n_m == 1:
-        return value.report(_assemble(mode, np.empty(0), 1, constraint_value), 0, True)
+        return value.report(_assemble(a, np.empty(0), constraint_value), 0, True)
 
     rng = np.random.default_rng(seed)
     scale = 0.05 * max(1.0, abs(constraint_value))
@@ -328,12 +321,12 @@ def optimize_coefficients(
     results = _lockstep(
         [_simplex(x0, max_iterations) for x0 in starts],
         lambda z: value.score(
-            np.array([_assemble(mode, x, n_m, constraint_value) for x in z]), STEP_ATOL, SEARCH_RTOL
+            np.array([_assemble(a, x, constraint_value) for x in z]), STEP_ATOL, SEARCH_RTOL
         )[0],
     )
     x, _, _, converged = min(results, key=lambda res: res[1])
     iterations = sum(res[2] for res in results)
-    return value.report(_assemble(mode, x, n_m, constraint_value), iterations, converged)
+    return value.report(_assemble(a, x, constraint_value), iterations, converged)
 
 
 def _simplex(x0: np.ndarray, max_iterations: int):

@@ -9,7 +9,8 @@ cumulative quadrature; the inverse is monotone cubic (PCHIP) interpolation
 The map is linear in the duration, so a shape is remapped once, at unit lab
 duration, and stretched to the duration asked for
 (SampledTrajectory.with_t_p); a sweep over durations stretches the one unit
-trajectory to each of them.
+trajectory to each of them.  A waveform's coefficients are its shape over
+u = t / t_p, so the remap reads them and never the waveform's own t_p.
 """
 
 from __future__ import annotations
@@ -97,19 +98,18 @@ def remapped_trajectory(
     """Map a tau-frame waveform onto a lab trajectory of target duration, at
     h_x = 1.
 
-    The lab duration scales exactly linearly with the frame duration,
-    t_p = tau_p * mean(sin theta), so the map is built at unit lab duration
-    (tau_p = 1 / mean(sin theta)) and its lab trajectory is stretched to
-    t_p_lab.  The tau grid and the lab grid both have n_samples points.
-    A duration sweep builds remapped_trajectory(w, 1.0, n) once and stretches
-    it to each t_p with with_t_p, which gives remapped_trajectory(w, t_p, n)
-    bitwise.
+    Only the shape of w is read, not its t_p.  The lab duration scales
+    exactly linearly with the frame duration, t_p = tau_p * mean(sin theta),
+    so the map is built at unit lab duration (tau_p = 1 / mean(sin theta))
+    and its lab trajectory is stretched to t_p_lab.  The tau grid and the
+    lab grid both have n_samples points.  A duration sweep builds
+    remapped_trajectory(w, 1.0, n) once and stretches it to each t_p with
+    with_t_p, which gives remapped_trajectory(w, t_p, n) bitwise.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
     u = np.linspace(0.0, 1.0, n_samples)
-    shape = w.with_t_p(1.0)  # eval_fourier's theta, without its unused rate
-    theta_shape = _theta_series(shape.mode, shape.coefficients, 1.0, shape.theta_i, u)
+    theta_shape = _theta_series(w.mode, w.coefficients, w.theta_i, u)
     mean_rate = float(np.trapezoid(np.sin(theta_shape), u))
     table = build_remap(theta_shape, 1.0 / mean_rate)
     t_grid = np.linspace(0.0, table.t_p, n_samples)

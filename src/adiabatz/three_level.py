@@ -35,6 +35,8 @@ __all__ = [
 UNITARITY_TOL = 1e-9
 # qubit-subspace error below which a calibration counts as converged
 ERROR_TARGET = 1e-7
+# most steps of one propagation (150 MB a (n, 3, 3) array; drag-sweep takes ~1.8k)
+_MAX_STEPS = 1 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,6 +149,8 @@ def _gauss_nodes(times: np.ndarray, w: np.ndarray, max_energy: float, n_steps: i
         )
     elif n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if n_steps > _MAX_STEPS:
+        raise ValueError(f"step count {n_steps} exceeds the cap of {_MAX_STEPS}")
     h, nodes = _gauss_node_times(times[0], t_p, n_steps)
     w1, w2 = cubic_spline(times, w)(nodes)
     return h, w1, w2
@@ -269,7 +273,8 @@ def calibrate_pulse(
     qubit-block residual off the target rotation (see _subspace_residual),
     seeded by the area theorem and the mean Stark shift; if the subspace
     error cannot reach ERROR_TARGET the best point found is returned with
-    converged=False (optimizer_success is the least-squares status).
+    converged=False (optimizer_success is the least-squares status).  A trial
+    point that cannot be propagated (past _MAX_STEPS) scores full error.
     """
     if levels not in (2, 3):
         raise ValueError("levels must be 2 or 3")
@@ -308,11 +313,13 @@ def calibrate_pulse(
         det0 = float(np.mean(stark_shift(amp0 * shape, drag_d, delta)))
     from scipy.optimize import least_squares  # ~0.7 s to import, so not at the top
 
-    fit = least_squares(
-        lambda p: _subspace_residual(evolve(p).unitary[:2, :2], target),
-        np.array([amp0, det0, 0.0]),
-        method="lm",
-    )
+    def residual(params) -> np.ndarray:  # the fit backs off from a refused point
+        try:
+            return _subspace_residual(evolve(params).unitary[:2, :2], target)
+        except ValueError:
+            return np.ones(8)
+
+    fit = least_squares(residual, np.array([amp0, det0, 0.0]), method="lm")
     final = evolve(fit.x)
     amp, det, phase = (float(v) for v in fit.x)
     return CalibrationResult(

@@ -1,16 +1,19 @@
 """Fourier-basis control waveforms, sampled trajectories, and window functions.
 
-Two parameterizations of the control angle are supported.  In the derivative
-basis the rate of change is a cosine series that vanishes at both ends,
+Two parameterizations of the control angle, each a shape over the unit
+duration u = t / t_p, are supported; t_p alone sets the duration.  In the
+derivative basis the rate of change is a cosine series that vanishes at
+both ends,
 
-    dtheta/dt = sum_n lam_n * (1 - cos(2 pi n t / t_p)),
+    dtheta/du = sum_n lam_n * (1 - cos(2 pi n u)),
 
-with the endpoint constraint theta_f - theta_i = t_p * sum_n lam_n.  In the
-theta basis the angle itself is the series (out-and-back trajectories),
+with the endpoint constraint theta_f - theta_i = sum_n lam_n.  In the theta
+basis the angle itself is the series (out-and-back trajectories),
 
-    theta(t) = theta_i + sum_n lam'_n * (1 - cos(2 pi n t / t_p)),
+    theta(u) = theta_i + sum_n lam'_n * (1 - cos(2 pi n u)),
 
 whose midpoint excursion fixes theta_f - theta_i = 2 * sum_{n odd} lam'_n.
+Both read a . lam = theta_f - theta_i, with a from _constraint_row.
 
 A SampledTrajectory carries its transverse field h_x; the builders here
 (sample_trajectory, small_angle_trajectory, linear_ramp_trajectory) work at
@@ -60,12 +63,12 @@ class FourierWaveform:
     Attributes
     ----------
     mode : BasisMode
-        DERIVATIVE for the dtheta/dt cosine series, THETA for the
+        DERIVATIVE for the dtheta/du cosine series, THETA for the
         out-and-back angle series.
     coefficients : np.ndarray
-        lam_1..lam_{n_m}; units 1/time for DERIVATIVE, radians for THETA.
+        lam_1..lam_{n_m} of the shape over u = t / t_p, radians in both bases.
     t_p : float
-        Pulse duration.
+        Pulse duration, the only duration the waveform holds.
     theta_i, theta_f : float
         Initial angle and target angle (midpoint excursion target for THETA).
     """
@@ -93,26 +96,22 @@ class FourierWaveform:
             )
 
     def with_t_p(self, t_p: float) -> "FourierWaveform":
-        """Same shape stretched to a new duration.
+        """Same shape, same coefficients, stretched to a new duration."""
+        return dataclasses.replace(self, t_p=t_p)
 
-        DERIVATIVE coefficients carry 1/time units, so they rescale with
-        1/t_p to keep the endpoint constraint; THETA coefficients are
-        durationless radians.
-        """
-        if self.mode is BasisMode.DERIVATIVE:
-            coeff = self.coefficients * (self.t_p / t_p)
-        else:
-            coeff = self.coefficients
-        return FourierWaveform(self.mode, coeff, t_p, self.theta_i, self.theta_f)
+
+def _constraint_row(mode: BasisMode, n_m: int) -> np.ndarray:
+    """a with a . lam = theta_f - theta_i: every term of the derivative
+    basis, twice the odd terms of the theta basis."""
+    if mode is BasisMode.DERIVATIVE:
+        return np.ones(n_m)
+    return 2.0 * (np.arange(n_m) % 2 == 0)
 
 
 def constraint_residual(w: FourierWaveform) -> float:
-    """Signed violation of the endpoint constraint for the waveform's basis."""
-    delta = w.theta_f - w.theta_i
-    if w.mode is BasisMode.DERIVATIVE:
-        return float(w.t_p * np.sum(w.coefficients) - delta)
-    odd = w.coefficients[0::2]
-    return float(2.0 * np.sum(odd) - delta)
+    """Signed violation of the endpoint constraint a . lam = theta_f - theta_i."""
+    a = _constraint_row(w.mode, len(w.coefficients))
+    return float(np.sum(a * w.coefficients) - (w.theta_f - w.theta_i))
 
 
 def derivative_waveform(
@@ -121,66 +120,66 @@ def derivative_waveform(
     """Convenience builder for the derivative basis.
 
     With normalized=True the input coefficients are taken as the
-    dimensionless published convention (sum = 1) and scaled by
-    (theta_f - theta_i)/t_p so the endpoint constraint holds exactly.
+    published convention (sum = 1) and scaled by theta_f - theta_i so the
+    endpoint constraint holds exactly; otherwise they are the shape's own.
     """
     c = np.atleast_1d(np.asarray(coefficients, dtype=float))
     if normalized:
         s = c.sum()
         if s == 0:
             raise ValueError("normalized coefficients must have nonzero sum")
-        c = c / s * (theta_f - theta_i) / t_p
+        c = c / s * (theta_f - theta_i)
     return FourierWaveform(BasisMode.DERIVATIVE, c, t_p, theta_i, theta_f)
 
 
 def theta_waveform(coefficients, t_p: float, theta_i: float, theta_f: float) -> FourierWaveform:
     """Convenience builder for the theta (out-and-back) basis."""
-    return FourierWaveform(
-        BasisMode.THETA, np.asarray(coefficients, dtype=float), t_p, theta_i, theta_f
-    )
+    return FourierWaveform(BasisMode.THETA, coefficients, t_p, theta_i, theta_f)
 
 
 def eval_fourier(w: FourierWaveform, t):
     """Evaluate theta(t) and dtheta/dt at the times t in [0, t_p].
 
-    Returns a (theta, dtheta_dt) pair of arrays shaped like t.
+    Returns a (theta, dtheta_dt) pair of arrays shaped like t.  The shape
+    is read at u = t / t_p, and its rate dtheta/du divided by t_p.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < -1e-12) or np.any(t_arr > w.t_p * (1 + 1e-12)):
         raise ValueError("t outside [0, t_p]")
+    u = t_arr / w.t_p
     return (
-        _theta_series(w.mode, w.coefficients, w.t_p, w.theta_i, t_arr),
-        _dtheta_series(w.mode, w.coefficients, w.t_p, t_arr),
+        _theta_series(w.mode, w.coefficients, w.theta_i, u),
+        _dtheta_series(w.mode, w.coefficients, u) / w.t_p,
     )
 
 
-def _phases(n_m: int, t_p: float, t):
-    return 2.0 * np.pi * np.multiply.outer(t / t_p, np.arange(1, n_m + 1))  # (..., n_m)
+def _phases(n_m: int, u):
+    return 2.0 * np.pi * np.multiply.outer(u, np.arange(1, n_m + 1))  # (..., n_m)
 
 
-def _theta_series(mode: BasisMode, coefficients, t_p: float, theta_i: float, t):
-    """eval_fourier's theta at the times t; an (n_m, K) coefficient matrix
-    gives K waveforms at once, on a trailing axis."""
+def _theta_series(mode: BasisMode, coefficients, theta_i: float, u):
+    """The shape theta(u) at the points u of [0, 1]; an (n_m, K) coefficient
+    matrix gives K shapes at once, on a trailing axis."""
     n_m = len(coefficients)
-    phases = _phases(n_m, t_p, t)
+    phases = _phases(n_m, u)
     if mode is BasisMode.DERIVATIVE:
         # closed-form integral of the series, exact at the sample points
         terms = np.arange(1, n_m + 1)
         return theta_i + (
-            np.multiply.outer(t, np.ones(n_m))
-            - (t_p / (2.0 * np.pi * terms)) * np.sin(phases)
+            np.multiply.outer(u, np.ones(n_m))
+            - (1.0 / (2.0 * np.pi * terms)) * np.sin(phases)
         ) @ coefficients
     return theta_i + (1.0 - np.cos(phases)) @ coefficients
 
 
-def _dtheta_series(mode: BasisMode, coefficients, t_p: float, t):
-    """eval_fourier's dtheta/dt at the times t, shaped as _theta_series."""
+def _dtheta_series(mode: BasisMode, coefficients, u):
+    """The shape's rate dtheta/du at the points u, shaped as _theta_series."""
     n_m = len(coefficients)
-    phases = _phases(n_m, t_p, t)
+    phases = _phases(n_m, u)
     if mode is BasisMode.DERIVATIVE:
         return (1.0 - np.cos(phases)) @ coefficients
     n = np.arange(1, n_m + 1).reshape((n_m,) + (1,) * (np.ndim(coefficients) - 1))
-    return np.sin(phases) @ (coefficients * 2.0 * np.pi * n / t_p)
+    return np.sin(phases) @ (coefficients * 2.0 * np.pi * n)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

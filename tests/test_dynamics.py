@@ -259,7 +259,7 @@ def kernel(ws, t_ps, atol=0.0, rtol=0.0):
     # the constant-gap kernel on one waveform, or a list of waveforms of one
     # mode and start angle, one row each
     ws = ws if isinstance(ws, list) else [ws]
-    lams = np.array([w.with_t_p(1.0).coefficients for w in ws])
+    lams = np.array([w.coefficients for w in ws])
     return remapped_p_e(ws[0].mode, lams, ws[0].theta_i, t_ps, atol, rtol)
 
 

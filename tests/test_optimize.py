@@ -98,6 +98,23 @@ def test_bitwise_reproducibility():
     assert a.iterations == b.iterations and a.rejected == b.rejected
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.1 * np.pi], ids=["unrounded", "rounded"])
+def test_exact_search_refuses_a_constraint_off_its_endpoints(monkeypatch, sigma):
+    # twice the excursion used to pass: unrounded, the search returned a
+    # pulse out to theta_i + 2 * 0.764 and scored it; rounded, the first
+    # candidate raised "endpoint constraint violated" from inside the search
+    theta_i, theta_f = 0.1, 0.55 * np.pi / 2
+    objective = Objective(
+        kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(np.pi, np.pi),
+        convolution_sigma=sigma, theta_i=theta_i, theta_f=theta_f,
+    )
+    monkeypatch.setattr(optimize_module._ExactObjective, "score", None)  # scores nothing
+    for c in (2.0 * (theta_f - theta_i), theta_f - theta_i + 1e-9, np.nan):
+        for n_m in (1, 2):
+            with pytest.raises(ValueError, match="constraint_value"):
+                optimize_coefficients(n_m, BasisMode.THETA, objective, c, max_iterations=3)
+
+
 def constraint_row(mode, n_m):
     # a with a.lam = theta_f - theta_i at unit duration, read off the public
     # constraint_residual, which is linear in the coefficients

@@ -221,6 +221,27 @@ def test_calibration_refuses_a_shape_whose_seed_overflows(levels):
             calibrate_pulse(shape, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=levels)
 
 
+@pytest.mark.parametrize("levels", [2, 3])
+def test_calibration_backs_off_from_a_drive_past_the_step_cap(levels):
+    # the fit's second point put max |w| at 3e299, and sizing the step rule
+    # for it failed inside numpy ("Maximum allowed size exceeded")
+    t, x = raised_cosine(64)
+    cal = calibrate_pulse(1e307 * x, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=levels)
+    assert np.isfinite([cal.amplitude, cal.detuning, cal.phase, cal.qubit_subspace_error]).all()
+    if levels == 2:  # the area theorem
+        assert cal.converged
+        assert cal.amplitude == pytest.approx(np.pi / np.trapezoid(1e307 * x, t), rel=1e-9)
+
+
+def test_drive_past_the_step_cap_is_refused():
+    # refused before any step is built
+    huge = ThreeLevelPulse(**{**PULSE, "envelope_x": 1e10 * np.ones(64)})
+    with pytest.raises(ValueError, match=r"^step count \d+ exceeds"):
+        evolve_three_level(huge, RotationTarget.PI_PULSE)
+    with pytest.raises(ValueError, match=f"^step count {2**20 + 1} exceeds"):
+        evolve_three_level(ThreeLevelPulse(**PULSE), RotationTarget.PI_PULSE, 2**20 + 1)
+
+
 @pytest.mark.parametrize("n_steps", [0, -3])
 def test_step_count_validation(n_steps):
     _, x = raised_cosine(64)

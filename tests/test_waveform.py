@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiabatz.waveform import (
     BasisMode,
@@ -14,6 +16,7 @@ from adiabatz.waveform import (
     small_angle_trajectory,
     theta_waveform,
 )
+from strategies import gentle_waveforms
 
 
 def unit_times(n=1024):
@@ -24,7 +27,7 @@ def unit_times(n=1024):
 
 
 def test_derivative_constraint_enforced():
-    # sum of derivative coefficients times t_p must equal the angle change
+    # the sum of the derivative coefficients must equal the angle change
     with pytest.raises(ValueError):
         FourierWaveform(
             BasisMode.DERIVATIVE,
@@ -109,20 +112,34 @@ def test_theta_mode_midpoint_excursion():
     assert theta[2] == pytest.approx(0.1, abs=1e-12)
 
 
-def test_with_t_p_rescales_derivative_amplitude():
-    w = derivative_waveform(np.array([1.0, -0.1]), 1.0, 0.1, 1.2)
+@pytest.mark.parametrize(
+    "w",
+    [derivative_waveform(np.array([1.0, -0.1]), 1.0, 0.1, 1.2),
+     theta_waveform(np.array([0.3, -0.1, 0.05]), 1.0, 0.1, 0.8)],
+    ids=["derivative", "theta"],
+)
+def test_with_t_p_keeps_the_coefficients(w):
+    # both bases describe the shape over u = t / t_p, so a coefficient
+    # vector is valid at every duration
     v = w.with_t_p(4.0)
-    assert v.coefficients == pytest.approx(w.coefficients / 4.0)
+    assert np.array_equal(v.coefficients, w.coefficients)
     # shape is preserved: same angles swept
     theta_v, _ = eval_fourier(v, np.linspace(0, 4.0, 101))
     theta_w, _ = eval_fourier(w, np.linspace(0, 1.0, 101))
     assert theta_v == pytest.approx(theta_w, abs=1e-12)
 
 
-def test_with_t_p_keeps_theta_coefficients():
-    w = theta_waveform(np.array([0.3, -0.1, 0.05]), 1.0, 0.1, 0.8)
-    v = w.with_t_p(3.0)
-    assert v.coefficients == pytest.approx(w.coefficients)
+@settings(deadline=None, max_examples=50)
+@given(gentle_waveforms, st.floats(0.1, 10.0))
+def test_stretched_waveform_is_the_shape_at_scaled_times(w, c):
+    v = w.with_t_p(c * w.t_p)
+    assert np.array_equal(v.coefficients, w.coefficients)
+    t = np.linspace(0.0, w.t_p, 257)
+    theta_w, rate_w = eval_fourier(w, t)
+    theta_v, rate_v = eval_fourier(v, c * t)
+    assert np.max(np.abs(theta_v - theta_w)) <= 1e-15
+    # the rate scales by 1/c, up to rounding
+    assert np.max(np.abs(rate_v - rate_w / c)) <= 1e-14 * np.max(np.abs(rate_w / c))
 
 
 # ------------------------------------------------------------- trajectories
