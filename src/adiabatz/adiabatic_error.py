@@ -132,7 +132,7 @@ def error_curve(
             else:
                 exact.append(evolve_two_level_direct(traj))
                 p_e[i] = exact[-1].p_e
-        except Exception as exc:  # per-point failure -> partial curve
+        except (ValueError, RuntimeError, ArithmeticError) as exc:  # numerical: partial curve
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     return ErrorCurve(grid, p_e, tuple(failures), sum(r.steps for r in exact),
                       max((r.step_error for r in exact), default=None))

@@ -147,8 +147,8 @@ def _num_list(params, name, default=_REQUIRED, min_len=1):
 
 
 def _reject_unknown(params: dict, experiment: str):
-    """Refuse the keys left after an experiment's reads, bar ``seed``."""
-    unknown = sorted(set(params) - {"seed"})
+    """Refuse the keys left after an experiment's reads."""
+    unknown = sorted(params)
     if unknown:
         raise ValidationError(f"{experiment}: unknown parameter(s): {', '.join(unknown)}")
 
@@ -271,13 +271,9 @@ def _run_lz_sweep(params: dict, seed: int):
     r_lo = _num(params, "rate_min_hx2", _REQUIRED, lo=0, open_lo=True)
     r_hi = _num(params, "rate_max_hx2", _REQUIRED, lo=r_lo, open_lo=True)
     n_points = _int(params, "n_points", 20, lo=2)
-    log_spacing = _bool(params, "log_spacing", True)
     n_samples = _int(params, "n_samples", 4097, lo=64)
     _reject_unknown(params, "lz-sweep")
-    if log_spacing:
-        rates = np.geomspace(r_lo, r_hi, n_points)
-    else:
-        rates = np.linspace(r_lo, r_hi, n_points)
+    rates = np.geomspace(r_lo, r_hi, n_points)
     results = [evolve_two_level_direct(linear_ramp_trajectory(span, r, n_samples)) for r in rates]
     rows = [[rate, r.p_e, landau_zener_error(1.0, rate)] for rate, r in zip(rates, results)]
     diagnostics = {"steps": sum(r.steps for r in results),

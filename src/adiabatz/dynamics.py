@@ -62,6 +62,11 @@ TAU_PHASE_PER_STEP = 0.1
 STEP_ATOL = 1e-12
 STEP_RTOL = 1e-8
 PILOT_DIVISOR = 16
+# most steps of one lab run (the ODE's, or one run of the direct
+# propagator), whose peak memory grows ~85 MB (ODE) and ~40 MB (direct) a
+# million steps.  The test suite's largest, a 4x-rule reference on a slow
+# ramp, takes 2.58 M
+_MAX_STEPS = 1 << 22
 # the constant-gap kernel's pilot, at 0.4 rad a step: from 0.6 rad a step
 # its first doubling can be short of the asymptotic ratio 64 and
 # underestimate the error
@@ -158,6 +163,14 @@ def _richardson(run, n_rule: int, divisor: int, order: int, atol: float, rtol: f
             return p, state, error, steps
 
 
+def _capped(n: int) -> int:
+    """n, the step count of one lab run, refused past _MAX_STEPS before any
+    of the run's arrays is built."""
+    if n > _MAX_STEPS:
+        raise ValueError(f"step count {n} exceeds the cap of {_MAX_STEPS}")
+    return n
+
+
 def _n_steps(traj: SampledTrajectory, n_steps: int | None) -> int:
     if n_steps is not None:
         if n_steps < 1:
@@ -180,9 +193,9 @@ def evolve_two_level_exact(
     is a (non-unit) quaternion; the maps are chained pairwise (_su2_blocks).
     The norm is multiplicative: norm_drift is the worst | |psi_k|^4 - 1 |
     over the steps, and |alpha* beta| <= |psi_k|^2 / 2 must stay within
-    1/2 + AB_PRODUCT_TOL.
+    1/2 + AB_PRODUCT_TOL.  A step count past _MAX_STEPS raises ValueError.
     """
-    n = _n_steps(traj, n_steps)
+    n = _capped(_n_steps(traj, n_steps))
     h = float(traj.t_p / n)
     h2, h6 = 0.5 * h, h / 6.0
     # spline b + a = (dtheta/dt)/2 - i omega/2 as one complex series, then
@@ -238,13 +251,14 @@ def evolve_two_level_direct(
     doubled until the Richardson estimate falls to
     STEP_ATOL + STEP_RTOL * P, or the run reaches the rule's count, which it
     never exceeds.  The finer run is returned with that estimate as
-    step_error and the steps of all runs summed in steps.
+    step_error and the steps of all runs summed in steps.  A run past
+    _MAX_STEPS steps raises ValueError before it is built.
     """
     z = cubic_spline(traj.times, traj.h_x / np.tan(traj.theta))
     psi0, excited = ground_state(traj.theta[0]), excited_state(traj.theta[-1])
 
     def propagate(n):
-        h, nodes = _gauss_node_times(traj.times[0], traj.t_p, n)
+        h, nodes = _gauss_node_times(traj.times[0], traj.t_p, _capped(n))
         z1, z2 = z(nodes)
         psi = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h) @ psi0
         beta = complex(np.vdot(excited, psi))

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from .dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
-from .geometry import omega_from_theta, theta_from_fields
+from .geometry import theta_from_fields
 from .remap import remapped_trajectory
 from .waveform import CONSTRAINT_TOL, BasisMode, FourierWaveform, SampledTrajectory, _constraint_row
 
@@ -447,12 +447,7 @@ def convolve_trajectory(traj: SampledTrajectory, sigma: float) -> SampledTraject
     times = np.arange(len(h_z)) * dt
     theta = theta_from_fields(h_z, traj.h_x)
     return SampledTrajectory(
-        times=times,
-        theta=theta,
-        dtheta_dt=np.gradient(theta, dt),
-        h_z=h_z,
-        omega=omega_from_theta(theta, traj.h_x),
-        h_x=traj.h_x,
+        times=times, theta=theta, dtheta_dt=np.gradient(theta, dt), h_z=h_z, h_x=traj.h_x
     )
 
 

@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from ._interp import pchip
-from .geometry import h_z_from_theta, omega_from_theta
+from .geometry import omega_from_theta
 from .waveform import FourierWaveform, SampledTrajectory, _theta_series
 
 __all__ = ["RemapTable", "build_remap", "invert_remap", "remapped_trajectory"]
@@ -80,14 +80,7 @@ def invert_remap(table: RemapTable, t_grid) -> SampledTrajectory:
     if t[0] < -1e-12 or t[-1] > table.t_p * (1 + 1e-12):
         raise ValueError("t_grid outside [0, t(tau_p)]")
     theta, dtheta = pchip(table.t_of_tau, table.theta_of_tau, t)
-    return SampledTrajectory(
-        times=t,
-        theta=theta,
-        dtheta_dt=dtheta,
-        h_z=h_z_from_theta(theta),
-        omega=omega_from_theta(theta),
-        h_x=1.0,
-    )
+    return SampledTrajectory(times=t, theta=theta, dtheta_dt=dtheta)
 
 
 def remapped_trajectory(

@@ -274,7 +274,8 @@ def calibrate_pulse(
     seeded by the area theorem and the mean Stark shift; if the subspace
     error cannot reach ERROR_TARGET the best point found is returned with
     converged=False (optimizer_success is the least-squares status).  A trial
-    point that cannot be propagated (past _MAX_STEPS) scores full error.
+    point that cannot be propagated (past _MAX_STEPS) or that overflows
+    scores full error.
     """
     if levels not in (2, 3):
         raise ValueError("levels must be 2 or 3")
@@ -313,10 +314,11 @@ def calibrate_pulse(
         det0 = float(np.mean(stark_shift(amp0 * shape, drag_d, delta)))
     from scipy.optimize import least_squares  # ~0.7 s to import, so not at the top
 
-    def residual(params) -> np.ndarray:  # the fit backs off from a refused point
+    def residual(params) -> np.ndarray:  # the fit backs off from a refused or overflowing point
         try:
-            return _subspace_residual(evolve(params).unitary[:2, :2], target)
-        except ValueError:
+            with np.errstate(over="raise", invalid="raise"):
+                return _subspace_residual(evolve(params).unitary[:2, :2], target)
+        except (ValueError, FloatingPointError):
             return np.ones(8)
 
     fit = least_squares(residual, np.array([amp0, det0, 0.0]), method="lm")

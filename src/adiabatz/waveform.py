@@ -187,7 +187,8 @@ class SampledTrajectory:
     """Uniformly sampled control trajectory; arrays that cannot be
     propagated raise ValueError.  theta, dtheta_dt, h_z and omega need one
     sample per time; theta must lie inside (0, pi) and the other three must
-    be finite.
+    be finite.  h_z and omega left out follow from theta and h_x; a builder
+    gives h_z only where it is the control, and omega only where it pins it.
 
     Attributes
     ----------
@@ -199,22 +200,22 @@ class SampledTrajectory:
     dtheta_dt : np.ndarray
         Finite angle rate per sample (analytic where available).
     h_z : np.ndarray
-        Longitudinal field, h_x / tan(theta).
+        Longitudinal field; defaults to h_x / tan(theta).
     omega : np.ndarray
-        Precession frequency used by the linearized error integral.  Equals
-        2*h_x/sin(theta) for physical trajectories; the constant-frequency
+        Precession frequency used by the linearized error integral; defaults
+        to 2*h_x/sin(theta), the physical gap.  The constant-frequency
         idealization (small_angle_trajectory) pins it instead.  The exact
         propagators ignore it and take the gap from theta and h_x.
     h_x : float
-        Fixed transverse field, finite and positive.
+        Fixed transverse field, finite and positive; defaults to 1.
     """
 
     times: np.ndarray
     theta: np.ndarray
     dtheta_dt: np.ndarray
-    h_z: np.ndarray
-    omega: np.ndarray
-    h_x: float
+    h_z: np.ndarray | None = None
+    omega: np.ndarray | None = None
+    h_x: float = 1.0
 
     def __post_init__(self):
         _transverse_field(self.h_x)  # first: a bad h_x also spoils h_z and omega
@@ -226,11 +227,15 @@ class SampledTrajectory:
             raise ValueError("times must be strictly increasing")
         _uniform_step(t)
         th = np.asarray(self.theta, dtype=float)
+        if not np.all((th > 0) & (th < np.pi)):  # refuses nan too
+            raise ValueError("theta must stay inside (0, pi)")
+        if self.h_z is None:
+            object.__setattr__(self, "h_z", h_z_from_theta(th, self.h_x))
+        if self.omega is None:
+            object.__setattr__(self, "omega", omega_from_theta(th, self.h_x))
         shapes = {th.shape, np.shape(self.dtheta_dt), np.shape(self.h_z), np.shape(self.omega)}
         if shapes != {t.shape}:
             raise ValueError("theta, dtheta_dt, h_z and omega need one sample per time")
-        if not np.all((th > 0) & (th < np.pi)):  # refuses nan too
-            raise ValueError("theta must stay inside (0, pi)")
         for name in ("dtheta_dt", "h_z", "omega"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -269,11 +274,7 @@ def sample_trajectory(w: FourierWaveform, n_samples: int = 1024) -> SampledTraje
     """
     times = np.linspace(0.0, w.t_p, n_samples)
     theta, dtheta = eval_fourier(w, times)
-    with np.errstate(divide="ignore"):  # at theta = 0; the constructor refuses it
-        h_z, omega = h_z_from_theta(theta), omega_from_theta(theta)
-    return SampledTrajectory(
-        times=times, theta=theta, dtheta_dt=dtheta, h_z=h_z, omega=omega, h_x=1.0
-    )
+    return SampledTrajectory(times=times, theta=theta, dtheta_dt=dtheta)
 
 
 def small_angle_trajectory(
@@ -295,12 +296,7 @@ def linear_ramp_trajectory(span: float, rate: float, n_samples: int) -> SampledT
     t = np.linspace(0.0, 2.0 * span / rate, n_samples)
     h_z = span - rate * t
     return SampledTrajectory(
-        times=t,
-        theta=np.arctan2(1.0, h_z),
-        dtheta_dt=rate / (1.0 + h_z**2),
-        h_z=h_z,
-        omega=2.0 * np.sqrt(1.0 + h_z**2),
-        h_x=1.0,
+        times=t, theta=np.arctan2(1.0, h_z), dtheta_dt=rate / (1.0 + h_z**2), h_z=h_z
     )
 
 

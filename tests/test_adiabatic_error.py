@@ -159,6 +159,18 @@ def test_error_curve_partial_failures():
     assert "ValueError" in curve.failures[0][1]
 
 
+def test_error_curve_lets_a_programming_error_through():
+    # only numerical failures become failed points; a TypeError used to be
+    # recorded as a NaN point with its reason
+    def gen(t_p):
+        if 2.0 < t_p < 3.0:
+            raise TypeError("not a trajectory")
+        return hanning_trajectory(0.05, t_p, 6.0, n=512)
+
+    with pytest.raises(TypeError, match="not a trajectory"):
+        error_curve(gen, [1.0, 2.5, 4.0], Evaluator.LINEARIZED)
+
+
 def test_error_curve_rejects_bad_grid():
     gen = lambda t_p: hanning_trajectory(0.05, t_p, 6.0, n=256)
     with pytest.raises(ValueError):

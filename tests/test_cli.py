@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adiabatz import cli, remap
+from adiabatz import cli, dynamics, remap
 from adiabatz.adiabatic_error import geometric_error
 from adiabatz.cli import ValidationError, export_table, load_table, main
 from adiabatz.dynamics import evolve_two_level_direct
@@ -49,13 +49,16 @@ FOURIER_CURVE = {"coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3,
         ("error-curve", {"window": "rect", "basis": "theta"}, "basis"),
         ("error-curve", {**FOURIER_CURVE, "delta_theta_rad": 1.0}, "delta_theta_rad"),
         ("lz-sweep", {"rate_min_hx2": 0.3, "rate_max_hx2": 0.5, "rate": 1.0}, "rate"),
+        # the rates are always geometric
+        ("lz-sweep", {"rate_min_hx2": 0.3, "rate_max_hx2": 0.5, "log_spacing": False},
+         "log_spacing"),
         ("cz-pulse", {"theta_i_rad": 0.3, "theta_f_rad": 0.3, "n_coeffs": 2, "sigma": 0.1},
          "sigma"),
         ("table1", {"n_m_list": [2], "cutoff": 2.3}, "cutoff"),
         ("drag-sweep", {"levels": 2, "n_envelope_sample": 8}, "n_envelope_sample"),
     ],
-    ids=["psd-windows", "error-curve-rect", "error-curve-fourier", "lz-sweep", "cz-pulse",
-         "table1", "drag-sweep"],
+    ids=["psd-windows", "error-curve-rect", "error-curve-fourier", "lz-sweep",
+         "lz-sweep-log-spacing", "cz-pulse", "table1", "drag-sweep"],
 )
 def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
     # the keys left after an experiment's reads are refused before it computes
@@ -122,14 +125,24 @@ def test_psd_windows_takes_rect_label_without_the_reference(tmp_path):
 def test_run_leaves_the_config_untouched(tmp_path):
     # the reads consume a copy: a second run of one RunConfig, as the
     # benchmark makes, reads the same parameters and writes the same bytes
-    params = {"n_m_list": [2], "cutoff_cycles": 3.0, "seed": 1}
+    params = {"n_m_list": [2], "cutoff_cycles": 3.0}
     config = cli.RunConfig("table1", params, tmp_path, "csv", 0, "0" * 64)
     data = []
     for _ in range(2):
         data.append(cli.run(config)[0].read_bytes())
-        assert config.parameters == {"n_m_list": [2], "cutoff_cycles": 3.0, "seed": 1}
+        assert config.parameters == {"n_m_list": [2], "cutoff_cycles": 3.0}
     assert data[0] == data[1]
     assert data[0].splitlines()[0] == b"n_m,objective_rad2,lambda_1,lambda_2"
+
+
+def test_run_refuses_a_seed_among_the_parameters(tmp_path):
+    # the run's seed is RunConfig.seed (main pops the config file's); one
+    # left in the parameters was accepted and had no effect
+    params = {"n_m_list": [2], "cutoff_cycles": 3.0, "seed": 7}
+    config = cli.RunConfig("table1", params, tmp_path / "out", "csv", 0, "0" * 64)
+    with pytest.raises(ValidationError, match=r"^table1: unknown parameter\(s\): seed$"):
+        cli.run(config)
+    assert not (tmp_path / "out").exists()
 
 
 def readme_examples():
@@ -449,6 +462,21 @@ def test_lz_sweep_tracks_formula(tmp_path):
         "steps": sum(r.steps for r in results),
         "step_error": max(r.step_error for r in results),
     }
+
+
+def test_lz_sweep_past_the_step_cap_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # the run is refused at its first propagation, before its arrays exist,
+    # and nothing is written
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 1000)
+    cfg = write_config(tmp_path, {"rate_min_hx2": 0.3, "rate_max_hx2": 0.5, "n_points": 3})
+    out = tmp_path / "out"
+    assert main(["lz-sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    pilot = -(-dynamics._n_steps(linear_ramp_trajectory(10.0, 0.3, 4097), None)
+              // dynamics.PILOT_DIVISOR)
+    assert capsys.readouterr().err == (
+        f"numerical failure: step count {pilot} exceeds the cap of 1000\n"
+    )
+    assert not out.exists()
 
 
 def test_exact_error_curve_reports_its_step_work(tmp_path):

@@ -196,6 +196,33 @@ def test_argument_validation():
             remapped_p_e(BasisMode.DERIVATIVE, coefficients, 0.3, [T_X])
 
 
+def test_lab_runs_past_the_step_cap_are_refused(monkeypatch):
+    # a pilot, a caller's n_steps and the ODE's rule are each refused before
+    # any of the run's step arrays is built (a span-1e4 ramp at rate 1e-3
+    # asked for 3.2e13 steps); a run at the cap goes through
+    traj = linear_ramp_trajectory(10.0, 0.3, 2049)
+    n_rule = dynamics._n_steps(traj, None)
+    pilot = -(-n_rule // dynamics.PILOT_DIVISOR)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", pilot - 1)
+
+    def unreachable(*args):
+        raise AssertionError("step arrays built past the cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_gauss_node_times", unreachable)
+        with pytest.raises(ValueError, match=f"^step count {pilot} exceeds the cap of {pilot - 1}$"):
+            evolve_two_level_direct(traj)
+        with pytest.raises(ValueError, match=f"^step count {pilot} exceeds"):
+            evolve_two_level_direct(traj, n_steps=pilot)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "cubic_spline", unreachable)  # reads the ODE's step grid
+        with pytest.raises(ValueError, match=f"^step count {n_rule} exceeds"):
+            evolve_two_level_exact(traj)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", n_rule)
+    assert evolve_two_level_exact(traj).steps == n_rule
+    assert evolve_two_level_direct(traj, n_steps=n_rule).steps == n_rule
+
+
 def test_tau_frame_masks_nan_angles():
     # a nan angle passed the (0, pi) mask and failed the step rule with
     # "cannot convert float NaN to integer"; now its row is masked and the

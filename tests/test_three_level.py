@@ -233,6 +233,24 @@ def test_calibration_backs_off_from_a_drive_past_the_step_cap(levels):
         assert cal.amplitude == pytest.approx(np.pi / np.trapezoid(1e307 * x, t), rel=1e-9)
 
 
+@pytest.mark.parametrize("levels", [2, 3])
+def test_fixed_step_calibration_backs_off_from_an_overflowing_point(levels):
+    # with n_steps fixed no step cap refuses the fit's huge trial drives, and
+    # propagating them overflowed inside numpy ("overflow encountered in
+    # square" at levels 2, "... in matmul" at levels 3)
+    t, x = raised_cosine(64)
+    cal = calibrate_pulse(
+        1e307 * x, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=levels, n_steps=32
+    )
+    assert np.isfinite([cal.amplitude, cal.detuning, cal.phase, cal.qubit_subspace_error]).all()
+    assert cal.optimizer_success
+    if levels == 2:  # the area theorem
+        assert cal.converged
+        assert cal.amplitude == pytest.approx(np.pi / np.trapezoid(1e307 * x, t), rel=1e-9)
+    else:
+        assert not cal.converged
+
+
 def test_drive_past_the_step_cap_is_refused():
     # refused before any step is built
     huge = ThreeLevelPulse(**{**PULSE, "envelope_x": 1e10 * np.ones(64)})

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiabatz.geometry import h_z_from_theta, omega_from_theta
 from adiabatz.waveform import (
     BasisMode,
     FourierWaveform,
+    SampledTrajectory,
     constraint_residual,
     derivative_waveform,
     eval_fourier,
@@ -156,6 +158,25 @@ def test_sample_trajectory_consistency():
     assert traj.h_z == pytest.approx(1 / np.tan(traj.theta), rel=1e-12)
 
 
+def test_trajectory_derives_what_it_is_not_given():
+    # h_z and omega left out follow from theta and h_x by the geometry formulas
+    t = np.linspace(0.0, 2.0, 65)
+    theta = 0.3 + 0.4 * t
+    for h_x in (1.0, 2.5):
+        traj = SampledTrajectory(times=t, theta=theta, dtheta_dt=np.full(65, 0.4), h_x=h_x)
+        assert np.array_equal(traj.h_z, h_z_from_theta(theta, h_x))
+        assert np.array_equal(traj.omega, omega_from_theta(theta, h_x))
+    assert SampledTrajectory(times=t, theta=theta, dtheta_dt=np.zeros(65)).h_x == 1.0
+
+
+def test_linear_ramp_gives_its_control_and_derives_the_gap():
+    # h_z is the ramp's control; omega = 2 / sin(theta) is its closed form
+    # 2 sqrt(1 + h_z^2) up to rounding
+    traj = linear_ramp_trajectory(10.0, 0.05, 4097)
+    assert np.array_equal(traj.h_z, 10.0 - 0.05 * traj.times)
+    assert traj.omega == pytest.approx(2.0 * np.sqrt(1.0 + traj.h_z**2), rel=1e-14, abs=0)
+
+
 def test_small_angle_trajectory_pins_omega():
     w = derivative_waveform(np.array([1.0]), 2.0, 0.1, 0.2)
     traj = small_angle_trajectory(w, omega0=5.0, n_samples=129)
@@ -163,8 +184,6 @@ def test_small_angle_trajectory_pins_omega():
 
 
 def test_trajectory_rejects_nonuniform_grid():
-    from adiabatz.waveform import SampledTrajectory
-
     t = np.array([0.0, 0.1, 0.3])
     with pytest.raises(ValueError):
         SampledTrajectory(
@@ -199,8 +218,6 @@ def test_trajectory_rejects_what_cannot_be_propagated(field, value, message):
     # failed in the ODE's step count, h_x = 0 propagated to P_e = 6e-35, a
     # mismatched h_z changed the rounded trajectory's length, a short omega
     # failed to broadcast in the error integral and a nan omega gave nan P_e
-    from adiabatz.waveform import SampledTrajectory
-
     fields = dict(
         times=np.linspace(0.0, 1.0, 5), theta=np.full(5, 0.5), dtheta_dt=np.zeros(5),
         h_z=np.full(5, 1.0), omega=np.full(5, 2.0), h_x=1.0,
@@ -213,8 +230,6 @@ def test_trajectory_rejects_what_cannot_be_propagated(field, value, message):
 def test_trajectory_accepts_rounded_grid_far_from_the_origin():
     # |t| / d = 2e8: the rounding of the times alone is ~2e-8 d, the same
     # grid fourier_integral accepts; a sample moved by 1e-6 d is refused
-    from adiabatz.waveform import SampledTrajectory
-
     n = 2000
     t = 1000.0 + np.linspace(0.0, 1e-2, n)
     fields = dict(
