@@ -22,7 +22,12 @@ step whose exponent is a polynomial in the duration scale, on its own rule
 takes a (K, n_m) coefficient matrix of shapes and returns a frozen
 RemappedResult, with the shapes whose angle leaves (0, pi) masked; searches
 pass a loose tolerance, and the default tolerance 0 doubles up to the fixed
-rule's own count.
+rule's own count.  Of a mirror-symmetric call it chains only u in
+[0, 1/2], Uh, and counts in steps the steps it chains: U = Uh^T Uh for
+theta-basis shapes, theta(1 - u) = theta(u), and U = sigma_x Uh^T sigma_x Uh
+for derivative-basis ones with theta_i + theta(1) = pi, theta(1 - u) =
+pi - theta(u), with an odd grid's middle step between the halves.  Its
+grids, like the lab runs, stop at _MAX_STEPS steps.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from ._interp import cubic_spline
 from .geometry import excited_state, ground_state
-from .waveform import SampledTrajectory, _dtheta_series, _theta_series
+from .waveform import BasisMode, SampledTrajectory, _dtheta_series, _theta_series
 
 __all__ = [
     "TwoLevelState",
@@ -136,9 +141,9 @@ def _gauss_node_times(start: float, duration: float, n: int):
 
 
 def _richardson(run, n_rule: int, divisor: int, order: int, atol: float, rtol: float):
-    """Error-controlled step count: run(n) returns (P, state) for n steps of
-    a method of the given order (4 for the lab path, 6 for the constant-gap
-    kernel).
+    """Error-controlled step count: run(n) returns (P, state, steps) for an
+    n-step grid of a method of the given order (4 for the lab path, 6 for
+    the constant-gap kernel), steps counting those it computed.
 
     From a pilot at ceil(n_rule / divisor) steps the count doubles until the
     Richardson estimate |P(m) - P(n)| / ((m/n)^order - 1) of the finer run
@@ -149,12 +154,12 @@ def _richardson(run, n_rule: int, divisor: int, order: int, atol: float, rtol: f
     estimate and the steps of all runs summed.
     """
     cap = max(n_rule, 2)
-    n = steps = math.ceil(n_rule / divisor)
-    p, _ = run(n)
+    n = math.ceil(n_rule / divisor)
+    p, _, steps = run(n)
     while True:
         m = min(2 * n, cap)
-        p_fine, state = run(m)
-        steps += m
+        p_fine, state, run_steps = run(m)
+        steps += run_steps
         error = abs(p_fine - p) / ((m / n) ** order - 1.0)
         n, p = m, p_fine
         tol = atol + rtol * p
@@ -190,7 +195,7 @@ def evolve_two_level_exact(
     at t_p.
 
     Each RK4 step map, a real polynomial in the X of its ends and midpoint,
-    is a (non-unit) quaternion; the maps are chained pairwise (_su2_blocks).
+    is a (non-unit) quaternion; the maps are chained pairwise (_su2_chain).
     The norm is multiplicative: norm_drift is the worst | |psi_k|^4 - 1 |
     over the steps, and |alpha* beta| <= |psi_k|^2 / 2 must stay within
     1/2 + AB_PRODUCT_TOL.  A step count past _MAX_STEPS raises ValueError.
@@ -221,10 +226,12 @@ def evolve_two_level_exact(
         norms.append(alpha.real**2 + alpha.imag**2 + beta.real**2 + beta.imag**2)
         return alpha, beta
 
-    alpha, beta = map(complex, _su2_blocks(step_maps, n, 1)[:, 0])
-    norm = np.cumprod(np.concatenate(norms))  # |psi_k|^2 after each step
+    # a chain that overflows fails the bound check below, not inside numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, beta = map(complex, _su2_chain(step_maps, n, 1))
+        norm = np.cumprod(np.concatenate(norms))  # |psi_k|^2 after each step
     bound = float(np.max(norm)) / 2.0  # of |alpha* beta| over the steps
-    if bound > 0.5 + AB_PRODUCT_TOL:
+    if not bound <= 0.5 + AB_PRODUCT_TOL:  # inf or nan too
         raise RuntimeError(
             f"|alpha* beta| can reach {bound:.12f} > 1/2 during integration: "
             "numerical failure"
@@ -262,12 +269,12 @@ def evolve_two_level_direct(
         z1, z2 = z(nodes)
         psi = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h) @ psi0
         beta = complex(np.vdot(excited, psi))
-        return beta.real**2 + beta.imag**2, (psi, beta)
+        return beta.real**2 + beta.imag**2, (psi, beta), n
 
     n_rule = _n_steps(traj, n_steps)
     if n_steps is not None:
-        p_e, (psi, beta) = propagate(n_rule)
-        steps, step_error = n_rule, None
+        p_e, (psi, beta), steps = propagate(n_rule)
+        step_error = None
     else:
         p_e, (psi, beta), step_error, steps = _richardson(
             propagate, n_rule, PILOT_DIVISOR, 4, STEP_ATOL, STEP_RTOL
@@ -322,14 +329,30 @@ def remapped_p_e(
     evaluation and one exponential per step.  The same nodes, with weights
     5/18, 8/18, 5/18, give int_0^1 sin theta du.
 
+    A mirror-symmetric call chains only the steps on u in [0, 1/2] (_mirror).
+    A step's mirror image swaps its outer nodes, which negates v_y: it is the
+    step's transpose.  Where theta(1 - u) = theta(u), as for every
+    theta-basis shape, U = Uh^T Uh, with Uh the first half's product.  Where
+    theta(1 - u) = pi - theta(u), as for a derivative-basis shape exactly
+    when theta_i + theta(1) = pi (taken to 4 ulps of pi, on every unmasked
+    row), the mirror also negates v_z and U = sigma_x Uh^T sigma_x Uh.  Any
+    other call chains every step.  An odd grid's self-mirrored middle step M
+    sits between the halves (U = Uh^T M Uh), and int sin theta du is twice
+    the half's sum plus M's term.  The answer is the full chain's up to
+    rounding; steps counts the steps exponentiated and chained, about half
+    the grid for a mirrored call.
+
     The fixed step rule at TAU_PHASE_PER_STEP, sized once for the longest
     duration and the most demanding shape, caps the doubling loop
     (_richardson, order 6, from 1/TAU_PILOT_DIVISOR of the rule's count),
     which stops once every estimate falls to atol + rtol * P_e.  The default
-    tolerance 0 is never met, so P_e is the fixed rule's answer.  A shape
-    whose theta leaves (0, pi), or is nan, at any node is masked.
-    Coefficients that are not a 2-D matrix with at least one row, and
-    durations that are empty or not finite and positive, raise ValueError.
+    tolerance 0 is never met, so P_e is the fixed rule's answer.  A grid
+    past _MAX_STEPS steps raises ValueError before its nodes are built.  A
+    shape whose theta leaves (0, pi), or is nan, at any node is masked.
+    Each row's P_e, estimate and mask depend only on the row and the grid,
+    not on the other rows.  Coefficients that are not a 2-D matrix with at
+    least one row, and durations that are empty or not finite and positive,
+    raise ValueError.
     """
     lam = np.asarray(coefficients, dtype=float)
     t_ps = np.atleast_1d(np.asarray(t_ps, dtype=float))
@@ -340,55 +363,82 @@ def remapped_p_e(
     lam = np.ascontiguousarray(lam.T)  # the basis evaluation takes (n_m, K)
     rejected = np.zeros(lam.shape[1], dtype=bool)
 
-    def nodes(n):
-        # u at the three Gauss nodes of each of n steps on [0, 1], (3, n)
-        return (np.arange(n) + GAUSS3_NODES[:, None]) / n
+    def nodes(n, m):
+        # u at the three Gauss nodes of the first m of n steps on [0, 1], (3, m)
+        return (np.arange(m) + GAUSS3_NODES[:, None]) / n
 
     def shapes(theta):
-        # (3, n, K) to (K, 3, n), masking the shapes that leave (0, pi)
-        theta = theta.transpose(2, 0, 1)
+        # (3, m, K) to (K, 3, m), masking the shapes that leave (0, pi)
+        theta = np.ascontiguousarray(theta.transpose(2, 0, 1))
         rejected[:] |= ~np.all((theta > 0.0) & (theta < math.pi), axis=(1, 2))  # and nan
         return theta
 
     # a coarse pass sizes the fixed step rule for the longest duration, with
     # the constant gap 2 tau_p; its last point, u = 1, gives each shape
     # its end angle
-    u = np.append(nodes(64), 1.0)
+    u = np.append(nodes(64, 64), 1.0)
     theta, dtheta = _theta_series(mode, lam, theta_i, u), _dtheta_series(mode, lam, u)
-    bra = np.ascontiguousarray(excited_state(theta[-1]).T.conj()[..., None])  # (K, 2, 1)
+    theta_f = theta[-1]
     theta, dtheta = shapes(theta[:-1].reshape(3, 64, -1)), dtheta[:-1].reshape(3, 64, -1)
     tau_max = np.max(t_ps) / (np.mean(np.sin(theta), axis=-1) @ GAUSS3_WEIGHTS)
     phase = 2.0 * tau_max + np.max(np.abs(dtheta), axis=(0, 1))
     n_rule = _fixed_step_count(
         float(np.max(phase, where=~rejected, initial=0.0)), TAU_PHASE_PER_STEP, 64
     )
-    psi0 = ground_state(theta_i)
+    mirror = _mirror(mode, theta_i, theta_f[~rejected])
+    g0, g1 = ground_state(theta_i).real
+    e0, e1 = excited_state(theta_f).real[..., None]  # (K, 1) each
 
     def run(n):
-        p1, p3, p5, q2, q4 = _tau_exponent(shapes(_theta_series(mode, lam, theta_i, nodes(n))))
-        # one chain per shape and duration; Re p1 sums to int sin theta
-        s = ((1.0 / np.sum(p1.real, axis=-1))[..., None] * t_ps)[..., None]
+        # the first half of the n steps and an odd n's middle step, or all
+        m = (n + 1) // 2 if mirror else n
+        half = n // 2 if mirror else n  # the steps chained before the mirror
+        theta = shapes(_theta_series(mode, lam, theta_i, nodes(_capped(n), m)))
+        p1, p3, p5, q2, q4 = _tau_exponent(theta, n)
+        area = np.sum(p1.real[..., :half], axis=-1)  # int sin theta du
+        if mirror:  # twice the first half, and the middle step
+            area = 2.0 * area + np.sum(p1.real[..., half:], axis=-1)
+        # one chain per shape and duration
+        s = ((1.0 / area)[..., None] * t_ps)[..., None]
         s2 = s * s
 
-        def steps(k, m):
-            p1_, p3_, p5_, q2_, q4_ = (c[..., None, k:m] for c in (p1, p3, p5, q2, q4))
+        def steps(k, j):
+            p1_, p3_, p5_, q2_, q4_ = (c[..., None, k:j] for c in (p1, p3, p5, q2, q4))
             xz = s * (p1_ + s2 * (p3_ + s2 * p5_))
             return _su2_exp(xz.real, s2 * (q2_ + s2 * q4_), xz.imag)
 
-        p = np.abs(_su2_blocks(steps, n, s.size) @ psi0 @ bra)[..., 0] ** 2
+        alpha, beta = chain = _su2_chain(steps, half, s.size)
+        if mirror:
+            if m > half:
+                alpha, beta = _su2_mul(*(c[..., 0] for c in steps(half, m)), alpha, beta)
+            alpha, beta = _su2_mul(*mirror(*chain), alpha, beta)
+        # the excited amplitude of U psi0, U = [[alpha, -beta*], [beta, alpha*]]
+        amp = e0 * (alpha * g0 - beta.conj() * g1) + e1 * (beta * g0 + alpha.conj() * g1)
+        p = amp.real**2 + amp.imag**2
         p[rejected] = 0.0  # the chains of masked shapes run, unread
-        return p, None
+        return p, None, m
 
     p_e, _, step_error, steps = _richardson(run, n_rule, TAU_PILOT_DIVISOR, 6, atol, rtol)
     return RemappedResult(p_e, step_error, steps, rejected)
 
 
-def _tau_exponent(theta):
+def _mirror(mode, theta_i: float, theta_f: np.ndarray):
+    """The map W on quaternion pairs with U = W(Uh) Uh for a remapped_p_e
+    call whose shapes are all mirror-symmetric, else None; theta_f holds the
+    end angles of the unmasked shapes."""
+    if mode is BasisMode.THETA:  # U^T
+        return lambda alpha, beta: (alpha, -beta.conj())
+    if np.all(np.abs(theta_i + theta_f - math.pi) <= 4.0 * np.spacing(math.pi)):
+        return lambda alpha, beta: (alpha.conj(), beta)  # sigma_x U^T sigma_x
+    return None
+
+
+def _tau_exponent(theta, n: int):
     """Coefficients of the sixth-order Magnus exponent of each step of the
     constant-gap frame, as polynomials in the scale s.
 
-    theta (..., 3, n) holds the angle at the three Gauss nodes of n equal
-    steps h = 1/n of the unit fields e = (sin theta, 0, cos theta).  With
+    theta (..., 3, m) holds the angle at the three Gauss nodes of m of the
+    n equal steps h = 1/n of the unit fields e = (sin theta, 0, cos theta).  With
     A_j = s h e(node j), alpha_1 = A_2, alpha_2 = (sqrt(15)/3)(A_3 - A_1),
     alpha_3 = (10/3)(A_3 - 2 A_2 + A_1), C_1 = [alpha_1, alpha_2] and
     C_2 = -[alpha_1, 2 alpha_3 + C_1]/60, the exponent of Blanes, Casas and
@@ -398,10 +448,10 @@ def _tau_exponent(theta):
     in the x-z plane, held here as x + i z, and every cross product of two
     of them lies along y, so the exponent is
     v_x + i v_z = s (p1 + s^2 (p3 + s^2 p5)) and v_y = s^2 (q2 + s^2 q4).
-    Returns (p1, p3, p5, q2, q4), each (..., n); p1 is the three-node
+    Returns (p1, p3, p5, q2, q4), each (..., m); p1 is the three-node
     Gauss rule of h e.
     """
-    e = np.exp(-1j * theta) * (1j / theta.shape[-1])  # h (sin theta + i cos theta)
+    e = np.exp(-1j * theta) * (1j / n)  # h (sin theta + i cos theta)
     e1, e2, e3 = e[..., 0, :], e[..., 1, :], e[..., 2, :]
 
     def cross(a, b):  # y component of a x b, both in the x-z plane
@@ -451,23 +501,29 @@ def _magnus4(fields, h: float):
 
 
 def _su2_blocks(steps, n: int, chains: int) -> np.ndarray:
-    """Time-ordered product, later step on the left, of n quaternion steps,
-    where steps(k, m) gives the Cayley-Klein pairs (alpha, beta) of steps
-    k..m-1 on the last axis, with leading axes for the independent chains
-    (_su2_exp for the exponentials exp(-i v.sigma)).
+    """The product of _su2_chain as (..., 2, 2) matrices."""
+    alpha, beta = _su2_chain(steps, n, chains)
+    return np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(alpha.shape + (2, 2))
+
+
+def _su2_chain(steps, n: int, chains: int):
+    """Time-ordered product, later step on the left, of n >= 1 quaternion
+    steps, where steps(k, m) gives the Cayley-Klein pairs (alpha, beta) of
+    steps k..m-1 on the last axis, with leading axes for the independent
+    chains (_su2_exp for the exponentials exp(-i v.sigma)).
 
     The steps go in aligned blocks of the largest power of two
     <= CHAIN_BLOCK / chains, built in order and each reduced to one step
     (_su2_halve) before the next: they are subtrees of the pairwise
     reduction, so the product is that of the whole chain, and a block's
-    arrays bound the memory.  The result is (..., 2, 2).
+    arrays bound the memory.  Returns the pair (alpha, beta) of the product,
+    shaped as the leading axes.
     """
     block = 1 << max(CHAIN_BLOCK // chains, 1).bit_length() - 1
     blocks = [_su2_halve(*steps(k, min(k + block, n))) for k in range(0, n, block)]
     merged = (np.concatenate(q, -1) for q in zip(*blocks))
     alpha, beta = _su2_halve(*merged) if len(blocks) > 1 else blocks[0]
-    alpha, beta = alpha[..., 0], beta[..., 0]
-    return np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(alpha.shape + (2, 2))
+    return alpha[..., 0], beta[..., 0]
 
 
 def _su2_exp(v_x, v_y, v_z):
@@ -480,6 +536,11 @@ def _su2_exp(v_x, v_y, v_z):
     return np.cos(mag) - 1j * (s * v_z), s * (v_y - 1j * v_x)
 
 
+def _su2_mul(a2, b2, a1, b1):
+    """Hamilton product of the pairs (a2, b2) after (a1, b1), elementwise."""
+    return a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+
+
 def _su2_halve(alpha, beta):
     """Pairwise Hamilton products along the last axis down to one step, with
     a last axis of length 1; an odd tail is padded with the identity step,
@@ -488,6 +549,5 @@ def _su2_halve(alpha, beta):
         if alpha.shape[-1] % 2:
             pad = np.zeros(alpha.shape[:-1] + (1,))
             alpha, beta = np.concatenate([alpha, pad + 1.0], -1), np.concatenate([beta, pad], -1)
-        a1, a2, b1, b2 = alpha[..., 0::2], alpha[..., 1::2], beta[..., 0::2], beta[..., 1::2]
-        alpha, beta = a2 * a1 - b2.conj() * b1, b2 * a1 + a2.conj() * b1
+        alpha, beta = _su2_mul(alpha[..., 1::2], beta[..., 1::2], alpha[..., 0::2], beta[..., 0::2])
     return alpha, beta

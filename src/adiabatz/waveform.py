@@ -157,6 +157,16 @@ def _phases(n_m: int, u):
     return 2.0 * np.pi * np.multiply.outer(u, np.arange(1, n_m + 1))  # (..., n_m)
 
 
+def _series(basis, coefficients):
+    """sum_n basis[..., n] * coefficients[n], term by term in a fixed order:
+    each shape's value does not depend on the other columns of an (n_m, K)
+    coefficient matrix, as a matrix product's would (its path depends on K)."""
+    total = np.multiply.outer(basis[..., 0], coefficients[0])
+    for n in range(1, len(coefficients)):
+        total = total + np.multiply.outer(basis[..., n], coefficients[n])
+    return total
+
+
 def _theta_series(mode: BasisMode, coefficients, theta_i: float, u):
     """The shape theta(u) at the points u of [0, 1]; an (n_m, K) coefficient
     matrix gives K shapes at once, on a trailing axis."""
@@ -165,11 +175,9 @@ def _theta_series(mode: BasisMode, coefficients, theta_i: float, u):
     if mode is BasisMode.DERIVATIVE:
         # closed-form integral of the series, exact at the sample points
         terms = np.arange(1, n_m + 1)
-        return theta_i + (
-            np.multiply.outer(u, np.ones(n_m))
-            - (1.0 / (2.0 * np.pi * terms)) * np.sin(phases)
-        ) @ coefficients
-    return theta_i + (1.0 - np.cos(phases)) @ coefficients
+        basis = np.multiply.outer(u, np.ones(n_m)) - (1.0 / (2.0 * np.pi * terms)) * np.sin(phases)
+        return theta_i + _series(basis, coefficients)
+    return theta_i + _series(1.0 - np.cos(phases), coefficients)
 
 
 def _dtheta_series(mode: BasisMode, coefficients, u):
@@ -177,9 +185,9 @@ def _dtheta_series(mode: BasisMode, coefficients, u):
     n_m = len(coefficients)
     phases = _phases(n_m, u)
     if mode is BasisMode.DERIVATIVE:
-        return (1.0 - np.cos(phases)) @ coefficients
+        return _series(1.0 - np.cos(phases), coefficients)
     n = np.arange(1, n_m + 1).reshape((n_m,) + (1,) * (np.ndim(coefficients) - 1))
-    return np.sin(phases) @ (coefficients * 2.0 * np.pi * n)
+    return _series(np.sin(phases), coefficients * 2.0 * np.pi * n)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -30,3 +30,23 @@ gentle_waveforms = st.builds(
 few_term_waveforms = st.builds(
     _gentle_waveform, st.integers(0, 2**32 - 1), st.integers(2, 3), st.booleans()
 )
+
+
+def _antisymmetric_sweep(seed, n_m):
+    # a derivative-basis sweep from theta_i to pi - theta_i, lam_1 taken
+    # from the constraint as the searches assemble it
+    rng = np.random.default_rng(seed)
+    theta_i = rng.uniform(0.1, 1.3)
+    span = np.pi - 2.0 * theta_i
+    free = rng.uniform(-0.1, 0.1, n_m - 1) * span
+    lam = np.concatenate([[span - free.sum()], free])
+    return derivative_waveform(lam, 1.0, theta_i, np.pi - theta_i, normalized=False)
+
+
+# the two mirror symmetries of the constant-gap kernel: theta-basis
+# excursions, theta(1 - u) = theta(u), and derivative-basis sweeps with
+# theta(1 - u) = pi - theta(u); one to five terms
+mirror_symmetric_waveforms = st.one_of(
+    st.builds(_gentle_waveform, st.integers(0, 2**32 - 1), st.integers(1, 5), st.just(False)),
+    st.builds(_antisymmetric_sweep, st.integers(0, 2**32 - 1), st.integers(1, 5)),
+)

@@ -479,6 +479,32 @@ def test_lz_sweep_past_the_step_cap_is_a_numerical_failure(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_cz_pulse_past_the_kernel_step_cap_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a window of 1e7 T_x asks the constant-gap kernel for a rule of over
+    # 1e9 steps; its pilot is refused before its nodes are built, and nothing is
+    # written
+    rules = []
+    richardson = dynamics._richardson
+
+    def recording(run, n_rule, *args):
+        rules.append(n_rule)
+        return richardson(run, n_rule, *args)
+
+    monkeypatch.setattr(dynamics, "_richardson", recording)
+    cfg = write_config(tmp_path, {
+        "theta_i_rad": 0.1, "theta_f_rad": 0.8, "n_coeffs": 2, "t_p_window_over_Tx": [1e7, 1e7],
+    })
+    out = tmp_path / "out"
+    assert main(["cz-pulse", "--config", str(cfg), "--out", str(out)]) == 3
+    (n_rule,) = rules
+    pilot = -(-n_rule // dynamics.TAU_PILOT_DIVISOR)
+    assert n_rule > 1e9 and pilot > dynamics._MAX_STEPS
+    assert capsys.readouterr().err == (
+        f"numerical failure: step count {pilot} exceeds the cap of {dynamics._MAX_STEPS}\n"
+    )
+    assert not out.exists()
+
+
 def test_exact_error_curve_reports_its_step_work(tmp_path):
     cfg = write_config(tmp_path, {
         "coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3, "theta_f_rad": 2.2,

@@ -31,7 +31,7 @@ from adiabatz.waveform import (
     sample_trajectory,
     theta_waveform,
 )
-from strategies import few_term_waveforms, gentle_waveforms
+from strategies import few_term_waveforms, gentle_waveforms, mirror_symmetric_waveforms
 
 T_X = np.pi  # crossing period at h_x = 1
 
@@ -223,6 +223,13 @@ def test_lab_runs_past_the_step_cap_are_refused(monkeypatch):
     assert evolve_two_level_direct(traj, n_steps=n_rule).steps == n_rule
 
 
+def test_ode_overflow_is_its_own_failure():
+    # 100 steps on a slow ramp overflow the chain: numpy's overflow warning
+    # (an error in this suite) escaped before the bound check could raise
+    with pytest.raises(RuntimeError, match=r"\|alpha\* beta\| can reach inf > 1/2"):
+        evolve_two_level_exact(linear_ramp_trajectory(10.0, 0.05, 8192), n_steps=100)
+
+
 def test_tau_frame_masks_nan_angles():
     # a nan angle passed the (0, pi) mask and failed the step rule with
     # "cannot convert float NaN to integer"; now its row is masked and the
@@ -350,6 +357,13 @@ def doubling_series(n_rule, divisor):
     return counts
 
 
+def half_and_full_counts(n):
+    # the steps a default-tolerance call computes on a rule of n steps, with
+    # and without the mirror
+    grids = doubling_series(n, dynamics.TAU_PILOT_DIVISOR)
+    return sum(-(-m // 2) for m in grids), sum(grids)
+
+
 @pytest.mark.parametrize("w, window", TAU_WINDOWS.values(), ids=TAU_WINDOWS.keys())
 @pytest.mark.parametrize("rtol", [0.0, SEARCH_RTOL], ids=["default", "search"])
 def test_tau_step_error_bounds_the_true_error(w, window, rtol, monkeypatch):
@@ -412,17 +426,127 @@ def test_tau_step_is_sixth_order(monkeypatch):
 @pytest.mark.parametrize("w, window", TAU_WINDOWS.values(), ids=TAU_WINDOWS.keys())
 def test_tau_default_tolerance_is_the_fixed_rule(w, window, monkeypatch):
     # the default tolerance doubles up to the rule's own step count and
-    # returns, bitwise, what one run at that count gives
+    # returns, bitwise, what one run at that count gives; every window is a
+    # mirror-symmetric pulse, so each run steps the first half of its grid
+    # and an odd count's middle step
     t_ps = np.linspace(*window, 9) * T_X
     result = kernel(w, t_ps)
-    monkeypatch.setattr(
-        dynamics, "_richardson", lambda run, n_rule, *_: (*run(n_rule), None, n_rule)
-    )
+    rules = []
+
+    def fixed_rule(run, n_rule, *_):
+        rules.append(n_rule)
+        p, state, steps = run(n_rule)
+        return p, state, None, steps
+
+    monkeypatch.setattr(dynamics, "_richardson", fixed_rule)
     fixed = kernel(w, t_ps)
-    assert (fixed.steps == 64) == (window[1] < 0.1)
+    (n_rule,) = rules
+    assert (n_rule == 64) == (window[1] < 0.1)
     assert np.array_equal(result.p_e, fixed.p_e)
-    assert result.steps == sum(doubling_series(fixed.steps, dynamics.TAU_PILOT_DIVISOR))
+    assert fixed.steps == -(-n_rule // 2)
+    assert result.steps == half_and_full_counts(n_rule)[0]
     assert np.all(result.step_error > 0.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    mirror_symmetric_waveforms, st.lists(st.floats(0.8, 1.6), min_size=1, max_size=4),
+    st.integers(16, 1024),
+)
+@example(EXCURSION, [1.0], 101)
+@example(SWEEP, [1.34], 100)
+def test_tau_half_chain_is_the_full_chain(w, spans, n):
+    # the first half mirrored (and an odd grid's middle step) gives the full
+    # chain's P_e up to rounding, which grows with the amplitude: over 3800
+    # random shapes of this kind at 16-4096 steps the largest difference was
+    # 1.7e-15 (P_e 0.35), and its excess over 1e-15 at most 3.6e-15 P_e
+    t_ps = np.array(spans) * T_X
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_fixed_step_count", lambda *args: n)
+        half = kernel(w, t_ps)
+        mp.setattr(dynamics, "_mirror", lambda *args: None)
+        full = kernel(w, t_ps)
+    assert (half.steps, full.steps) == half_and_full_counts(n)
+    assert not np.any(half.rejected) and not np.any(full.rejected)
+    assert np.all(np.abs(half.p_e - full.p_e) <= 1e-15 + 8e-15 * full.p_e)
+    assert np.all(np.abs(half.step_error - full.step_error) <= 1e-15)
+
+
+def test_tau_sweep_off_pi_chains_every_step(monkeypatch):
+    # a derivative-basis row is mirrored only when theta_i + theta(1) is
+    # within 4 ulps of pi: 10 ulps off, alone or beside a row that is on,
+    # every step is chained; a masked row off pi does not count
+    monkeypatch.setattr(dynamics, "_fixed_step_count", lambda *args: 101)
+    half, full = half_and_full_counts(101)
+    on = SWEEP.coefficients
+    off = on + [10.0 * np.spacing(np.pi), 0.0]
+    masked = [np.nan, 0.0]
+
+    def steps(*rows):
+        return remapped_p_e(BasisMode.DERIVATIVE, np.array(rows), SWEEP.theta_i, [T_X]).steps
+
+    assert steps(on) == steps(on, masked) == half
+    assert steps(off) == steps(on, off) == full
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1), st.sampled_from(list(BasisMode)), st.integers(1, 5),
+    st.integers(1, 5), st.integers(16, 300),
+)
+def test_tau_row_does_not_depend_on_its_batch(seed, mode, n_m, partners, n):
+    # on one grid a row scores bitwise the same alone and among random
+    # partners, nan rows and rows that leave (0, pi) among them.  A matrix
+    # product for the shapes moved theta by an ulp between one row and two.
+    # Derivative-basis rows this random are not mirrored, alone or not
+    rng = np.random.default_rng(seed)
+    theta_i = rng.uniform(0.2, 1.0)
+    rows = rng.normal(0.0, 0.3, (partners + 1, n_m))
+    rows[1:][rng.random(partners) < 0.3] = np.nan
+    where = int(rng.integers(partners + 1))
+    rows[[0, where]] = rows[[where, 0]]
+    t_ps = rng.uniform(0.5, 2.0, int(rng.integers(1, 4))) * T_X
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_fixed_step_count", lambda *args: n)
+        alone = remapped_p_e(mode, rows[where][None], theta_i, t_ps)
+        batch = remapped_p_e(mode, rows, theta_i, t_ps)
+    assert np.array_equal(batch.p_e[where], alone.p_e[0])
+    assert np.array_equal(batch.step_error[where], alone.step_error[0])
+    assert batch.rejected[where] == alone.rejected[0]
+
+
+def test_tau_grids_past_the_step_cap_are_refused(monkeypatch):
+    # the pilot and each doubling are refused before their node arrays are
+    # built (a cz-pulse window of 1e7 T_x asks for over 1e9 steps); a grid at
+    # the cap goes through
+    t_ps = [T_X]
+    rules = []
+    richardson, theta_series = dynamics._richardson, dynamics._theta_series
+
+    def recording(run, n_rule, *args):
+        rules.append(n_rule)
+        return richardson(run, n_rule, *args)
+
+    def coarse_only(mode, lam, theta_i, u):  # the step grids are (3, m)
+        if np.ndim(u) > 1:
+            raise AssertionError("node arrays built past the cap")
+        return theta_series(mode, lam, theta_i, u)
+
+    monkeypatch.setattr(dynamics, "_richardson", recording)
+    ref = kernel(EXCURSION, t_ps)
+    n_rule = rules[0]
+    pilot = -(-n_rule // dynamics.TAU_PILOT_DIVISOR)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_MAX_STEPS", pilot - 1)
+        m.setattr(dynamics, "_theta_series", coarse_only)
+        with pytest.raises(ValueError, match=f"^step count {pilot} exceeds the cap of {pilot - 1}$"):
+            kernel(EXCURSION, t_ps)
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_MAX_STEPS", 2 * pilot - 1)
+        with pytest.raises(ValueError, match=f"^step count {2 * pilot} exceeds"):
+            kernel(EXCURSION, t_ps)
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", n_rule)
+    assert np.array_equal(kernel(EXCURSION, t_ps).p_e, ref.p_e)
 
 
 @settings(deadline=None, max_examples=40)
