@@ -7,7 +7,7 @@ amplitude accumulated by a slow drive is the Fourier-like integral
 
 and the transition probability is P_e = |theta_mr|^2 / 4 in the linear
 regime.  For constant omega this is exactly (1/4) of the waveform's
-spectral density at omega.
+spectral density at omega.  geometric_error returns that P_e.
 """
 
 from __future__ import annotations
@@ -24,33 +24,16 @@ from .waveform import SampledTrajectory
 
 __all__ = [
     "Evaluator",
-    "ErrorResult",
     "ErrorCurve",
     "geometric_error",
     "landau_zener_error",
     "error_curve",
 ]
 
-# beyond this the "angles add linearly" picture degrades
-OUT_OF_REGIME_THRESHOLD = 0.5
-
 
 class Evaluator(enum.Enum):
     LINEARIZED = "linearized"
     EXACT = "exact"
-
-
-@dataclasses.dataclass(frozen=True)
-class ErrorResult:
-    """Accumulated error amplitude and transition probability."""
-
-    theta_mr: complex
-    p_e: float
-    out_of_regime: bool
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_e <= 1.0:
-            raise ValueError(f"p_e out of [0, 1]: {self.p_e}")
 
 
 def _accumulated_phase(traj: SampledTrajectory) -> np.ndarray:
@@ -60,17 +43,17 @@ def _accumulated_phase(traj: SampledTrajectory) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(mid * dt)])
 
 
-def geometric_error(traj: SampledTrajectory) -> ErrorResult:
-    """Rotating-frame error integral for one trajectory: p_e = |theta_mr|^2/4,
-    the linearized answer; the exact dynamics module is the ground truth
-    beyond that regime."""
-    phase = _accumulated_phase(traj)
-    theta_mr = -complex(np.trapezoid(traj.dtheta_dt * np.exp(-1j * phase), traj.times))
-    return ErrorResult(
-        theta_mr=theta_mr,
-        p_e=min(abs(theta_mr) ** 2 / 4.0, 1.0),
-        out_of_regime=abs(theta_mr) > OUT_OF_REGIME_THRESHOLD,
-    )
+def geometric_error(traj: SampledTrajectory) -> float:
+    """Linearized P_e = min(|theta_mr|^2 / 4, 1) of one trajectory, theta_mr
+    integrated on its grid; the exact dynamics module is the ground truth
+    beyond that regime.  A theta_mr that is not a number, as an overflowing
+    phase gives, raises ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = _accumulated_phase(traj)
+        theta_mr = -complex(np.trapezoid(traj.dtheta_dt * np.exp(-1j * phase), traj.times))
+    if np.isnan(theta_mr):
+        raise ValueError(f"theta_mr is not a number (accumulated phase {phase[-1]:g})")
+    return min(abs(theta_mr) ** 2 / 4.0, 1.0)
 
 
 def landau_zener_error(h_x: float, ramp_rate: float) -> float:
@@ -128,7 +111,7 @@ def error_curve(
         try:
             traj = generator(float(t_p))
             if evaluator is Evaluator.LINEARIZED:
-                p_e[i] = geometric_error(traj).p_e
+                p_e[i] = geometric_error(traj)
             else:
                 exact.append(evolve_two_level_direct(traj))
                 p_e[i] = exact[-1].p_e

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
+from .dynamics import _MAX_STEPS, STEP_ATOL, evolve_two_level_direct, remapped_p_e
 from .geometry import theta_from_fields
 from .remap import remapped_trajectory
 from .waveform import CONSTRAINT_TOL, BasisMode, FourierWaveform, SampledTrajectory, _constraint_row
@@ -277,10 +277,10 @@ def optimize_coefficients(
     """Coefficients minimizing the objective under the endpoint constraint.
 
     lambda_1 is solved out of the endpoint constraint a . lam =
-    constraint_value; an exact objective refuses any constraint_value but
-    its theta_f - theta_i (to CONSTRAINT_TOL).  The spectral band power is a
-    quadratic form with a linear constraint, so its optimum is one linear
-    solve (seed and max_iterations go unused; iterations 0, converged True).
+    constraint_value, which must be finite; an exact objective refuses any
+    constraint_value but its theta_f - theta_i (to CONSTRAINT_TOL).  The
+    spectral band power is a quadratic form with a linear constraint, so its
+    optimum is one linear solve (seed and max_iterations go unused; iterations 0, converged True).
     Exact objectives get a simplex search over the n_m - 1 free coefficients
     with eight seeded restarts: a flat start (the one-term waveform),
     deterministic single-coordinate spokes (that landscape is multimodal and
@@ -293,6 +293,8 @@ def optimize_coefficients(
     """
     if n_m < 1:
         raise ValueError("n_m must be >= 1")
+    if not np.isfinite(constraint_value):
+        raise ValueError(f"constraint_value must be finite, got {constraint_value}")
     if objective.kind is ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF:
         value = _SpectralObjective(objective, mode, n_m)
         lam = value.minimizer(constraint_value)
@@ -425,14 +427,22 @@ def convolve_trajectory(traj: SampledTrajectory, sigma: float) -> SampledTraject
     sigma / dt) samples each side.  h_z is continued by its endpoint values
     before convolving, so a constant control passes through unchanged, and
     the pulse grows by the kernel support: n + 2 half samples on the same dt
-    grid.  sigma = 0 returns traj itself.
+    grid.  sigma = 0 returns traj itself.  The lab propagator takes at least
+    one step a sample, so a rounded pulse of more than _MAX_STEPS + 1
+    samples raises ValueError before any array is built.
     """
     if not 0 <= sigma < np.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return traj
     dt = traj.dt
-    half = math.ceil(5.0 * sigma / dt)
+    half = np.ceil(5.0 * float(sigma) / dt)  # a float, inf past the float range
+    length = len(traj.times) + 2 * half
+    if length - 1 > _MAX_STEPS:
+        raise ValueError(
+            f"rounded trajectory of {length:.4g} samples exceeds the step cap of {_MAX_STEPS}"
+        )
+    half = int(half)
     kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * dt / sigma) ** 2)
     kernel = kernel / (kernel.sum() * dt)
     padded = np.concatenate(

@@ -59,8 +59,8 @@ def build_remap(theta_of_tau, tau_p: float) -> RemapTable:
         omega_x = 2*h_x, the gap at the crossing; the map is the same for every h_x.
     """
     theta = np.asarray(theta_of_tau, dtype=float)
-    if not tau_p > 0:
-        raise ValueError("tau_p must be positive")
+    if not 0 < tau_p < np.inf:  # refuses nan too
+        raise ValueError("tau_p must be finite and positive")
     if not np.all((theta > 0) & (theta < np.pi)):  # refuses nan too
         raise ValueError("theta(tau) must stay strictly inside (0, pi)")
     tau = np.linspace(0.0, tau_p, len(theta))

@@ -26,6 +26,9 @@ Rewrite the record with
     PYTHONPATH=src python tests/paper_numbers.py --write
 
 Re-recording changes a check: say which numbers moved, by how much, and why.
+``--diff`` reruns every config without writing and prints, per config, each
+diagnostic that changed (old -> new) and each column's largest absolute and
+relative move against the record (``moves``).
 """
 
 from __future__ import annotations
@@ -135,6 +138,38 @@ def mismatches(got: dict, want: dict) -> list:
     return found
 
 
+def moves(got: dict, want: dict) -> list:
+    """What moved in a rerun entry against the record: each diagnostic that
+    changed, old -> new, a changed data file, and per column the largest
+    absolute and relative move (a NaN against a number moves by inf)."""
+    found = [f"{k} {want['diagnostics'].get(k)} -> {got['diagnostics'].get(k)}"
+             for k in sorted(got["diagnostics"].keys() | want["diagnostics"].keys())
+             if got["diagnostics"].get(k) != want["diagnostics"].get(k)]
+    if got["data_sha256"] != want["data_sha256"]:
+        found.append("data_sha256 changed")
+    a, b = (np.array(e["rows"], dtype=float) for e in (got, want))
+    if got["columns"] != want["columns"] or a.shape != b.shape:
+        return found + [f"columns {want['columns']} -> {got['columns']}, "
+                        f"rows shaped {b.shape} -> {a.shape}"]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        move = np.where(np.isnan(a) & np.isnan(b), 0.0, np.nan_to_num(np.abs(a - b), nan=np.inf))
+        relative = np.where(move > 0, move / np.abs(b), 0.0)
+    for j, column in enumerate(want["columns"]):
+        if move[:, j].any():
+            i, k = np.argmax(move[:, j]), np.argmax(relative[:, j])
+            found.append(f"{column}: {move[i, j]:.3g} absolute (row {i}), "
+                         f"{relative[k, j]:.3g} relative (row {k})")
+    return found
+
+
+def diff(names=CONFIGS) -> None:
+    """Print the moves of each named config against the record."""
+    record = json.loads(RECORD.read_text())["configs"]
+    for name in names:
+        for line in moves(run_config(name), record[name]) or ["no moves"]:
+            print(f"{name}: {line}")
+
+
 def write() -> None:
     record = {
         "numpy": np.__version__,
@@ -145,6 +180,9 @@ def write() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/paper_numbers.py --write")
-    write()
+    if sys.argv[1:] == ["--write"]:
+        write()
+    elif sys.argv[1:] == ["--diff"]:
+        diff()
+    else:
+        sys.exit("usage: python tests/paper_numbers.py --write | --diff")

@@ -126,7 +126,7 @@ def test_criterion_03_constant_frequency_identity():
     ]
     for w, omega0 in cases:
         traj = small_angle_trajectory(w, omega0=omega0, n_samples=4096)
-        p_e = geometric_error(traj).p_e
+        p_e = geometric_error(traj)
         s = psd(traj.times, traj.dtheta_dt, np.array([omega0])).values.item()
         assert p_e == pytest.approx(s / 4.0, abs=1e-10)
 
@@ -210,7 +210,7 @@ def test_criterion_08_small_error_limit():
     for traj in _corpus():
         exact = evolve_two_level_direct(traj).p_e
         if exact < 1e-3:
-            linear = geometric_error(traj).p_e
+            linear = geometric_error(traj)
             assert abs(linear - exact) <= 0.15 * exact
             checked += 1
     assert checked == 50  # the frozen corpus sits entirely in the regime
@@ -252,8 +252,8 @@ def test_criterion_10_remap_correctness():
         tau_frame = small_angle_trajectory(
             w.with_t_p(t_p / mean_rate), omega0=2.0, n_samples=n
         )
-        assert geometric_error(lab).p_e == pytest.approx(
-            geometric_error(tau_frame).p_e, abs=1e-8
+        assert geometric_error(lab) == pytest.approx(
+            geometric_error(tau_frame), abs=1e-8
         )
 
     # inverting t(tau) recovers the commanded angle profile

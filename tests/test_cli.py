@@ -357,7 +357,7 @@ def test_remapped_curve_remaps_its_shape_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     _, data = load_table(tmp_path / "error-curve.csv")
     w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
-    assert [geometric_error(remapped_trajectory(w, t_p, n_samples=2048)).p_e
+    assert [geometric_error(remapped_trajectory(w, t_p, n_samples=2048))
             for t_p in data[:, 1]] == list(data[:, 2])
 
 
@@ -382,8 +382,8 @@ def test_sampled_curve_samples_its_shape_once(tmp_path, monkeypatch):
     _, data = load_table(tmp_path / "error-curve.csv")
     w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
     unit = sample_trajectory(w, 2048)
-    assert [geometric_error(unit.with_t_p(t_p)).p_e for t_p in data[:, 1]] == list(data[:, 2])
-    per_duration = [geometric_error(sample_trajectory(w.with_t_p(t_p), 2048)).p_e
+    assert [geometric_error(unit.with_t_p(t_p)) for t_p in data[:, 1]] == list(data[:, 2])
+    per_duration = [geometric_error(sample_trajectory(w.with_t_p(t_p), 2048))
                     for t_p in data[:, 1]]
     assert np.max(np.abs(data[:, 2] - per_duration)) <= 1e-14
 
@@ -503,6 +503,21 @@ def test_cz_pulse_past_the_kernel_step_cap_is_a_numerical_failure(tmp_path, caps
         f"numerical failure: step count {pilot} exceeds the cap of {dynamics._MAX_STEPS}\n"
     )
     assert not out.exists()
+
+
+def test_cz_pulse_rounding_past_the_step_cap_rejects_every_candidate(tmp_path):
+    # a width of 1e5 T_x asked for an 8 GiB rounding kernel per candidate and
+    # ended in a MemoryError traceback; each candidate is now refused before
+    # its arrays are built and scores 1.0
+    cfg = write_config(tmp_path, {
+        "theta_i_rad": 0.1, "theta_f_rad": 0.8, "n_coeffs": 2, "sigma_over_Tx": 1e5,
+        "max_iterations": 2,
+    })
+    assert main(["cz-pulse", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    diagnostics = json.loads((tmp_path / "cz-pulse_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["rejected"] == diagnostics["evaluations"] > 0
+    cols, data = load_table(tmp_path / "cz-pulse.csv")
+    assert dict(zip(cols, data[0]))["max_p_e"] == 1.0
 
 
 def test_exact_error_curve_reports_its_step_work(tmp_path):

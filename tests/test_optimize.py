@@ -115,6 +115,19 @@ def test_exact_search_refuses_a_constraint_off_its_endpoints(monkeypatch, sigma)
                 optimize_coefficients(n_m, BasisMode.THETA, objective, c, max_iterations=3)
 
 
+def test_constraint_value_must_be_finite():
+    # the spectral solve returned nan coefficients and a nan objective for
+    # nan, and only warned for inf
+    exact = Objective(
+        kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(np.pi, np.pi),
+        theta_i=0.1, theta_f=0.8,
+    )
+    for objective in (spectral_objective(), exact):
+        for c in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="constraint_value"):
+                optimize_coefficients(2, BasisMode.DERIVATIVE, objective, c)
+
+
 def constraint_row(mode, n_m):
     # a with a.lam = theta_f - theta_i at unit duration, read off the public
     # constraint_residual, which is linear in the coefficients
@@ -538,6 +551,29 @@ def test_rounding_width_must_be_finite_and_non_negative():
     traj = trajectory_of(np.linspace(-1.0, 1.0, 50), 0.01)
     for sigma in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="sigma"):
+            convolve_trajectory(traj, sigma)
+
+
+def test_rounding_past_the_step_cap_is_refused_before_any_array(monkeypatch):
+    # the propagator takes at least one step a sample, n + 2 half - 1 in
+    # all; a width of 1e5 T_x on the rounded grid asked np.arange for 8 GiB
+    n, dt = ROUNDED_SAMPLES, 0.003
+    traj = trajectory_of(np.linspace(-1.0, 1.0, n), dt)
+
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(np, "arange", build)
+    monkeypatch.setattr(np.fft, "rfft", build)
+    half = (dynamics._MAX_STEPS + 1 - n) // 2  # the widest kernel under the cap
+    with pytest.raises(Built):
+        convolve_trajectory(traj, (half - 0.5) * dt / 5.0)
+    # past it, and where 5 sigma / dt overflows a float
+    for sigma in ((half + 0.5) * dt / 5.0, 1e5 * np.pi, 1e307):
+        with pytest.raises(ValueError, match="exceeds the step cap"):
             convolve_trajectory(traj, sigma)
 
 

@@ -1,8 +1,9 @@
+import copy
 import json
 
 import pytest
 
-from paper_numbers import CONFIGS, RECORD, mismatches, run_config
+from paper_numbers import CONFIGS, RECORD, diff, mismatches, moves, run_config
 
 record = json.loads(RECORD.read_text())["configs"]
 
@@ -20,3 +21,24 @@ def test_paper_numbers(name):
     # the CLI's data and work counts for each config are the recorded ones
     # (exact P_e within twice its step error estimate)
     assert mismatches(run_config(name), record[name]) == []
+
+
+def test_diff_names_each_move(capsys):
+    # the cheap rect curve against its own entry, then against a copy with
+    # one value nudged and a count it does not have
+    want = record["error-curve-rect"]
+    got = run_config("error-curve-rect")
+    assert moves(got, want) == []
+    diff(["error-curve-rect"])
+    assert capsys.readouterr().out == "error-curve-rect: no moves\n"
+    nudged = copy.deepcopy(want)
+    nudged["rows"][7][1] *= 1.0 + 1e-9
+    nudged["diagnostics"]["steps"] = 12
+    nudged["data_sha256"] = "0" * 64
+    move = abs(nudged["rows"][7][1] - want["rows"][7][1])
+    relative = move / nudged["rows"][7][1]
+    assert moves(got, nudged) == [
+        "steps 12 -> None",
+        "data_sha256 changed",
+        f"p_e_linearized: {move:.3g} absolute (row 7), {relative:.3g} relative (row 7)",
+    ]

@@ -130,8 +130,8 @@ def test_frame_equivalence_linearized_error():
         tau_frame = small_angle_trajectory(
             w.with_t_p(t_p / mean_rate), omega0=2.0, n_samples=n
         )
-        p_lab = geometric_error(lab).p_e
-        p_tau = geometric_error(tau_frame).p_e
+        p_lab = geometric_error(lab)
+        p_tau = geometric_error(tau_frame)
         assert p_lab == pytest.approx(p_tau, abs=1e-8)
 
 
@@ -163,6 +163,13 @@ def test_build_remap_guards():
         build_remap(np.linspace(-0.1, 1.0, 64), tau_p=1.0)
     with pytest.raises(ValueError):
         build_remap(np.linspace(0.5, np.pi, 64), tau_p=1.0)
+
+
+def test_build_remap_refuses_an_infinite_duration():
+    # inf passed the positivity check and failed later on numpy warnings
+    # as "t(tau) must be strictly increasing"
+    with pytest.raises(ValueError, match="tau_p must be finite and positive"):
+        build_remap(np.full(4, 0.5), tau_p=np.inf)
 
 
 def test_remap_refuses_nan():
