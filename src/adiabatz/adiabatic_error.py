@@ -36,23 +36,26 @@ class Evaluator(enum.Enum):
     EXACT = "exact"
 
 
-def _accumulated_phase(traj: SampledTrajectory) -> np.ndarray:
-    """Cumulative trapezoid of omega(t) on the trajectory grid."""
-    dt = np.diff(traj.times)
-    mid = (traj.omega[1:] + traj.omega[:-1]) / 2.0
-    return np.concatenate([[0.0], np.cumsum(mid * dt)])
-
-
 def geometric_error(traj: SampledTrajectory) -> float:
     """Linearized P_e = min(|theta_mr|^2 / 4, 1) of one trajectory, theta_mr
-    integrated on its grid; the exact dynamics module is the ground truth
-    beyond that regime.  A theta_mr that is not a number, as an overflowing
-    phase gives, raises ValueError."""
+    integrated on its grid with the phase a cumulative trapezoid of omega;
+    the exact dynamics module is the ground truth beyond that regime.  A
+    theta_mr that is not a number, as an overflowing phase gives, raises
+    ValueError, and so does a grid too coarse for the phase: a trapezoid
+    step (omega_k + omega_k+1)/2 dt over pi aliases the integrand, and the
+    largest such step is named."""
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = _accumulated_phase(traj)
+        step = (traj.omega[1:] + traj.omega[:-1]) / 2.0 * np.diff(traj.times)
+        phase = np.concatenate([[0.0], np.cumsum(step)])
         theta_mr = -complex(np.trapezoid(traj.dtheta_dt * np.exp(-1j * phase), traj.times))
     if np.isnan(theta_mr):
         raise ValueError(f"theta_mr is not a number (accumulated phase {phase[-1]:g})")
+    k = int(np.argmax(step))
+    if step[k] > np.pi:
+        raise ValueError(
+            f"phase step {step[k]:.3g} rad between samples {k} and {k + 1} exceeds pi: "
+            "the grid aliases theta_mr"
+        )
     return min(abs(theta_mr) ** 2 / 4.0, 1.0)
 
 

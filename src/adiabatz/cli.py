@@ -305,6 +305,8 @@ def _run_cz_pulse(params: dict, seed: int):
         seed=seed,
         max_iterations=max_iterations,
     )
+    if rep.rejected == rep.evaluations:  # no candidate was scored: no result
+        raise RuntimeError(f"cz-pulse: all {rep.evaluations} candidates were rejected")
     columns = ["n_coeffs", "sigma_over_Tx", "max_p_e", "iterations", "converged",
                "max_p_e_step_error", "rejected"]
     columns += [f"lambda_prime_{n}_rad" for n in range(1, n_coeffs + 1)]

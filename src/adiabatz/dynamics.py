@@ -6,9 +6,11 @@ instantaneous-eigenbasis amplitudes; its step maps are (non-unit)
 quaternions, built elementwise and chained pairwise, with the norm drift
 from the product of the step norms.  The second chains per-step SU(2)
 exponentials of the lab-frame 2x2 Hamiltonian as unit quaternions, with a
-fourth-order two-node Magnus step, doubling its step count from a coarse
-pilot until a Richardson estimate of the step error meets STEP_ATOL +
-STEP_RTOL * P_e, and reports that estimate with the answer.  Both derive the
+fourth-order two-node Magnus step whose exponents are built from the lab
+field (h_x, 0, z) block by block; it doubles its step count once from a
+coarse pilot, then jumps to the count the fourth order predicts, until a
+Richardson estimate of the step error meets STEP_ATOL + STEP_RTOL * P_e, and
+reports that estimate with the answer.  Both derive the
 Hamiltonian from theta(t) and the trajectory's h_x alone, read between the
 samples from a not-a-knot cubic spline (_interp.cubic_spline, scipy's
 CubicSpline in numpy); a pinned omega field on the trajectory is a
@@ -18,10 +20,10 @@ The same quaternion chain also steps remapped Fourier waveforms at h_x = 1
 directly in the constant-gap frame (remapped_p_e, the kernel of the
 unrounded exact search objectives), with a sixth-order three-node Magnus
 step whose exponent is a polynomial in the duration scale, on its own rule
-(TAU_PHASE_PER_STEP) under the same doubling loop (_richardson): one call
+(TAU_PHASE_PER_STEP) under the same loop (_richardson): one call
 takes a (K, n_m) coefficient matrix of shapes and returns a frozen
 RemappedResult, with the shapes whose angle leaves (0, pi) masked; searches
-pass a loose tolerance, and the default tolerance 0 doubles up to the fixed
+pass a loose tolerance, and the default tolerance 0 runs up to the fixed
 rule's own count.  Of a mirror-symmetric call it chains only u in
 [0, 1/2], Uh, and counts in steps the steps it chains: U = Uh^T Uh for
 theta-basis shapes, theta(1 - u) = theta(u), and U = sigma_x Uh^T sigma_x Uh
@@ -54,8 +56,8 @@ AB_PRODUCT_TOL = 1e-9
 NORM_DRIFT_TOL = 1e-9
 # fixed step rule (_fixed_step_count): rotation angle per step, small
 # enough for ~1e-10 step error at fourth order.  It sizes the product ODE,
-# the three-level ladder and the direct propagator, whose doubling loop
-# (_richardson) takes its pilot (1/PILOT_DIVISOR of the rule's count) and
+# the three-level ladder and the direct propagator, whose error-controlled
+# loop (_richardson) takes its pilot (1/PILOT_DIVISOR of the rule's count) and
 # cap from it
 PHASE_PER_STEP = 0.0125
 # the rule of the sixth-order constant-gap kernel (remapped_p_e), for the
@@ -145,19 +147,24 @@ def _richardson(run, n_rule: int, divisor: int, order: int, atol: float, rtol: f
     n-step grid of a method of the given order (4 for the lab path, 6 for
     the constant-gap kernel), steps counting those it computed.
 
-    From a pilot at ceil(n_rule / divisor) steps the count doubles until the
-    Richardson estimate |P(m) - P(n)| / ((m/n)^order - 1) of the finer run
-    (m = 2n, so /15 or /63, except where capped) falls to atol + rtol * P for
-    every entry of P, or the finer run reaches the rule's count, which it
-    never exceeds (n_rule = 1 caps at 2: an estimate needs two counts).  A
-    tolerance of 0 is never met.  Returns the finer run's P and state, the
-    estimate and the steps of all runs summed.
+    From a pilot at ceil(n_rule / divisor) steps the count doubles once.
+    The finer run m of each pair carries the Richardson estimate
+    E = |P(m) - P(n)| / ((m/n)^order - 1) (/15 or /63 for a doubling).
+    While E misses tol = atol + rtol * P on some entry of P, the next count
+    is m (2 max(E / tol))^(1/order), where an error of that order falls to
+    half the tolerance, at least 2m and at most the rule's count; a ratio
+    E / tol that is 0 or not finite (a tolerance of 0, which is never met)
+    goes straight to the rule.  The loop stops when every entry meets its
+    tolerance or the finer run reaches the rule's count, which it never
+    exceeds (n_rule = 1 caps at 2: an estimate needs two counts).
+    Returns the finer run's P and state, the estimate and the steps of all
+    runs summed.
     """
     cap = max(n_rule, 2)
     n = math.ceil(n_rule / divisor)
     p, _, steps = run(n)
+    m = min(2 * n, cap)
     while True:
-        m = min(2 * n, cap)
         p_fine, state, run_steps = run(m)
         steps += run_steps
         error = abs(p_fine - p) / ((m / n) ** order - 1.0)
@@ -166,6 +173,10 @@ def _richardson(run, n_rule: int, divisor: int, order: int, atol: float, rtol: f
         met = (error <= tol) & (tol > 0.0)  # an array for an array of P
         if n == cap or (met.all() if isinstance(met, np.ndarray) else met):
             return p, state, error, steps
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = float(np.max(np.divide(error, tol)))
+        target = n * (2.0 * ratio) ** (1.0 / order) if 0.0 < ratio < math.inf else cap
+        m = min(cap, max(2 * n, math.ceil(min(target, cap))))
 
 
 def _capped(n: int) -> int:
@@ -249,16 +260,18 @@ def evolve_two_level_direct(
     traj: SampledTrajectory, n_steps: int | None = None
 ) -> EvolutionResult:
     """Fourth-order exact-exponential stepping of the lab-frame 2x2
-    Hamiltonian on the SU(2) quaternion kernel (_su2_propagator), from the
+    Hamiltonian on the SU(2) quaternion chain (_su2_chain), from the
     instantaneous ground state at t = 0.
 
     P_e is the population of the instantaneous excited eigenstate at t_p.
-    Unless n_steps is given, the step count is error-controlled
-    (_richardson): a pilot at 1/PILOT_DIVISOR of the fixed _n_steps rule is
-    doubled until the Richardson estimate falls to
-    STEP_ATOL + STEP_RTOL * P, or the run reaches the rule's count, which it
-    never exceeds.  The finer run is returned with that estimate as
-    step_error and the steps of all runs summed in steps.  A run past
+    The step exponents come from the lab field (_lab_exponent), bitwise
+    those of _magnus4, one block of the chain at a time.  Unless n_steps is
+    given, the step count is error-controlled (_richardson): a pilot at
+    1/PILOT_DIVISOR of the fixed _n_steps rule is doubled, then the count
+    jumps to what the fourth order predicts until the Richardson estimate
+    falls to STEP_ATOL + STEP_RTOL * P, or the run reaches the rule's count,
+    which it never exceeds.  The finer run is returned with that estimate
+    as step_error and the steps of all runs summed in steps.  A run past
     _MAX_STEPS steps raises ValueError before it is built.
     """
     z = cubic_spline(traj.times, traj.h_x / np.tan(traj.theta))
@@ -267,7 +280,11 @@ def evolve_two_level_direct(
     def propagate(n):
         h, nodes = _gauss_node_times(traj.times[0], traj.t_p, _capped(n))
         z1, z2 = z(nodes)
-        psi = _su2_propagator((traj.h_x, 0.0, z1), (traj.h_x, 0.0, z2), h) @ psi0
+
+        def steps(i, j):  # built per block of the chain
+            return _su2_exp(*_lab_exponent(traj.h_x, z1[i:j], z2[i:j], h))
+
+        psi = _su2_blocks(steps, n, 1) @ psi0
         beta = complex(np.vdot(excited, psi))
         return beta.real**2 + beta.imag**2, (psi, beta), n
 
@@ -343,7 +360,7 @@ def remapped_p_e(
     the grid for a mirrored call.
 
     The fixed step rule at TAU_PHASE_PER_STEP, sized once for the longest
-    duration and the most demanding shape, caps the doubling loop
+    duration and the most demanding shape, caps the error-controlled loop
     (_richardson, order 6, from 1/TAU_PILOT_DIVISOR of the rule's count),
     which stops once every estimate falls to atol + rtol * P_e.  The default
     tolerance 0 is never met, so P_e is the fixed rule's answer.  A grid
@@ -472,6 +489,15 @@ def _tau_exponent(theta, n: int):
     return p1, p3, p5, q2, q4
 
 
+def _lab_exponent(h_x: float, z1, z2, h: float):
+    """The _magnus4 exponents of the lab fields (h_x, 0, z1) and (h_x, 0, z2)
+    at the Gauss nodes, bitwise, with its zero terms left out:
+    v = (h h_x, k (z2 h_x - h_x z1), (h/2)(z1 + z2)), k = sqrt(3) h^2/6,
+    v_x a scalar for every step."""
+    k = math.sqrt(3.0) * h * h / 6.0
+    return h * h_x, k * (z2 * h_x - h_x * z1), (h / 2.0) * (z1 + z2)
+
+
 def _su2_propagator(f1, f2, h: float) -> np.ndarray:
     """Time-ordered 2x2 propagator of H(t) = f(t).sigma from Gauss-node
     fields, one fourth-order step (_magnus4) per pair of nodes.
@@ -533,7 +559,15 @@ def _su2_exp(v_x, v_y, v_z):
     mag = np.sqrt(v_x**2 + v_y**2 + v_z**2)
     # sin|v|/|v|; where v = 0 the vector part is 0 whatever the factor
     s = np.divide(np.sin(mag), mag, out=np.ones_like(mag), where=mag > 0.0)
-    return np.cos(mag) - 1j * (s * v_z), s * (v_y - 1j * v_x)
+    # the parts are written in place, with no complex temporaries; np.cos
+    # is taken on a contiguous array and copied, since numpy may take
+    # another loop, not checked to give the same bits, for a strided output
+    alpha, beta = np.empty(mag.shape, complex), np.empty(mag.shape, complex)
+    alpha.real = np.cos(mag)
+    np.negative(np.multiply(s, v_z, out=alpha.imag), out=alpha.imag)
+    np.multiply(s, v_y, out=beta.real)
+    np.negative(np.multiply(s, v_x, out=beta.imag), out=beta.imag)
+    return alpha, beta
 
 
 def _su2_mul(a2, b2, a1, b1):

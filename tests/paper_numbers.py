@@ -28,7 +28,8 @@ Rewrite the record with
 Re-recording changes a check: say which numbers moved, by how much, and why.
 ``--diff`` reruns every config without writing and prints, per config, each
 diagnostic that changed (old -> new) and each column's largest absolute and
-relative move against the record (``moves``).
+relative move against the record (``moves``), or "no moves"; it exits 1 when
+any config moved and 0 when none did, so a script can gate on the record.
 """
 
 from __future__ import annotations
@@ -162,12 +163,17 @@ def moves(got: dict, want: dict) -> list:
     return found
 
 
-def diff(names=CONFIGS) -> None:
-    """Print the moves of each named config against the record."""
+def diff(names=CONFIGS) -> bool:
+    """Print the moves of each named config against the record; True when
+    any config moved."""
     record = json.loads(RECORD.read_text())["configs"]
+    moved = False
     for name in names:
-        for line in moves(run_config(name), record[name]) or ["no moves"]:
+        found = moves(run_config(name), record[name])
+        moved |= bool(found)
+        for line in found or ["no moves"]:
             print(f"{name}: {line}")
+    return moved
 
 
 def write() -> None:
@@ -183,6 +189,6 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         write()
     elif sys.argv[1:] == ["--diff"]:
-        diff()
+        sys.exit(1 if diff() else 0)
     else:
         sys.exit("usage: python tests/paper_numbers.py --write | --diff")

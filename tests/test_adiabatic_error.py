@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,20 +134,46 @@ def test_landau_zener_formula():
             landau_zener_error(h_x, 0.3)
 
 
+def aliased(t_p):
+    # 1e307 rad/s on 65 samples: ~1.6e305 rad a sample at t_p = 1
+    w = derivative_waveform([1.0], t_p, 0.5, 1.5)
+    return small_angle_trajectory(w, omega0=1e307, n_samples=65)
+
+
 def test_overflowing_phase_is_a_failed_point():
     # omega0 * t_p overflows the accumulated phase; the integral used to
-    # warn from np.cumsum, which error_curve let through under -W error
-    def gen(t_p):
-        w = derivative_waveform([1.0], t_p, 0.5, 1.5)
-        return small_angle_trajectory(w, omega0=1e307, n_samples=65)
-
+    # warn from np.cumsum, which error_curve let through under -W error.
+    # The point at t_p = 1 is a failure too: its grid aliases the phase
     with pytest.raises(ValueError, match="theta_mr is not a number"):
-        geometric_error(gen(100.0))
-    curve = error_curve(gen, [1.0, 100.0])
-    assert curve.p_e[0] == geometric_error(gen(1.0))
-    assert np.isnan(curve.p_e[1])
-    assert [i for i, _ in curve.failures] == [1]
-    assert "theta_mr is not a number" in curve.failures[0][1]
+        geometric_error(aliased(100.0))
+    curve = error_curve(aliased, [1.0, 100.0])
+    assert np.all(np.isnan(curve.p_e))
+    assert [i for i, _ in curve.failures] == [0, 1]
+    assert "theta_mr is not a number" in curve.failures[1][1]
+
+
+def test_aliased_phase_steps_are_refused():
+    # the grid of 65 samples returned P_e 1.3e-4 at t_p = 1 and 3.4e-4 at 2
+    # from ~1.6e305 and ~3.2e305 rad a sample; now each point fails and
+    # names its largest step
+    for t_p in (1.0, 2.0):
+        traj = aliased(t_p)
+        step = (traj.omega[1:] + traj.omega[:-1]) / 2.0 * np.diff(traj.times)
+        k = int(np.argmax(step))
+        message = f"phase step {step[k]:.3g} rad between samples {k} and {k + 1} exceeds pi:"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            geometric_error(traj)
+    curve = error_curve(aliased, [1.0, 2.0])
+    assert np.all(np.isnan(curve.p_e)) and [i for i, _ in curve.failures] == [0, 1]
+    assert all("exceeds pi" in reason for _, reason in curve.failures)
+    # a constant gap with a step of pi passes; one ulp over is refused
+    for omega0, ok in ((np.pi, True), (np.nextafter(np.pi, 4.0), False)):
+        traj = constant_rate_trajectory(0.02, 16.0, omega0, n=17)
+        if ok:
+            assert geometric_error(traj) >= 0.0
+        else:
+            with pytest.raises(ValueError, match="exceeds pi"):
+                geometric_error(traj)
 
 
 def test_error_curve_partial_failures():

@@ -505,19 +505,18 @@ def test_cz_pulse_past_the_kernel_step_cap_is_a_numerical_failure(tmp_path, caps
     assert not out.exists()
 
 
-def test_cz_pulse_rounding_past_the_step_cap_rejects_every_candidate(tmp_path):
+def test_cz_pulse_rounding_past_the_step_cap_rejects_every_candidate(tmp_path, capsys):
     # a width of 1e5 T_x asked for an 8 GiB rounding kernel per candidate and
     # ended in a MemoryError traceback; each candidate is now refused before
-    # its arrays are built and scores 1.0
+    # its arrays are built, and a search that scored none of them is a
+    # numerical failure, not a row with max_p_e 1.0
     cfg = write_config(tmp_path, {
         "theta_i_rad": 0.1, "theta_f_rad": 0.8, "n_coeffs": 2, "sigma_over_Tx": 1e5,
         "max_iterations": 2,
     })
-    assert main(["cz-pulse", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    diagnostics = json.loads((tmp_path / "cz-pulse_manifest.json").read_text())["diagnostics"]
-    assert diagnostics["rejected"] == diagnostics["evaluations"] > 0
-    cols, data = load_table(tmp_path / "cz-pulse.csv")
-    assert dict(zip(cols, data[0]))["max_p_e"] == 1.0
+    assert main(["cz-pulse", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "candidates were rejected" in capsys.readouterr().err
+    assert not (tmp_path / "cz-pulse.csv").exists()
 
 
 def test_exact_error_curve_reports_its_step_work(tmp_path):

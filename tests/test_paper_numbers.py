@@ -42,3 +42,17 @@ def test_diff_names_each_move(capsys):
         "data_sha256 changed",
         f"p_e_linearized: {move:.3g} absolute (row 7), {relative:.3g} relative (row 7)",
     ]
+
+
+def test_diff_tells_a_script_whether_anything_moved(tmp_path, monkeypatch, capsys):
+    # --diff exits with 1 when diff() is true, a config having moved against
+    # the record, and with 0 on "no moves"
+    import paper_numbers
+
+    assert diff(["error-curve-rect"]) is False
+    nudged = copy.deepcopy(json.loads(RECORD.read_text()))
+    nudged["configs"]["error-curve-rect"]["diagnostics"]["steps"] = 12
+    (tmp_path / "record.json").write_text(json.dumps(nudged))
+    monkeypatch.setattr(paper_numbers, "RECORD", tmp_path / "record.json")
+    assert diff(["error-curve-rect"]) is True
+    assert capsys.readouterr().out.endswith("error-curve-rect: steps 12 -> None\n")
