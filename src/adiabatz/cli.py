@@ -6,7 +6,8 @@ with the config hash, library versions, wall time and diagnostics (the
 cz-pulse search's report, the failed error-curve points and an exact curve's
 step work, the lz-sweep step work, each drag-sweep calibration's optimizer
 status and reached error). The manifest lives in a separate file so result
-bytes depend only on config + seed.
+bytes depend only on config + seed. A remapped exact error-curve is one
+call of the constant-gap kernel (dynamics.remapped_p_e) over its durations.
 
 Each parameter is named once, where its experiment reads it: a read pops
 the key from a copy of the config, and the keys left after the last read
@@ -30,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adiabatic_error import Evaluator, error_curve, landau_zener_error
-from .dynamics import evolve_two_level_direct
+from .adiabatic_error import ErrorCurve, Evaluator, error_curve, landau_zener_error
+from .dynamics import STEP_ATOL, STEP_RTOL, evolve_two_level_direct, remapped_p_e
 from .optimize import (
     Objective,
     ObjectiveKind,
@@ -220,11 +221,10 @@ def _run_error_curve(params: dict, seed: int):
         _reject_unknown(params, "error-curve")
         u = np.linspace(u_min, u_max, n_points)
         # constant-omega closed forms: P_e of the abrupt window is the
-        # squared sinc; one cosine term divides it by (1 - u^2)^2
-        if window == "rect":
-            p_e = (dth**2 / 4.0) * np.sinc(u) ** 2
-        else:
-            p_e = (dth**2 / 4.0) * basis_transform(u, 1, BasisMode.DERIVATIVE) ** 2
+        # squared sinc; one cosine term divides it by (1 - u^2)^2; both are
+        # clipped at 1, as geometric_error clips
+        shape = np.sinc(u) if window == "rect" else basis_transform(u, 1, BasisMode.DERIVATIVE)
+        p_e = np.minimum((dth**2 / 4.0) * shape**2, 1.0)
         rows = np.column_stack([u, p_e]).tolist()
         return ["u_cycles", "p_e_linearized"], rows, {"failures": []}
 
@@ -239,7 +239,8 @@ def _run_error_curve(params: dict, seed: int):
     t_lo = _num(params, "t_p_min_over_Tx", _REQUIRED, lo=0, open_lo=True)
     t_hi = _num(params, "t_p_max_over_Tx", _REQUIRED, lo=t_lo, open_lo=True)
     n_points = _int(params, "n_points", 60, lo=2)
-    n_samples = _int(params, "n_samples", 2048, lo=16)
+    kernel = remap and evaluator is Evaluator.EXACT  # scored without samples
+    n_samples = None if kernel else _int(params, "n_samples", 2048, lo=16)
     _reject_unknown(params, "error-curve")
 
     try:
@@ -256,7 +257,17 @@ def _run_error_curve(params: dict, seed: int):
         return sample_trajectory(w, n_samples)
 
     grid = np.linspace(t_lo, t_hi, n_points) * T_X
-    curve = error_curve(lambda t_p: unit().with_t_p(t_p), grid, evaluator)
+    if kernel:  # one constant-gap kernel call scores every duration
+        try:
+            r = remapped_p_e(w.mode, w.coefficients[None], theta_i, grid, STEP_ATOL, STEP_RTOL)
+            if r.rejected[0]:
+                raise ValueError("theta(tau) must stay strictly inside (0, pi)")
+            curve = ErrorCurve(grid, r.p_e[0], (), n_points * r.steps, float(np.max(r.step_error)))
+        except (ValueError, RuntimeError, ArithmeticError) as exc:  # fails every point
+            failed = [(i, f"{type(exc).__name__}: {exc}") for i in range(n_points)]
+            curve = ErrorCurve(grid, np.full(n_points, np.nan), tuple(failed))
+    else:
+        curve = error_curve(lambda t_p: unit().with_t_p(t_p), grid, evaluator)
     columns = ["t_p_over_Tx", "t_p_time", f"p_e_{evaluator.value}"]
     rows = np.column_stack([grid / T_X, grid, curve.p_e]).tolist()
     # failed points read NaN in the table; the manifest says why
@@ -444,6 +455,7 @@ def run(config: RunConfig) -> list:
         raise ValidationError(f"unknown experiment {config.experiment!r}")
     if config.format not in ("csv", "json"):
         raise ValidationError(f"format: must be csv or json, got {config.format!r}")
+    _int({"seed": config.seed}, "seed", lo=0)
     started = time.monotonic()
     params = dict(config.parameters)  # the experiment's reads consume this copy
     columns, rows, diagnostics = EXPERIMENTS[config.experiment](params, config.seed)
@@ -488,7 +500,7 @@ def main(argv=None) -> int:
 
     try:
         params, digest = load_config(args.config)
-        seed = _int(params, "seed", 0)
+        seed = _int(params, "seed", 0, lo=0)
         if args.seed is not None:
             seed = args.seed
         config = RunConfig(

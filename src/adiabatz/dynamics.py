@@ -18,18 +18,18 @@ linearized-analysis device and is ignored here.  Both report P_e = |beta|^2
 off the final amplitudes (alpha, beta) on the instantaneous eigenstates.
 The same quaternion chain also steps remapped Fourier waveforms at h_x = 1
 directly in the constant-gap frame (remapped_p_e, the kernel of the
-unrounded exact search objectives), with a sixth-order three-node Magnus
-step whose exponent is a polynomial in the duration scale, on its own rule
-(TAU_PHASE_PER_STEP) under the same loop (_richardson): one call
-takes a (K, n_m) coefficient matrix of shapes and returns a frozen
-RemappedResult, with the shapes whose angle leaves (0, pi) masked; searches
-pass a loose tolerance, and the default tolerance 0 runs up to the fixed
-rule's own count.  Of a mirror-symmetric call it chains only u in
-[0, 1/2], Uh, and counts in steps the steps it chains: U = Uh^T Uh for
-theta-basis shapes, theta(1 - u) = theta(u), and U = sigma_x Uh^T sigma_x Uh
-for derivative-basis ones with theta_i + theta(1) = pi, theta(1 - u) =
-pi - theta(u), with an odd grid's middle step between the halves.  Its
-grids, like the lab runs, stop at _MAX_STEPS steps.
+unrounded exact searches and of the CLI's remapped exact error-curve), with
+a sixth-order three-node Magnus step whose exponent is a polynomial in the
+duration scale, on its own rule (TAU_PHASE_PER_STEP) under the same loop
+(_richardson): one call takes a (K, n_m) coefficient matrix of shapes and
+returns a frozen RemappedResult, with the shapes whose angle leaves (0, pi)
+masked; searches pass a loose tolerance, and the default tolerance 0 runs
+up to the fixed rule's own count.  Of a mirror-symmetric call it chains
+only u in [0, 1/2], Uh, and counts in steps the steps it chains:
+U = Uh^T Uh for theta-basis shapes, theta(1 - u) = theta(u), and
+U = sigma_x Uh^T sigma_x Uh for derivative-basis ones with
+theta_i + theta(1) = pi, theta(1 - u) = pi - theta(u), with an odd grid's
+middle step between the halves.  Its grids stop at _MAX_STEPS steps.
 """
 
 from __future__ import annotations
@@ -336,9 +336,10 @@ def remapped_p_e(
     becomes sin theta sigma_x + cos theta sigma_z in tau: the gap is a
     constant 2 and theta(tau) is the waveform shape in closed form.  On
     u = tau/tau_p the fields are s (sin theta, 0, cos theta) with the scale
-    s = tau_p = t_p / int_0^1 sin theta du, so every duration
-    shares the theta nodes and differs only by s.  This is the continuum
-    limit of remapped_trajectory + evolve_two_level_direct.
+    s = tau_p = t_p / int_0^1 sin theta du, so every duration shares the
+    theta nodes and differs only by s.  This is the continuum limit of
+    remapped_trajectory + evolve_two_level_direct, and scores the unrounded
+    exact searches and the CLI's remapped exact error-curve.
 
     Each step is the sixth-order Magnus exponent of the three Gauss nodes
     (_tau_exponent), an odd polynomial in s for v_x, v_z and an even one for
@@ -366,10 +367,9 @@ def remapped_p_e(
     tolerance 0 is never met, so P_e is the fixed rule's answer.  A grid
     past _MAX_STEPS steps raises ValueError before its nodes are built.  A
     shape whose theta leaves (0, pi), or is nan, at any node is masked.
-    Each row's P_e, estimate and mask depend only on the row and the grid,
-    not on the other rows.  Coefficients that are not a 2-D matrix with at
-    least one row, and durations that are empty or not finite and positive,
-    raise ValueError.
+    Each row's P_e, estimate and mask depend only on the row and the grid.
+    Coefficients that are not a 2-D matrix with at least one row, and
+    durations that are empty or not finite and positive, raise ValueError.
     """
     lam = np.asarray(coefficients, dtype=float)
     t_ps = np.atleast_1d(np.asarray(t_ps, dtype=float))

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adiabatz import cli, dynamics, remap
+from adiabatz import adiabatic_error, cli, dynamics, remap
 from adiabatz.adiabatic_error import geometric_error
 from adiabatz.cli import ValidationError, export_table, load_table, main
-from adiabatz.dynamics import evolve_two_level_direct
+from adiabatz.dynamics import STEP_ATOL, STEP_RTOL, evolve_two_level_direct, remapped_p_e
 from adiabatz.optimize import optimize_cz_pulse
 from adiabatz.remap import remapped_trajectory
 from adiabatz.waveform import (
@@ -18,14 +18,16 @@ from adiabatz.waveform import (
     linear_ramp_trajectory,
     sample_trajectory,
 )
+from paper_numbers import CONFIGS
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, params, name="config.json"):
+    # a string is written as it is, to give a file that is not JSON
     path = tmp_path / name
-    path.write_text(json.dumps(params))
+    path.write_text(params if isinstance(params, str) else json.dumps(params))
     return path
 
 
@@ -39,6 +41,7 @@ def test_validation_failure_writes_nothing(tmp_path):
 
 FOURIER_CURVE = {"coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3,
                  "theta_f_rad": 2.2, "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0}
+EXCURSION = {"theta_i_rad": 0.1, "theta_f_rad": 0.8, "n_coeffs": 2, "max_iterations": 2}
 
 
 @pytest.mark.parametrize(
@@ -48,6 +51,9 @@ FOURIER_CURVE = {"coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3,
         # a key of the fourier branch is unknown to the closed-form one, and back
         ("error-curve", {"window": "rect", "basis": "theta"}, "basis"),
         ("error-curve", {**FOURIER_CURVE, "delta_theta_rad": 1.0}, "delta_theta_rad"),
+        # the constant-gap kernel scores a remapped exact curve without samples
+        ("error-curve", {**FOURIER_CURVE, "remap": True, "evaluator": "exact", "n_samples": 512},
+         "n_samples"),
         ("lz-sweep", {"rate_min_hx2": 0.3, "rate_max_hx2": 0.5, "rate": 1.0}, "rate"),
         # the rates are always geometric
         ("lz-sweep", {"rate_min_hx2": 0.3, "rate_max_hx2": 0.5, "log_spacing": False},
@@ -57,8 +63,8 @@ FOURIER_CURVE = {"coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3,
         ("table1", {"n_m_list": [2], "cutoff": 2.3}, "cutoff"),
         ("drag-sweep", {"levels": 2, "n_envelope_sample": 8}, "n_envelope_sample"),
     ],
-    ids=["psd-windows", "error-curve-rect", "error-curve-fourier", "lz-sweep",
-         "lz-sweep-log-spacing", "cz-pulse", "table1", "drag-sweep"],
+    ids=["psd-windows", "error-curve-rect", "error-curve-fourier", "error-curve-kernel",
+         "lz-sweep", "lz-sweep-log-spacing", "cz-pulse", "table1", "drag-sweep"],
 )
 def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
     # the keys left after an experiment's reads are refused before it computes
@@ -93,9 +99,43 @@ def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
         # the known keys are checked before the leftovers are refused
         ("table1", {"n_m_list": [2], "cutoff_cycles": -1.0, "cutof": 2.3},
          "cutoff_cycles: must be > 0, got -1.0\n"),
+        # a negative seed used to reach the search, or the manifest
+        ("table1", {"n_m_list": [2], "seed": -5}, "seed: must be >= 0, got -5\n"),
+        ("cz-pulse", {**EXCURSION, "n_coeffs": 1, "seed": -1}, "seed: must be >= 0, got -1\n"),
+        ("cz-pulse", {**EXCURSION, "seed": -1}, "seed: must be >= 0, got -1\n"),
+        ("error-curve", {**FOURIER_CURVE, "coefficients_lambda": [1.0, -1.0]},
+         "coefficients_lambda: normalized coefficients must have nonzero sum\n"),
+        ("error-curve", {**FOURIER_CURVE, "basis": "theta", "coefficients_lambda": [0.3],
+                         "theta_f_rad": 0.8},
+         "coefficients_lambda: endpoint constraint violated"),
+        ("error-curve", {**FOURIER_CURVE, "theta_i_rad": 4.0},
+         "theta_i_rad: must be < 3.141592653589793, got 4.0\n"),
+        ("error-curve", {**FOURIER_CURVE, "remap": "yes"},
+         "remap: must be true or false, got 'yes'\n"),
+        ("cz-pulse", {**EXCURSION, "t_p_window_over_Tx": [2, 1]},
+         "t_p_window_over_Tx: must be [lo, hi] with 0 < lo <= hi\n"),
+        ("cz-pulse", {**EXCURSION, "t_p_window_over_Tx": [1]},
+         "t_p_window_over_Tx: must be a list with at least 2 entries\n"),
+        ("lz-sweep", {"rate_max_hx2": 0.5}, "rate_min_hx2: required parameter missing\n"),
+        ("psd-windows", {"coefficients_lambda": [[1.0]], "n_points": 2.5},
+         "n_points: must be an integer, got 2.5\n"),
+        ("psd-windows", {"coefficients_lambda": [[1.0]], "n_points": 1},
+         "n_points: must be >= 2, got 1\n"),
+        ("table1", {"n_m_list": [0]}, "n_m_list: must be a non-empty list of integers >= 1\n"),
+        ("drag-sweep", {"delta_rad_per_time": 0}, "delta_rad_per_time: must be nonzero\n"),
+        ("drag-sweep", {"levels": 4}, "levels: must be 2 or 3, got 4\n"),
+        ("psd-windows", {"coefficients_lambda": [[1.0]], "labels": ["a", "b"]},
+         "labels: must be one short alphanumeric label per coefficient list\n"),
+        ("table1", "{", "config is not valid JSON: "),
+        ("table1", [1, 2], "config must be a JSON object\n"),
     ],
     ids=["huge-number", "huge-list-entry", "overflowing-sum", "list-for-name", "repeated-label",
-         "rect-label", "repeated-label-without-rect", "bad-value-and-unknown-key"],
+         "rect-label", "repeated-label-without-rect", "bad-value-and-unknown-key",
+         "negative-seed", "negative-seed-one-coefficient", "negative-seed-search",
+         "zero-sum-coefficients", "missed-endpoint", "theta-outside-range", "remap-not-bool",
+         "reversed-window", "one-entry-window", "missing-rate", "fractional-count",
+         "one-point", "zero-term-count", "zero-anharmonicity", "four-levels",
+         "labels-per-list", "invalid-json", "json-list"],
 )
 def test_bad_value_is_a_config_error(tmp_path, capsys, experiment, params, message):
     cfg = write_config(tmp_path, params)
@@ -145,6 +185,32 @@ def test_run_refuses_a_seed_among_the_parameters(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    # the flag wins over the config's seed, and is held to the same range
+    cfg = write_config(tmp_path, {"n_m_list": [2]})
+    out = tmp_path / "out"
+    assert main(["table1", "--config", str(cfg), "--out", str(out), "--seed", "-7"]) == 2
+    assert capsys.readouterr().err == "error: seed: must be >= 0, got -7\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, fmt, seed, message",
+    [
+        ("table2", "csv", 0, "unknown experiment 'table2'"),
+        ("table1", "xml", 0, "format: must be csv or json, got 'xml'"),
+        ("table1", "csv", -1, "seed: must be >= 0, got -1"),
+    ],
+    ids=["experiment", "format", "seed"],
+)
+def test_run_refuses_a_bad_run_config(tmp_path, experiment, fmt, seed, message):
+    # the library entry point checks what main's parser would have refused
+    config = cli.RunConfig(experiment, {"n_m_list": [2]}, tmp_path / "out", fmt, seed, "0" * 64)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        cli.run(config)
+    assert not (tmp_path / "out").exists()
+
+
 def readme_examples():
     """The README's example configs, as (experiment, parameters) pairs."""
     text = README.read_text()
@@ -163,6 +229,11 @@ def test_readme_examples_run(tmp_path):
     for exp, params in examples:
         cfg = write_config(tmp_path, params, f"{exp}.json")
         assert main([exp, "--config", str(cfg), "--out", str(tmp_path / exp)]) == 0
+
+
+def test_readme_error_curve_is_the_recorded_one():
+    # the headline curve's recorded numbers are those of the documented config
+    assert readme_examples()[-1] == ("error-curve", CONFIGS["error-curve-exact"][1])
 
 
 def test_psd_windows_error_names_the_bad_list(tmp_path, capsys):
@@ -233,6 +304,20 @@ def test_rect_curve_has_nulls_at_integer_cycles(tmp_path):
     assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     _, data = load_table(tmp_path / "error-curve.csv")
     assert np.all(data[:, 1] < 1e-30)
+
+
+@pytest.mark.parametrize("window", ["rect", "hanning"])
+def test_closed_form_curves_clip_at_one(tmp_path, window):
+    # at delta_theta 3 the closed forms reach 2.2; a probability stops at 1,
+    # as geometric_error's does, and every smaller value is the closed form's
+    cfg = write_config(tmp_path, {"window": window, "delta_theta_rad": 3.0})
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, data = load_table(tmp_path / "error-curve.csv")
+    u = np.linspace(0.1, 10.0, 500)
+    shape = np.sinc(u) if window == "rect" else cli.basis_transform(u, 1, cli.BasisMode.DERIVATIVE)
+    closed = 9.0 / 4.0 * shape**2
+    assert np.sum(closed > 1.0) >= 19
+    assert list(data[:, 1]) == list(np.where(closed > 1.0, 1.0, closed))
 
 
 def test_table1_two_term_row(tmp_path):
@@ -420,6 +505,41 @@ def test_remapped_curve_failures_reach_the_manifest(tmp_path):
     assert manifest["diagnostics"] == {"failures": [[i, reason] for i in range(3)]}
 
 
+def test_exact_remapped_curve_failures_reach_the_manifest(tmp_path):
+    # the shape above, scored by the kernel, which masks it: every point
+    # reads NaN with the remap's reason, and no point's steps are counted
+    cfg = write_config(tmp_path, {
+        "basis": "theta", "coefficients_lambda": [0.25, -0.5], "theta_i_rad": 0.3,
+        "theta_f_rad": 0.8, "remap": True, "evaluator": "exact", "t_p_min_over_Tx": 1.0,
+        "t_p_max_over_Tx": 2.0, "n_points": 3,
+    })
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, data = load_table(tmp_path / "error-curve.csv")
+    assert np.all(np.isnan(data[:, 2]))
+    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
+    reason = "ValueError: theta(tau) must stay strictly inside (0, pi)"
+    assert manifest["diagnostics"] == {
+        "failures": [[i, reason] for i in range(3)], "steps": 0, "step_error": None,
+    }
+
+
+def test_exact_remapped_curve_past_the_step_cap_fails_every_point(tmp_path, monkeypatch):
+    # the kernel refuses its pilot grid before building it; the curve is
+    # written, NaN at every point, with the refusal once per point
+    monkeypatch.setattr(dynamics, "_MAX_STEPS", 10)
+    cfg = write_config(tmp_path, {**FOURIER_CURVE, "remap": True, "evaluator": "exact",
+                                  "n_points": 3})
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, data = load_table(tmp_path / "error-curve.csv")
+    assert np.all(np.isnan(data[:, 2]))
+    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
+    (reason,) = {reason for _, reason in manifest["diagnostics"]["failures"]}
+    assert re.fullmatch(r"ValueError: step count \d+ exceeds the cap of 10", reason)
+    assert manifest["diagnostics"] == {
+        "failures": [[i, reason] for i in range(3)], "steps": 0, "step_error": None,
+    }
+
+
 def test_drag_sweep_two_level_area_theorem(tmp_path):
     n, t_p = 128, 2.5
     cfg = write_config(
@@ -519,25 +639,47 @@ def test_cz_pulse_rounding_past_the_step_cap_rejects_every_candidate(tmp_path, c
     assert not (tmp_path / "cz-pulse.csv").exists()
 
 
-def test_exact_error_curve_reports_its_step_work(tmp_path):
-    cfg = write_config(tmp_path, {
-        "coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3, "theta_f_rad": 2.2,
-        "remap": True, "evaluator": "exact", "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0,
-        "n_points": 3, "n_samples": 512,
-    })
+def test_exact_error_curve_reports_its_step_work(tmp_path, monkeypatch):
+    # a remapped exact curve is one constant-gap kernel call over its
+    # durations: no lab trajectory is built or propagated
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return remapped_p_e(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the lab pipeline was called")
+
+    monkeypatch.setattr(cli, "remapped_p_e", counting)
+    monkeypatch.setattr(cli, "remapped_trajectory", refused)
+    monkeypatch.setattr(adiabatic_error, "evolve_two_level_direct", refused)
+    cfg = write_config(tmp_path, {**FOURIER_CURVE, "remap": True, "evaluator": "exact",
+                                  "n_points": 3})
     assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
     _, data = load_table(tmp_path / "error-curve.csv")
-    # the manifest sums the steps and keeps the worst step error estimate
+    # each point is the kernel's, bitwise; the manifest counts chains x
+    # steps and keeps the row's worst step error estimate
     w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
-    results = [evolve_two_level_direct(remapped_trajectory(w, t_p, n_samples=512))
-               for t_p in data[:, 1]]
-    assert [r.p_e for r in results] == list(data[:, 2])
+    result = remapped_p_e(w.mode, w.coefficients[None], 0.3, data[:, 1], STEP_ATOL, STEP_RTOL)
+    assert list(result.p_e[0]) == list(data[:, 2])
     manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
     assert manifest["diagnostics"] == {
         "failures": [],
-        "steps": sum(r.steps for r in results),
-        "step_error": max(r.step_error for r in results),
+        "steps": 3 * result.steps,
+        "step_error": float(np.max(result.step_error)),
     }
+
+
+@pytest.mark.parametrize("remap, evaluator", [(True, "linearized"), (False, "linearized"),
+                                              (False, "exact")])
+def test_sampled_error_curves_read_n_samples(tmp_path, remap, evaluator):
+    # every error-curve path but the kernel's samples its shape, and takes
+    # the count
+    cfg = write_config(tmp_path, {**FOURIER_CURVE, "remap": remap, "evaluator": evaluator,
+                                  "n_points": 2, "n_samples": 64})
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_json_format_payload(tmp_path):
