@@ -30,6 +30,10 @@ U = Uh^T Uh for theta-basis shapes, theta(1 - u) = theta(u), and
 U = sigma_x Uh^T sigma_x Uh for derivative-basis ones with
 theta_i + theta(1) = pi, theta(1 - u) = pi - theta(u), with an odd grid's
 middle step between the halves.  Its grids stop at _MAX_STEPS steps.
+Every path is one _su2_chain read off its pair (alpha, beta), the product
+U = [[alpha, -beta*], [beta, alpha*]]: the ODE's pair is its final state
+(its chain acts on (1, 0)), and the lab propagator and the kernel share one
+elementwise readout of U psi0 on the eigenstates at theta_f (_amplitudes).
 """
 
 from __future__ import annotations
@@ -179,18 +183,18 @@ def _richardson(run, n_rule: int, divisor: int, order: int, atol: float, rtol: f
         m = min(cap, max(2 * n, math.ceil(min(target, cap))))
 
 
-def _capped(n: int) -> int:
-    """n, the step count of one lab run, refused past _MAX_STEPS before any
-    of the run's arrays is built."""
-    if n > _MAX_STEPS:
-        raise ValueError(f"step count {n} exceeds the cap of {_MAX_STEPS}")
+def _capped(n: int, cap: int) -> int:
+    """n, the step count of one run, refused below 1 or past cap (_MAX_STEPS
+    of its module) before any of the run's arrays is built."""
+    if n < 1:
+        raise ValueError("n_steps must be >= 1")
+    if n > cap:
+        raise ValueError(f"step count {n} exceeds the cap of {cap}")
     return n
 
 
 def _n_steps(traj: SampledTrajectory, n_steps: int | None) -> int:
     if n_steps is not None:
-        if n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
         return n_steps
     omega = 2.0 * traj.h_x / np.sin(traj.theta)
     rate = float(np.max(omega) + np.max(np.abs(traj.dtheta_dt)))
@@ -211,7 +215,7 @@ def evolve_two_level_exact(
     over the steps, and |alpha* beta| <= |psi_k|^2 / 2 must stay within
     1/2 + AB_PRODUCT_TOL.  A step count past _MAX_STEPS raises ValueError.
     """
-    n = _capped(_n_steps(traj, n_steps))
+    n = _capped(_n_steps(traj, n_steps), _MAX_STEPS)
     h = float(traj.t_p / n)
     h2, h6 = 0.5 * h, h / 6.0
     # spline b + a = (dtheta/dt)/2 - i omega/2 as one complex series, then
@@ -275,32 +279,29 @@ def evolve_two_level_direct(
     _MAX_STEPS steps raises ValueError before it is built.
     """
     z = cubic_spline(traj.times, traj.h_x / np.tan(traj.theta))
-    psi0, excited = ground_state(traj.theta[0]), excited_state(traj.theta[-1])
 
     def propagate(n):
-        h, nodes = _gauss_node_times(traj.times[0], traj.t_p, _capped(n))
+        h, nodes = _gauss_node_times(traj.times[0], traj.t_p, _capped(n, _MAX_STEPS))
         z1, z2 = z(nodes)
 
         def steps(i, j):  # built per block of the chain
             return _su2_exp(*_lab_exponent(traj.h_x, z1[i:j], z2[i:j], h))
 
-        psi = _su2_blocks(steps, n, 1) @ psi0
-        beta = complex(np.vdot(excited, psi))
-        return beta.real**2 + beta.imag**2, (psi, beta), n
+        alpha, beta = _amplitudes(*_su2_chain(steps, n, 1), traj.theta[0], traj.theta[-1])
+        return beta.real**2 + beta.imag**2, (complex(alpha), complex(beta)), n
 
     n_rule = _n_steps(traj, n_steps)
     if n_steps is not None:
-        p_e, (psi, beta), steps = propagate(n_rule)
+        p_e, (alpha, beta), steps = propagate(n_rule)
         step_error = None
     else:
-        p_e, (psi, beta), step_error, steps = _richardson(
+        p_e, (alpha, beta), step_error, steps = _richardson(
             propagate, n_rule, PILOT_DIVISOR, 4, STEP_ATOL, STEP_RTOL
         )
 
-    drift = abs(float(np.linalg.norm(psi)) - float(np.linalg.norm(psi0)))
+    drift = abs(math.hypot(abs(alpha), abs(beta)) - 1.0)
     if drift > NORM_DRIFT_TOL:
         raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}")
-    alpha = complex(np.vdot(ground_state(traj.theta[-1]), psi))
     return EvolutionResult(
         p_e=p_e,
         final_state=TwoLevelState((alpha, beta)),
@@ -369,14 +370,15 @@ def remapped_p_e(
     shape whose theta leaves (0, pi), or is nan, at any node is masked.
     Each row's P_e, estimate and mask depend only on the row and the grid.
     Coefficients that are not a 2-D matrix with at least one row, and
-    durations that are empty or not finite and positive, raise ValueError.
+    durations that are neither a scalar nor a 1-D array, empty, or not
+    finite and positive, raise ValueError.
     """
     lam = np.asarray(coefficients, dtype=float)
     t_ps = np.atleast_1d(np.asarray(t_ps, dtype=float))
     if lam.ndim != 2 or not len(lam):
         raise ValueError("coefficients must be a (K, n_m) matrix with K >= 1")
-    if not (t_ps.size and np.all(np.isfinite(t_ps) & (t_ps > 0.0))):
-        raise ValueError("durations t_ps must be given, finite and positive")
+    if t_ps.ndim != 1 or not (t_ps.size and np.all(np.isfinite(t_ps) & (t_ps > 0.0))):
+        raise ValueError("durations t_ps must be a scalar or 1-D, given, finite and positive")
     lam = np.ascontiguousarray(lam.T)  # the basis evaluation takes (n_m, K)
     rejected = np.zeros(lam.shape[1], dtype=bool)
 
@@ -403,14 +405,12 @@ def remapped_p_e(
         float(np.max(phase, where=~rejected, initial=0.0)), TAU_PHASE_PER_STEP, 64
     )
     mirror = _mirror(mode, theta_i, theta_f[~rejected])
-    g0, g1 = ground_state(theta_i).real
-    e0, e1 = excited_state(theta_f).real[..., None]  # (K, 1) each
 
     def run(n):
         # the first half of the n steps and an odd n's middle step, or all
         m = (n + 1) // 2 if mirror else n
         half = n // 2 if mirror else n  # the steps chained before the mirror
-        theta = shapes(_theta_series(mode, lam, theta_i, nodes(_capped(n), m)))
+        theta = shapes(_theta_series(mode, lam, theta_i, nodes(_capped(n, _MAX_STEPS), m)))
         p1, p3, p5, q2, q4 = _tau_exponent(theta, n)
         area = np.sum(p1.real[..., :half], axis=-1)  # int sin theta du
         if mirror:  # twice the first half, and the middle step
@@ -429,8 +429,7 @@ def remapped_p_e(
             if m > half:
                 alpha, beta = _su2_mul(*(c[..., 0] for c in steps(half, m)), alpha, beta)
             alpha, beta = _su2_mul(*mirror(*chain), alpha, beta)
-        # the excited amplitude of U psi0, U = [[alpha, -beta*], [beta, alpha*]]
-        amp = e0 * (alpha * g0 - beta.conj() * g1) + e1 * (beta * g0 + alpha.conj() * g1)
+        _, amp = _amplitudes(alpha, beta, theta_i, theta_f[:, None])
         p = amp.real**2 + amp.imag**2
         p[rejected] = 0.0  # the chains of masked shapes run, unread
         return p, None, m
@@ -448,6 +447,16 @@ def _mirror(mode, theta_i: float, theta_f: np.ndarray):
     if np.all(np.abs(theta_i + theta_f - math.pi) <= 4.0 * np.spacing(math.pi)):
         return lambda alpha, beta: (alpha.conj(), beta)  # sigma_x U^T sigma_x
     return None
+
+
+def _amplitudes(alpha, beta, theta_i, theta_f):
+    """Amplitudes (a, e) of U psi0 on the ground and excited eigenstates at
+    theta_f, with U = [[alpha, -beta*], [beta, alpha*]] and psi0 the ground
+    state at theta_i; theta_f broadcasts against the pair."""
+    g0, g1 = ground_state(theta_i).real
+    e0, e1 = excited_state(theta_f).real  # the ground state at theta_f is (e1, -e0)
+    psi0, psi1 = alpha * g0 - beta.conj() * g1, beta * g0 + alpha.conj() * g1
+    return e1 * psi0 - e0 * psi1, e0 * psi0 + e1 * psi1
 
 
 def _tau_exponent(theta, n: int):
@@ -498,23 +507,6 @@ def _lab_exponent(h_x: float, z1, z2, h: float):
     return h * h_x, k * (z2 * h_x - h_x * z1), (h / 2.0) * (z1 + z2)
 
 
-def _su2_propagator(f1, f2, h: float) -> np.ndarray:
-    """Time-ordered 2x2 propagator of H(t) = f(t).sigma from Gauss-node
-    fields, one fourth-order step (_magnus4) per pair of nodes.
-
-    f1, f2 = (f_x, f_y, f_z) at the two Gauss nodes of each step: 1-D arrays
-    over the steps of one chain, or scalars that hold for every step.  The
-    product is reduced block by block (_su2_blocks).
-    """
-    fields = (*f1, *f2)
-    n = max(np.size(f) for f in fields)
-
-    def steps(k, m):
-        return _su2_exp(*_magnus4([f[k:m] if np.ndim(f) else f for f in fields], h))
-
-    return _su2_blocks(steps, n, 1)
-
-
 def _magnus4(fields, h: float):
     """Exponent v of each step exp(-i v.sigma) from the Gauss-node fields
     (f1x, f1y, f1z, f2x, f2y, f2z): v = (h/2)(f1 + f2) + (sqrt(3) h^2/6)(f2 x f1)."""
@@ -524,12 +516,6 @@ def _magnus4(fields, h: float):
     v_y = (h / 2.0) * (f1y + f2y) + k * (f2z * f1x - f2x * f1z)
     v_z = (h / 2.0) * (f1z + f2z) + k * (f2x * f1y - f2y * f1x)
     return v_x, v_y, v_z
-
-
-def _su2_blocks(steps, n: int, chains: int) -> np.ndarray:
-    """The product of _su2_chain as (..., 2, 2) matrices."""
-    alpha, beta = _su2_chain(steps, n, chains)
-    return np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(alpha.shape + (2, 2))
 
 
 def _su2_chain(steps, n: int, chains: int):

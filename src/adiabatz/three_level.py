@@ -19,7 +19,9 @@ import math
 import numpy as np
 
 from ._interp import cubic_spline
-from .dynamics import PHASE_PER_STEP, _fixed_step_count, _gauss_node_times, _su2_propagator
+from .dynamics import (
+    PHASE_PER_STEP, _capped, _fixed_step_count, _gauss_node_times, _magnus4, _su2_chain, _su2_exp,
+)
 
 __all__ = [
     "ThreeLevelPulse",
@@ -147,11 +149,7 @@ def _gauss_nodes(times: np.ndarray, w: np.ndarray, max_energy: float, n_steps: i
         n_steps = _fixed_step_count(
             t_p * (max_energy + float(np.max(np.abs(w)))), PHASE_PER_STEP, 1024
         )
-    elif n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if n_steps > _MAX_STEPS:
-        raise ValueError(f"step count {n_steps} exceeds the cap of {_MAX_STEPS}")
-    h, nodes = _gauss_node_times(times[0], t_p, n_steps)
+    h, nodes = _gauss_node_times(times[0], t_p, _capped(n_steps, _MAX_STEPS))
     w1, w2 = cubic_spline(times, w)(nodes)
     return h, w1, w2
 
@@ -195,11 +193,18 @@ def _chain_product(steps: np.ndarray) -> np.ndarray:
 
 
 def _qubit_unitary(times: np.ndarray, w: np.ndarray, det: float, n_steps: int | None):
-    """_propagate for diag(0, -det) on the SU(2) kernel; the Hamiltonian is
+    """_propagate for diag(0, -det) on the SU(2) chain, whose blocks take the
+    _magnus4 exponents of their steps; the Hamiltonian is
     (Re w/2, -Im w/2, det/2).sigma - det/2, the last term a global phase."""
     h, w1, w2 = _gauss_nodes(times, w, abs(det), n_steps)
-    f1, f2 = ((wn.real / 2.0, -wn.imag / 2.0, det / 2.0) for wn in (w1, w2))
-    return np.exp(0.5j * det * float(times[-1] - times[0])) * _su2_propagator(f1, f2, h)
+    x1, y1, x2, y2, z = w1.real / 2.0, -w1.imag / 2.0, w2.real / 2.0, -w2.imag / 2.0, det / 2.0
+
+    def steps(k, m):
+        return _su2_exp(*_magnus4((x1[k:m], y1[k:m], z, x2[k:m], y2[k:m], z), h))
+
+    alpha, beta = _su2_chain(steps, len(w1), 1)
+    u = np.array([[alpha, -beta.conj()], [beta, alpha.conj()]])
+    return np.exp(0.5j * det * float(times[-1] - times[0])) * u
 
 
 def _subspace_residual(m: np.ndarray, target: RotationTarget) -> np.ndarray:
@@ -273,12 +278,14 @@ def calibrate_pulse(
     qubit-block residual off the target rotation (see _subspace_residual),
     seeded by the area theorem and the mean Stark shift; if the subspace
     error cannot reach ERROR_TARGET the best point found is returned with
-    converged=False (optimizer_success is the least-squares status).  A trial
-    point that cannot be propagated (past _MAX_STEPS) or that overflows
-    scores full error.
+    converged=False (optimizer_success is the least-squares status).  An
+    n_steps outside [1, _MAX_STEPS] is refused before the fit; a trial point
+    whose step rule passes _MAX_STEPS, or that overflows, scores full error.
     """
     if levels not in (2, 3):
         raise ValueError("levels must be 2 or 3")
+    if n_steps is not None:
+        _capped(n_steps, _MAX_STEPS)
     shape = np.atleast_1d(np.asarray(shape, dtype=float))
     if not 0 < t_p < math.inf:
         raise ValueError(f"t_p must be positive and finite, got {t_p}")

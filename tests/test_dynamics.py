@@ -15,7 +15,6 @@ from adiabatz.dynamics import (
     TAU_PHASE_PER_STEP,
     TwoLevelState,
     _magnus4,
-    _su2_propagator,
     evolve_two_level_direct,
     evolve_two_level_exact,
     remapped_p_e,
@@ -66,8 +65,8 @@ def test_sudden_quench_half_population():
     # start in the ground state of a frame rotated by pi/2: populations in
     # the new eigenbasis are conserved, p_e = sin^2(pi/4) exactly
     theta, t_p, n = 0.4 + np.pi / 2, 3.7, 257
-    field = (np.ones(n), np.zeros(n), np.full(n, 1.0 / np.tan(theta)))
-    psi = _su2_propagator(field, field, t_p / n) @ ground_state(0.4)
+    field = np.array([np.ones(n), np.zeros(n), np.full(n, 1.0 / np.tan(theta))])
+    psi = chain_product(field, field, t_p / n) @ ground_state(0.4)
     assert abs(np.vdot(excited_state(theta), psi)) ** 2 == pytest.approx(0.5, abs=1e-12)
 
 
@@ -193,10 +192,13 @@ def test_argument_validation():
     # the constant-gap kernel takes positive finite durations and a
     # (K, n_m) coefficient matrix
     lams = np.array([[1.0, 0.1]])
-    # (empty durations and an empty batch failed inside numpy)
-    for t_ps in ([T_X, 0.0], [-T_X], [np.nan], [T_X, np.inf], []):
-        with pytest.raises(ValueError, match="t_ps"):
-            remapped_p_e(BasisMode.DERIVATIVE, lams, 0.3, t_ps)
+    # (empty durations and an empty batch failed inside numpy; a (2, 2)
+    # matrix of durations paired shape k with row k of it at K = 2, and
+    # raised numpy's IndexError at K = 1)
+    for t_ps in ([T_X, 0.0], [-T_X], [np.nan], [T_X, np.inf], [], np.full((2, 2), T_X)):
+        for shapes in (lams, np.vstack([lams, lams])):
+            with pytest.raises(ValueError, match="t_ps"):
+                remapped_p_e(BasisMode.DERIVATIVE, shapes, 0.3, t_ps)
     for coefficients in (lams[0], lams[None], lams[:0]):
         with pytest.raises(ValueError, match="coefficients"):
             remapped_p_e(BasisMode.DERIVATIVE, coefficients, 0.3, [T_X])
@@ -257,6 +259,18 @@ random_steps = st.tuples(
 ).map(lambda a: (*np.random.default_rng(a[0]).normal(size=(2, 3, a[1])), a[2]))
 
 
+def chain_product(f1, f2, h):
+    # the 2x2 product of the fourth-order steps (_magnus4) of the Gauss-node
+    # fields f1, f2 (3, ..., n) on the pair API, one chain per leading index
+    fields = (*f1, *f2)
+
+    def steps(k, m):
+        return dynamics._su2_exp(*_magnus4([f[..., k:m] for f in fields], h))
+
+    alpha, beta = dynamics._su2_chain(steps, f1.shape[-1], math.prod(f1.shape[1:-1]))
+    return np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(alpha.shape + (2, 2))
+
+
 def sequential_product(f1, f2, h):
     # one expm per step of the two-node generator (h/2)(H1 + H2)
     # - i (sqrt(3) h^2/12)[H2, H1], multiplied in time order
@@ -272,7 +286,7 @@ def sequential_product(f1, f2, h):
 @given(random_steps)
 def test_su2_chain_matches_sequential_product(steps):
     f1, f2, h = steps
-    assert np.max(np.abs(_su2_propagator(f1, f2, h) - sequential_product(f1, f2, h))) < 1e-13
+    assert np.max(np.abs(chain_product(f1, f2, h) - sequential_product(f1, f2, h))) < 1e-13
 
 
 @settings(deadline=None)
@@ -280,7 +294,7 @@ def test_su2_chain_matches_sequential_product(steps):
 def test_su2_chain_is_unit_quaternion(steps):
     # [[a - i d, -c - i b], [c - i b, a + i d]]: the first column holds the
     # quaternion, so a^2 + b^2 + c^2 + d^2 is its squared norm
-    u = _su2_propagator(*steps)
+    u = chain_product(*steps)
     assert np.sum(np.abs(u[:, 0]) ** 2) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -291,7 +305,7 @@ def test_su2_chain_time_reversal(steps):
     # negated) is the conjugate of its forward step, so the whole is 1
     f1, f2, h = steps
     back1, back2 = -f2[:, ::-1], -f1[:, ::-1]
-    u = _su2_propagator(np.hstack([f1, back1]), np.hstack([f2, back2]), h)
+    u = chain_product(np.hstack([f1, back1]), np.hstack([f2, back2]), h)
     assert np.max(np.abs(u - np.eye(2))) < 1e-13
 
 
@@ -323,6 +337,31 @@ def test_su2_exp_is_the_complex_formula(seed, shape, scale):
     # a zero vector is the identity step
     alpha, beta = dynamics._su2_exp(np.zeros(2), np.zeros(2), np.zeros(2))
     assert np.array_equal(alpha, [1.0, 1.0]) and np.array_equal(beta, [0.0, 0.0])
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5),
+    st.floats(0.01, math.pi - 0.01),
+)
+def test_amplitudes_are_the_matrix_projection(seed, rows, columns, theta_i):
+    # the readout of the lab propagator and the kernel: U psi0 on the real
+    # eigenstates at theta_f, with a theta_f per row broadcast as the kernel
+    # passes it, against the matrix route it replaced
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(4, rows, columns))
+    alpha, beta = (q[0] + 1j * q[1], q[2] + 1j * q[3]) / np.sqrt(np.sum(q * q, axis=0))
+    theta_f = rng.uniform(0.01, math.pi - 0.01, rows)
+    a, e = dynamics._amplitudes(alpha, beta, theta_i, theta_f[:, None])
+    assert a.shape == e.shape == (rows, columns)
+    for k in range(rows):
+        for j in range(columns):
+            u = np.array([[alpha[k, j], -beta[k, j].conj()], [beta[k, j], alpha[k, j].conj()]])
+            psi = u @ ground_state(theta_i)
+            assert abs(a[k, j] - np.vdot(ground_state(theta_f[k]), psi)) < 1e-15
+            assert abs(e[k, j] - np.vdot(excited_state(theta_f[k]), psi)) < 1e-15
+    norm = np.abs(a) ** 2 + np.abs(e) ** 2
+    assert np.max(np.abs(norm - (np.abs(alpha) ** 2 + np.abs(beta) ** 2))) < 1e-15
 
 
 def kernel(ws, t_ps, atol=0.0, rtol=0.0):
@@ -620,29 +659,18 @@ def test_blocked_chain_equals_the_whole_chain(seed, n, chains, chain_block):
         sizes.append(max(np.size(c) for c in v))
         return exp(*v)
 
-    def propagate(f1, f2):
-        # one chain through the propagator; leading chain axes through the
-        # block loop with the propagator's fourth-order exponent
-        if not chains:
-            return _su2_propagator(f1, f2, 0.1)
-        fields = (*f1, *f2)
-        return dynamics._su2_blocks(
-            lambda k, m: dynamics._su2_exp(*_magnus4([f[..., k:m] for f in fields], 0.1)),
-            n, math.prod(chains),
-        )
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "CHAIN_BLOCK", 2**40)
-        whole = propagate(f1, f2)
+        whole = chain_product(f1, f2, 0.1)
         mp.setattr(dynamics, "CHAIN_BLOCK", chain_block)
         mp.setattr(dynamics, "_su2_exp", recording)
-        blocked = propagate(f1, f2)
+        blocked = chain_product(f1, f2, 0.1)
     assert np.array_equal(blocked, whole)
     assert max(sizes) <= max(chain_block, np.prod(chains))
     # each leading index is a chain of its own (axis 0 holds x, y, z)
     first = (0,) * len(chains)
     one = (slice(None), *first)
-    assert np.array_equal(whole[first], _su2_propagator(f1[one], f2[one], 0.1))
+    assert np.array_equal(whole[first], chain_product(f1[one], f2[one], 0.1))
 
 
 # candidates of the criterion-06 excursion search: one mode, one term

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -40,6 +41,25 @@ def test_each_public_name_is_declared_once_in_its_module():
     # the package is no second import path: it holds the version only
     assert not set(owner) & set(vars(adiabatz))
     assert {n for n in vars(adiabatz) if not n.startswith("_")} <= set(LIBRARY_MODULES) | {"cli"}
+
+
+def test_each_private_function_has_a_library_caller():
+    # a private top-level function that no library code outside its own
+    # body names is a variant only the tests use, and goes
+    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "adiabatz").glob("*.py")]
+    unused = []
+    for tree in trees:
+        for func in tree.body:
+            if not (isinstance(func, ast.FunctionDef) and func.name.startswith("_")):
+                continue
+            own = set(map(id, ast.walk(func)))
+            if not any(
+                id(node) not in own
+                and func.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                for other in trees for node in ast.walk(other)
+            ):
+                unused.append(func.name)
+    assert not unused
 
 
 def test_package_import_loads_no_module():

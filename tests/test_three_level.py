@@ -260,16 +260,22 @@ def test_drive_past_the_step_cap_is_refused():
         evolve_three_level(ThreeLevelPulse(**PULSE), RotationTarget.PI_PULSE, 2**20 + 1)
 
 
-@pytest.mark.parametrize("n_steps", [0, -3])
-def test_step_count_validation(n_steps):
+@pytest.mark.parametrize("n_steps", [0, -3, 2**20 + 1])
+def test_step_count_validation(n_steps, monkeypatch):
     _, x = raised_cosine(64)
     pulse = ThreeLevelPulse(envelope_x=x, drag_d=0.0, delta=DELTA, detuning=0.0, t_p=T_P)
-    with pytest.raises(ValueError, match="n_steps must be >= 1"):
+    message = "n_steps must be >= 1" if n_steps < 1 else f"^step count {n_steps} exceeds"
+    with pytest.raises(ValueError, match=message):
         evolve_three_level(pulse, RotationTarget.PI_PULSE, n_steps)
+    # a caller's count is refused before the fit: the fit scored five refused
+    # trial points as full error before its final evaluation raised
+    calls = []
+    monkeypatch.setattr(three_level, "_gauss_nodes", lambda *args: calls.append(args))
     for levels in (2, 3):
-        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+        with pytest.raises(ValueError, match=message):
             calibrate_pulse(x, T_P, 0.0, DELTA, RotationTarget.PI_PULSE,
                             levels=levels, n_steps=n_steps)
+    assert not calls
 
 
 def test_rotation_target_angles():
