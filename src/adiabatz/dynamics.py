@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -184,8 +185,13 @@ def _richardson(run, n_rule: int, divisor: int, order: int, atol: float, rtol: f
 
 
 def _capped(n: int, cap: int) -> int:
-    """n, the step count of one run, refused below 1 or past cap (_MAX_STEPS
-    of its module) before any of the run's arrays is built."""
+    """n, the step count of one run, refused unless an integer (by
+    operator.index) in [1, cap] (_MAX_STEPS of its module) before any of the
+    run's arrays is built."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError("n_steps must be an integer") from None
     if n < 1:
         raise ValueError("n_steps must be >= 1")
     if n > cap:
@@ -195,7 +201,7 @@ def _capped(n: int, cap: int) -> int:
 
 def _n_steps(traj: SampledTrajectory, n_steps: int | None) -> int:
     if n_steps is not None:
-        return n_steps
+        return _capped(n_steps, _MAX_STEPS)
     omega = 2.0 * traj.h_x / np.sin(traj.theta)
     rate = float(np.max(omega) + np.max(np.abs(traj.dtheta_dt)))
     return _fixed_step_count(traj.t_p * rate, PHASE_PER_STEP, len(traj.times) - 1)
@@ -278,6 +284,7 @@ def evolve_two_level_direct(
     as step_error and the steps of all runs summed in steps.  A run past
     _MAX_STEPS steps raises ValueError before it is built.
     """
+    n_rule = _n_steps(traj, n_steps)
     z = cubic_spline(traj.times, traj.h_x / np.tan(traj.theta))
 
     def propagate(n):
@@ -290,7 +297,6 @@ def evolve_two_level_direct(
         alpha, beta = _amplitudes(*_su2_chain(steps, n, 1), traj.theta[0], traj.theta[-1])
         return beta.real**2 + beta.imag**2, (complex(alpha), complex(beta)), n
 
-    n_rule = _n_steps(traj, n_steps)
     if n_steps is not None:
         p_e, (alpha, beta), steps = propagate(n_rule)
         step_error = None

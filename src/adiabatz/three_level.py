@@ -5,15 +5,18 @@ rotating at the drive frequency: level energies (0, -detuning, delta -
 2*detuning), drive matrix elements W/2 on 0<->1 and sqrt(2) W/2 on 1<->2.
 The complex envelope W = x - i D xdot / delta trades in-phase amplitude
 against a derivative quadrature to steer spectral weight away from the
-leakage transition; the propagators read it between samples from a
-not-a-knot cubic spline (_interp.cubic_spline).  Only the calibration needs
-scipy (least_squares), which it imports when first called.
+leakage transition; the propagators read it at the Gauss nodes of each
+step from a not-a-knot cubic spline (_interp.cubic_spline).  A calibration
+splines one drive per call and scales its node values by a complex factor
+at each trial point.  Only the calibration needs scipy (least_squares),
+which it imports when first called.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 
 import numpy as np
@@ -74,6 +77,8 @@ class ThreeLevelPulse:
         object.__setattr__(
             self, "envelope_x", np.atleast_1d(np.asarray(self.envelope_x, dtype=float))
         )
+        if self.envelope_x.ndim != 1:
+            raise ValueError("envelope_x must be 1-D")
         if not 0 < self.t_p < math.inf:  # refuses nan too
             raise ValueError(f"t_p must be positive and finite, got {self.t_p}")
         _anharmonicity(self.delta)
@@ -142,23 +147,19 @@ def stark_shift(x, drag_d: float, delta: float):
     return -(1.0 + 2.0 * drag_d) * x**2 / (2.0 * delta)
 
 
-def _gauss_nodes(times: np.ndarray, w: np.ndarray, max_energy: float, n_steps: int | None):
-    """Step length h and the drive at the two Gauss nodes of each step."""
-    t_p = float(times[-1] - times[0])
+def _step_count(t_p: float, rate, n_steps: int | None) -> int:
+    """n_steps, or the fixed rule's count for a run whose levels and drive
+    turn at rate at most (rad/time); refused past _MAX_STEPS."""
     if n_steps is None:
-        n_steps = _fixed_step_count(
-            t_p * (max_energy + float(np.max(np.abs(w)))), PHASE_PER_STEP, 1024
-        )
-    h, nodes = _gauss_node_times(times[0], t_p, _capped(n_steps, _MAX_STEPS))
-    w1, w2 = cubic_spline(times, w)(nodes)
-    return h, w1, w2
+        n_steps = _fixed_step_count(t_p * rate, PHASE_PER_STEP, 1024)
+    return _capped(n_steps, _MAX_STEPS)
 
 
-def _propagate(times: np.ndarray, w: np.ndarray, energies: np.ndarray,
-               couplings: tuple, n_steps: int | None) -> np.ndarray:
-    """Gauss two-node effective-Hamiltonian stepping for a driven ladder."""
+def _propagate(h: float, w1: np.ndarray, w2: np.ndarray, energies: np.ndarray,
+               couplings: tuple) -> np.ndarray:
+    """Gauss two-node effective-Hamiltonian stepping for a driven ladder,
+    the drive w1, w2 at the two nodes of each step of length h."""
     dim = len(energies)
-    h, w1, w2 = _gauss_nodes(times, w, float(np.max(np.abs(energies))), n_steps)
 
     def ladder(wv):
         ham = np.zeros((len(wv), dim, dim), dtype=complex)
@@ -192,11 +193,10 @@ def _chain_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
-def _qubit_unitary(times: np.ndarray, w: np.ndarray, det: float, n_steps: int | None):
+def _qubit_unitary(h: float, w1: np.ndarray, w2: np.ndarray, det: float):
     """_propagate for diag(0, -det) on the SU(2) chain, whose blocks take the
     _magnus4 exponents of their steps; the Hamiltonian is
     (Re w/2, -Im w/2, det/2).sigma - det/2, the last term a global phase."""
-    h, w1, w2 = _gauss_nodes(times, w, abs(det), n_steps)
     x1, y1, x2, y2, z = w1.real / 2.0, -w1.imag / 2.0, w2.real / 2.0, -w2.imag / 2.0, det / 2.0
 
     def steps(k, m):
@@ -204,7 +204,7 @@ def _qubit_unitary(times: np.ndarray, w: np.ndarray, det: float, n_steps: int | 
 
     alpha, beta = _su2_chain(steps, len(w1), 1)
     u = np.array([[alpha, -beta.conj()], [beta, alpha.conj()]])
-    return np.exp(0.5j * det * float(times[-1] - times[0])) * u
+    return np.exp(0.5j * det * h * len(w1)) * u
 
 
 def _subspace_residual(m: np.ndarray, target: RotationTarget) -> np.ndarray:
@@ -232,10 +232,15 @@ def evolve_three_level(
     """
     w = drag_envelope(pulse.envelope_x, pulse.drag_d, pulse.delta, pulse.dt)
     w = w * np.exp(1j * pulse.drive_phase)
-    energies = np.array(
-        [0.0, -pulse.detuning, pulse.delta - 2.0 * pulse.detuning]
-    )
-    u = _propagate(pulse.times, w, energies, (1.0, math.sqrt(2.0)), n_steps)
+    energies = np.array([0.0, -pulse.detuning, pulse.delta - 2.0 * pulse.detuning])
+    n = _step_count(pulse.t_p, np.max(np.abs(energies)) + np.max(np.abs(w)), n_steps)
+    h, nodes = _gauss_node_times(0.0, pulse.t_p, n)
+    return _ladder_result(h, *cubic_spline(pulse.times, w)(nodes), energies, target)
+
+
+def _ladder_result(h, w1, w2, energies, target: RotationTarget) -> ThreeLevelResult:
+    """The net ladder unitary of drive w1, w2 at the Gauss nodes, and its errors."""
+    u = _propagate(h, w1, w2, energies, (1.0, math.sqrt(2.0)))
     drift = float(np.max(np.abs(u.conj().T @ u - np.eye(3))))
     if drift > UNITARITY_TOL:
         raise RuntimeError(f"non-unitarity {drift:.3e} exceeds {UNITARITY_TOL:.0e}")
@@ -279,14 +284,20 @@ def calibrate_pulse(
     seeded by the area theorem and the mean Stark shift; if the subspace
     error cannot reach ERROR_TARGET the best point found is returned with
     converged=False (optimizer_success is the least-squares status).  An
-    n_steps outside [1, _MAX_STEPS] is refused before the fit; a trial point
-    whose step rule passes _MAX_STEPS, or that overflows, scores full error.
+    n_steps that is not an integer in [1, _MAX_STEPS] is refused before the
+    fit; a trial point whose step rule passes _MAX_STEPS, or that overflows,
+    scores full error.  One spline serves every trial point, of the shape
+    at levels=2 and of the seed pulse's drag_envelope at levels=3; a point
+    scales its Gauss-node values by amplitude e^(i phase) over the
+    amplitude of the splined drive.
     """
     if levels not in (2, 3):
         raise ValueError("levels must be 2 or 3")
     if n_steps is not None:
         _capped(n_steps, _MAX_STEPS)
     shape = np.atleast_1d(np.asarray(shape, dtype=float))
+    if shape.ndim != 1:
+        raise ValueError("shape must be 1-D")
     if not 0 < t_p < math.inf:
         raise ValueError(f"t_p must be positive and finite, got {t_p}")
     if not np.all(np.isfinite(shape)):
@@ -294,31 +305,33 @@ def calibrate_pulse(
     times = np.linspace(0.0, t_p, len(shape))
     area = float(np.trapezoid(shape, times))
     amp0 = target.angle / area if area else math.inf
-    if not math.isfinite(amp0):  # a zero or subnormal area
-        raise ValueError(f"shape must have an area with a finite reciprocal, got {area!r}")
+    if not (math.isfinite(amp0) and amp0):  # a zero, subnormal or overflowing area
+        raise ValueError(f"shape must have a finite area with a finite reciprocal, got {area!r}")
 
-    def build(params) -> ThreeLevelPulse:
-        amp, det, phase = params
-        return ThreeLevelPulse(
-            envelope_x=amp * shape,
-            drag_d=drag_d,
-            delta=delta,
-            detuning=det,
-            t_p=t_p,
-            drive_phase=phase,
-        )
+    # the splined drive, the shape or at levels=3 the seed's (a huge shape's
+    # own xdot can overflow); a trial point scales it by (amp / scale) e^(i phase)
+    det0, drive, scale = 0.0, shape, 1.0
+    if levels == 3:  # the seed pulse names a drag_d or delta that is not finite
+        seed = ThreeLevelPulse(amp0 * shape, drag_d, delta, 0.0, t_p)
+        det0 = float(np.mean(stark_shift(seed.envelope_x, drag_d, delta)))
+        drive, scale = drag_envelope(seed.envelope_x, drag_d, delta, seed.dt), amp0
+    spline, peak = cubic_spline(times, drive), np.max(np.abs(drive))
+
+    @functools.lru_cache(maxsize=1)  # a fixed n_steps reads the spline once
+    def node_values(n):
+        h, nodes = _gauss_node_times(0.0, t_p, n)
+        return h, *spline(nodes)
 
     def evolve(params) -> ThreeLevelResult:
-        if levels == 3:
-            return evolve_three_level(build(params), target, n_steps)
         amp, det, phase = params
-        u = _qubit_unitary(times, amp * shape * np.exp(1j * phase), det, n_steps)
+        c = amp / scale * np.exp(1j * phase)
+        energies = np.array([0.0, -det, delta - 2.0 * det][:levels])
+        h, u1, u2 = node_values(_step_count(t_p, np.max(np.abs(energies)) + abs(c) * peak, n_steps))
+        if levels == 3:
+            return _ladder_result(h, c * u1, c * u2, energies, target)
+        u = _qubit_unitary(h, c * u1, c * u2, det)
         return ThreeLevelResult(u, 0.0, _subspace_error(u, target))
 
-    det0 = 0.0
-    if levels == 3:
-        build((amp0, 0.0, 0.0))  # names a drag_d or delta that is not finite
-        det0 = float(np.mean(stark_shift(amp0 * shape, drag_d, delta)))
     from scipy.optimize import least_squares  # ~0.7 s to import, so not at the top
 
     def residual(params) -> np.ndarray:  # the fit backs off from a refused or overflowing point

@@ -231,6 +231,20 @@ def test_lab_runs_past_the_step_cap_are_refused(monkeypatch):
     assert evolve_two_level_direct(traj, n_steps=n_rule).steps == n_rule
 
 
+@pytest.mark.parametrize("n_steps", [100.5, 64.0, np.float64(64.0), "64"])
+def test_step_counts_that_are_not_integers_are_refused(n_steps, monkeypatch):
+    # both lab paths raised numpy's TypeError on 100.5; each count is now
+    # refused before the trajectory is splined
+    def unreachable(*args):
+        raise AssertionError("a spline built for a count that is not an integer")
+
+    monkeypatch.setattr(dynamics, "cubic_spline", unreachable)
+    traj = constant_theta(0.7, n=17)
+    for evolve in (evolve_two_level_direct, evolve_two_level_exact):
+        with pytest.raises(ValueError, match="^n_steps must be an integer$"):
+            evolve(traj, n_steps=n_steps)
+
+
 def test_ode_overflow_is_its_own_failure():
     # 100 steps on a slow ramp overflow the chain: numpy's overflow warning
     # (an error in this suite) escaped before the bound check could raise

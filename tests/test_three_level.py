@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiabatz import three_level
+from adiabatz._interp import cubic_spline
 from adiabatz.spectral import fourier_integral
 from adiabatz.three_level import (
     RotationTarget,
@@ -111,9 +115,10 @@ def test_three_level_plain_pulse_calibration():
 
 
 def test_calibration_work_count(monkeypatch):
-    # criterion 09 at D = 0, where a derivative-free simplex search stalls
-    # (6390 propagations at this resolution); its error floor, 1.38e-7, lies
-    # above the default 1e-7 target, so the search ends normally unconverged
+    # criterion 09 at D = 0, where Levenberg-Marquardt reaches the error
+    # floor, 1.38e-7, in 26 propagations at this resolution (a derivative-free
+    # simplex search used to stall there after 6390); the floor lies above
+    # the default 1e-7 target, so the search ends normally unconverged
     calls = []
     propagate = three_level._propagate
 
@@ -133,6 +138,14 @@ def test_calibration_work_count(monkeypatch):
     assert not cal.converged
 
 
+def ladder_nodes(w, max_energy, n_steps):
+    # a drive sampled on raised_cosine's grid, splined on its own, at the
+    # Gauss nodes of the step rule
+    n = three_level._step_count(T_P, max_energy + np.max(np.abs(w)), n_steps)
+    h, nodes = three_level._gauss_node_times(0.0, T_P, n)
+    return h, *cubic_spline(np.linspace(0.0, T_P, len(w)), w)(nodes)
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     amp=st.floats(0.0, 3.0),
@@ -143,11 +156,74 @@ def test_calibration_work_count(monkeypatch):
 def test_qubit_kernel_matches_ladder(amp, det, phase, n_steps):
     # the levels=2 path on the SU(2) kernel against the 2x2 ladder through
     # batched eigh and matrix products
-    t, x = raised_cosine(64)
-    w = amp * x * np.exp(1j * phase)
-    u = three_level._qubit_unitary(t, w, det, n_steps)
-    ref = three_level._propagate(t, w, np.array([0.0, -det]), (1.0,), n_steps)
+    _, x = raised_cosine(64)
+    h, w1, w2 = ladder_nodes(amp * x * np.exp(1j * phase), abs(det), n_steps)
+    u = three_level._qubit_unitary(h, w1, w2, det)
+    ref = three_level._propagate(h, w1, w2, np.array([0.0, -det]), (1.0,))
     assert np.max(np.abs(u - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+@pytest.mark.parametrize("n_steps", [None, 112])
+def test_calibration_splines_its_drive_once(levels, n_steps, monkeypatch):
+    # every trial point scales the node values of one spline of the unit
+    # drive by amp e^(i phase); the fit used to build a spline per trial, and
+    # a fixed n_steps reads the spline at its nodes once
+    builds, reads = [], []
+
+    def counted(*args):
+        builds.append(None)
+        spline = cubic_spline(*args)
+        return lambda t: reads.append(None) or spline(t)
+
+    monkeypatch.setattr(three_level, "cubic_spline", counted)
+    _, x = raised_cosine(64)
+    cal = calibrate_pulse(x, T_P, -0.48, DELTA, RotationTarget.PI_PULSE,
+                          levels=levels, n_steps=n_steps)
+    assert cal.qubit_subspace_error < 1e-6
+    assert len(builds) == 1
+    if n_steps is not None:
+        assert len(reads) == 1
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    amp=st.floats(0.0, 3.0),
+    det=st.floats(-3.0, 3.0),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    drag_d=st.floats(-1.5, 0.5),
+    levels=st.sampled_from([2, 3]),
+    n_steps=st.sampled_from([None, 7, 112]),
+)
+def test_calibration_trial_matches_a_pulse_built_for_it(amp, det, phase, drag_d, levels, n_steps):
+    # the unitary of a fit's trial point against a pulse built and splined
+    # for that point: the ladder through evolve_three_level at levels 3, the
+    # 2x2 ladder reference at levels 2
+    _, x = raised_cosine(64)
+    point = np.array([amp, det, phase])
+    core = "_propagate" if levels == 3 else "_qubit_unitary"
+    unitaries = []
+
+    def one_trial(fun, x0, method):  # a fit that tries the point and returns it
+        fun(point)
+        return SimpleNamespace(x=point, success=True)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(scipy.optimize, "least_squares", one_trial)
+        run = getattr(three_level, core)
+        m.setattr(three_level, core, lambda *args: unitaries.append(run(*args)) or unitaries[-1])
+        calibrate_pulse(x, T_P, drag_d, DELTA, RotationTarget.PI_PULSE,
+                        levels=levels, n_steps=n_steps)
+    trial, final = unitaries
+    assert np.array_equal(trial, final)
+    if levels == 3:
+        pulse = ThreeLevelPulse(amp * x, drag_d, DELTA, det, T_P, phase)
+        ref = evolve_three_level(pulse, RotationTarget.PI_PULSE, n_steps).unitary
+        assert np.max(np.abs(trial - ref)) < 1e-13
+    else:
+        h, w1, w2 = ladder_nodes(amp * x * np.exp(1j * phase), abs(det), n_steps)
+        ref = three_level._propagate(h, w1, w2, np.array([0.0, -det]), (1.0,))
+        assert np.max(np.abs(trial - ref)) < 1e-12
 
 
 @settings(deadline=None)
@@ -189,10 +265,11 @@ PULSE = dict(envelope_x=np.ones(64), drag_d=0.0, delta=DELTA, detuning=0.0, t_p=
     "field, value",
     [("delta", np.nan), ("delta", np.inf), ("t_p", np.nan), ("t_p", np.inf),
      ("drag_d", np.nan), ("detuning", np.nan), ("drive_phase", np.nan),
-     ("envelope_x", np.r_[np.ones(63), np.nan])],
+     ("envelope_x", np.r_[np.ones(63), np.nan]), ("envelope_x", np.ones((8, 2)))],
 )
 def test_pulse_refuses_what_is_not_finite(field, value):
     # each used to be accepted, and evolve_three_level then failed elsewhere
+    # (a 2-D envelope: "can't multiply sequence by non-int of type 'complex'")
     with pytest.raises(ValueError, match=f"^{field} must be"):
         ThreeLevelPulse(**{**PULSE, field: value})
 
@@ -201,10 +278,13 @@ def test_pulse_refuses_what_is_not_finite(field, value):
     "levels, field, value",
     [(levels, field, value) for levels in (2, 3) for field, value in
      [("t_p", np.nan), ("t_p", np.inf), ("shape", np.r_[np.ones(63), np.nan])]]
-    + [(3, "drag_d", np.nan), (3, "delta", np.nan)],  # levels=2 reads neither
+    + [(3, "drag_d", np.nan), (3, "delta", np.nan)]  # levels=2 reads neither
+    + [(2, "shape", np.ones((64, 2))), (3, "shape", np.ones((64, 2)))],
 )
 def test_calibration_refuses_what_is_not_finite(levels, field, value):
-    # least_squares used to refuse the seed: "Initial guess is outside of provided bounds"
+    # least_squares used to refuse the seed: "Initial guess is outside of
+    # provided bounds"; a 2-D shape failed with "only 0-dimensional arrays can
+    # be converted"
     args = dict(shape=np.ones(64), t_p=T_P, drag_d=0.0, delta=DELTA,
                 target=RotationTarget.PI_PULSE, levels=levels)
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -214,10 +294,11 @@ def test_calibration_refuses_what_is_not_finite(levels, field, value):
 @pytest.mark.parametrize("levels", [2, 3])
 def test_calibration_refuses_a_shape_whose_seed_overflows(levels):
     # a subnormal area made the area-theorem seed pi / area overflow, and the
-    # run failed inside numpy ("cannot convert float NaN to integer")
+    # run failed inside numpy ("cannot convert float NaN to integer"); an area
+    # that overflows made the seed 0, and the fit returned a zero pulse
     _, x = raised_cosine(64)
-    for shape in (np.zeros(64), 1e-320 * x):
-        with pytest.raises(ValueError, match="^shape must"):
+    for shape in (np.zeros(64), 1e-320 * x, 8e307 * x):
+        with pytest.raises(ValueError, match="^shape must"), np.errstate(over="ignore"):
             calibrate_pulse(shape, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=levels)
 
 
@@ -251,6 +332,14 @@ def test_fixed_step_calibration_backs_off_from_an_overflowing_point(levels):
         assert not cal.converged
 
 
+def test_calibration_splines_the_seed_drive_of_a_huge_shape():
+    # the derivative quadrature of a 1e306-scale shape overflows at unit
+    # amplitude (D = -10); the fit's spline is of the seed pulse's drive
+    _, x = raised_cosine(64)
+    cal = calibrate_pulse(1e306 * x, T_P, -10.0, DELTA, RotationTarget.PI_PULSE, n_steps=32)
+    assert np.isfinite([cal.amplitude, cal.detuning, cal.phase, cal.qubit_subspace_error]).all()
+
+
 def test_drive_past_the_step_cap_is_refused():
     # refused before any step is built
     huge = ThreeLevelPulse(**{**PULSE, "envelope_x": 1e10 * np.ones(64)})
@@ -260,17 +349,20 @@ def test_drive_past_the_step_cap_is_refused():
         evolve_three_level(ThreeLevelPulse(**PULSE), RotationTarget.PI_PULSE, 2**20 + 1)
 
 
-@pytest.mark.parametrize("n_steps", [0, -3, 2**20 + 1])
+@pytest.mark.parametrize("n_steps", [0, -3, 2**20 + 1, 2000.5, 3.5, 112.0])
 def test_step_count_validation(n_steps, monkeypatch):
+    # a count that is not an integer used to run ceil(n) steps of t_p / n,
+    # past the end of the pulse (2000.5 steps: 3.9e-3 off the 2000-step unitary)
     _, x = raised_cosine(64)
     pulse = ThreeLevelPulse(envelope_x=x, drag_d=0.0, delta=DELTA, detuning=0.0, t_p=T_P)
-    message = "n_steps must be >= 1" if n_steps < 1 else f"^step count {n_steps} exceeds"
+    message = ("^n_steps must be an integer$" if isinstance(n_steps, float)
+               else "n_steps must be >= 1" if n_steps < 1 else f"^step count {n_steps} exceeds")
     with pytest.raises(ValueError, match=message):
         evolve_three_level(pulse, RotationTarget.PI_PULSE, n_steps)
     # a caller's count is refused before the fit: the fit scored five refused
     # trial points as full error before its final evaluation raised
     calls = []
-    monkeypatch.setattr(three_level, "_gauss_nodes", lambda *args: calls.append(args))
+    monkeypatch.setattr(three_level, "_gauss_node_times", lambda *args: calls.append(args))
     for levels in (2, 3):
         with pytest.raises(ValueError, match=message):
             calibrate_pulse(x, T_P, 0.0, DELTA, RotationTarget.PI_PULSE,
