@@ -33,13 +33,7 @@ import numpy as np
 from . import __version__
 from .adiabatic_error import ErrorCurve, Evaluator, error_curve, landau_zener_error
 from .dynamics import STEP_ATOL, STEP_RTOL, evolve_two_level_direct, remapped_p_e
-from .optimize import (
-    Objective,
-    ObjectiveKind,
-    basis_transform,
-    optimize_coefficients,
-    optimize_cz_pulse,
-)
+from .optimize import U_MAX, basis_transform, optimal_window, optimize_cz_pulse
 from .remap import remapped_trajectory
 from .three_level import RotationTarget, calibrate_pulse
 from .waveform import (
@@ -337,24 +331,17 @@ def _run_table1(params: dict, seed: int):
         or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in n_m_list)
     ):
         raise ValidationError("n_m_list: must be a non-empty list of integers >= 1")
-    cutoff = _num(params, "cutoff_cycles", 2.3, lo=0, open_lo=True)
+    # the band edge sits at least 5 cycles below the spectral grid's end, U_MAX
+    cutoff = _num(params, "cutoff_cycles", 2.3, lo=0, hi=U_MAX - 5.0, open_lo=True, open_hi=True)
     _reject_unknown(params, "table1")
 
-    try:
-        objective = Objective(kind=ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF, cutoff=cutoff)
-    except ValueError as exc:
-        raise ValidationError(f"cutoff_cycles: {exc}") from exc
     width = max(n_m_list)
     columns = ["n_m", "objective_rad2"] + [f"lambda_{n}" for n in range(1, width + 1)]
     rows = []
     for n_m in n_m_list:
-        rep = optimize_coefficients(
-            n_m, BasisMode.DERIVATIVE, objective, 1.0, seed=seed
-        )
+        lam, power = optimal_window(n_m, BasisMode.DERIVATIVE, cutoff, 1.0)
         pad = [float("nan")] * (width - n_m)
-        rows.append(
-            [float(n_m), rep.objective_value] + [float(c) for c in rep.coefficients] + pad
-        )
+        rows.append([float(n_m), power] + [float(c) for c in lam] + pad)
     return columns, rows, {}
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -135,8 +136,10 @@ def _fixed_step_count(phase: float, per_step: float, floor: int) -> int:
     """The fixed step rule: phase bounds the rotation angle of the whole
     run (duration times the largest rate), each step takes at most
     per_step of it (PHASE_PER_STEP, or TAU_PHASE_PER_STEP for the
-    sixth-order kernel), and there are at least floor steps."""
-    return max(floor, math.ceil(phase / per_step))
+    sixth-order kernel), and there are at least floor steps.  A count that
+    is not finite reads as the largest float, which every step cap refuses."""
+    count = phase / per_step
+    return max(floor, math.ceil(count if count < math.inf else sys.float_info.max))
 
 
 def _gauss_node_times(start: float, duration: float, n: int):

@@ -1,16 +1,17 @@
-"""Coefficient search: spectral-weight and exact-dynamics objectives.
+"""Coefficient design: the optimal window's linear solve and exact searches.
 
-The spectral objective integrates the waveform's power spectral density
-above a band edge, with the edge realized as a narrow logistic ramp rather
-than a hard step (the soft edge keeps the quadratic form well conditioned
-and reproduces the published optima; see the closed-form basis transforms
-below).  It is a quadratic form in the coefficients and the endpoint
-constraint a . lam = theta_f - theta_i is linear, so its optimum is one
-linear least-squares solve.  Coefficients are the shape over the unit
-duration in both bases (waveform), so one row serves every duration.
-Exact-dynamics objectives score candidate waveforms by the excitation
-left by exact two-level dynamics, and are searched by a restarted simplex
-whose restarts run in lockstep, each round's points scored as one batch.
+The optimal window (optimal_window) has the least power spectral density
+integrated above a band edge, with the edge realized as a narrow logistic
+ramp rather than a hard step (the soft edge keeps the quadratic form well
+conditioned and reproduces the published optima; see the closed-form basis
+transforms below).  The band power is a quadratic form in the coefficients
+and the endpoint constraint a . lam = theta_f - theta_i is linear, so its
+optimum is one linear least-squares solve.  Coefficients are the shape over
+the unit duration in both bases (waveform), so one row serves every duration.
+Exact objectives (Objective, optimize_coefficients) score candidate
+waveforms by the excitation left by exact two-level dynamics, and are
+searched by a restarted simplex whose restarts run in lockstep, each
+round's points scored as one batch.
 Without rounding the batch's coefficient matrix goes to the constant-gap
 kernel (dynamics.remapped_p_e), where theta(u) is the shape in closed
 form, in one call on one grid for every candidate and distinct duration of
@@ -45,6 +46,7 @@ __all__ = [
     "OptimizationReport",
     "basis_transform",
     "convolve_trajectory",
+    "optimal_window",
     "optimize_coefficients",
     "optimize_cz_pulse",
 ]
@@ -69,7 +71,6 @@ CZ_ROUNDING_SIGMA_PERIODS = 0.10
 
 
 class ObjectiveKind(enum.Enum):
-    INTEGRATED_PSD_ABOVE_CUTOFF = "integrated-psd-above-cutoff"
     EXACT_ERROR_MAX_OVER_WINDOW = "exact-error-max-over-window"
     # an alias kept for callers that name it: one duration t is the (t, t) window
     EXACT_ERROR_AT_TP = "exact-error-max-over-window"
@@ -77,46 +78,30 @@ class ObjectiveKind(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class Objective:
-    """What the coefficient search minimizes.
-
-    The spectral kind needs only the dimensionless band edge `cutoff`
-    (omega t_p / 2 pi).  The exact kind scores trajectories at h_x = 1 (the
-    crossing period is pi) and needs the endpoint angles, the lab-duration
-    window 0 < lo <= hi < inf, and
-    optionally a finite Gaussian rounding width (lab time units) applied to
-    the control h_z(t).  It scores the worst error over the distinct values of
-    WINDOW_DURATIONS evenly spaced durations, one duration when lo = hi.
-    Unrounded exact objectives step in the constant-gap frame and size their
+    """What the exact search minimizes: the worst excitation left by exact
+    two-level dynamics at h_x = 1 (the crossing period is pi) between the
+    endpoint angles, over the distinct values of WINDOW_DURATIONS evenly
+    spaced durations of the lab-duration window 0 < lo <= hi < inf (one
+    duration when lo = hi), optionally after a finite Gaussian rounding
+    width (lab time units) applied to the control h_z(t).
+    Unrounded objectives step in the constant-gap frame and size their
     own grid; a rounded one is remapped onto ROUNDED_SAMPLES lab samples.
     """
 
     kind: ObjectiveKind
-    cutoff: float | None = None
-    t_p_window: tuple | None = None
+    t_p_window: tuple
+    theta_i: float
+    theta_f: float
     convolution_sigma: float = 0.0
-    theta_i: float | None = None
-    theta_f: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.convolution_sigma < np.inf:
             raise ValueError(
                 f"convolution_sigma must be finite and >= 0, got {self.convolution_sigma}"
             )
-        if self.kind is ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF:
-            # the u grid runs from the band edge + 5 up to U_MAX
-            if self.cutoff is None or not 0 < self.cutoff < U_MAX - 5.0:
-                raise ValueError(f"spectral objective needs 0 < cutoff < {U_MAX - 5.0:g}")
-            if self.convolution_sigma != 0:
-                raise ValueError(
-                    "convolution is a lab-time effect; not defined for the "
-                    "dimensionless spectral objective"
-                )
-        else:
-            if self.t_p_window is None or self.theta_i is None or self.theta_f is None:
-                raise ValueError("exact objectives need t_p_window and endpoint angles")
-            lo, hi = self.t_p_window
-            if not 0 < lo <= hi < np.inf:
-                raise ValueError(f"bad t_p window ({lo}, {hi})")
+        lo, hi = self.t_p_window
+        if not 0 < lo <= hi < np.inf:
+            raise ValueError(f"bad t_p window ({lo}, {hi})")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,19 +112,18 @@ class OptimizationReport:
     the propagator steps it took, chains x steps summed over the search and
     the rescore (each duration of each candidate is a chain).  step_error
     is the largest step error estimate over the window at the reported value
-    (None for the spectral objective and for a reported candidate that was
-    rejected, whose value reads 1.0).  On the rounded path it is the lab
-    propagator's estimate and leaves out the error of sampling the remap on
-    ROUNDED_SAMPLES points."""
+    (None for a reported candidate that was rejected, whose value reads
+    1.0).  On the rounded path it is the lab propagator's estimate and
+    leaves out the error of sampling the remap on ROUNDED_SAMPLES points."""
 
     coefficients: np.ndarray
     objective_value: float
     iterations: int
     converged: bool
-    rejected: int = 0
-    step_error: float | None = None
-    evaluations: int = 0
-    steps: int = 0
+    rejected: int
+    step_error: float | None
+    evaluations: int
+    steps: int
 
 
 def basis_transform(u, n: int, mode: BasisMode) -> np.ndarray:
@@ -174,8 +158,8 @@ def _u_grid(cutoff: float) -> np.ndarray:
 class _SpectralObjective:
     """Integrated out-of-band spectral density, quadratic in the coefficients."""
 
-    def __init__(self, objective: Objective, mode: BasisMode, n_m: int):
-        u = _u_grid(objective.cutoff)
+    def __init__(self, cutoff: float, mode: BasisMode, n_m: int):
+        u = _u_grid(cutoff)
         basis = np.stack(
             [basis_transform(u, n, mode) for n in range(1, n_m + 1)], axis=1
         )
@@ -185,7 +169,7 @@ class _SpectralObjective:
         quad[0] = du[0] / 2.0
         quad[-1] = du[-1] / 2.0
         quad[1:-1] = (du[1:] + du[:-1]) / 2.0
-        self._weighted = quad * _band_weight(u, objective.cutoff)
+        self._weighted = quad * _band_weight(u, cutoff)
         self._basis = basis
         self._mode = mode
 
@@ -266,6 +250,28 @@ def _assemble(a: np.ndarray, free: np.ndarray, constraint_value: float) -> np.nd
     return np.concatenate([[(constraint_value - np.sum(a[1:] * free)) / a[0]], free])
 
 
+def _check_terms(n_m: int, constraint_value: float):
+    # a basis of at least one term, and an endpoint constraint it can meet
+    if n_m < 1:
+        raise ValueError("n_m must be >= 1")
+    if not np.isfinite(constraint_value):
+        raise ValueError(f"constraint_value must be finite, got {constraint_value}")
+
+
+def optimal_window(n_m: int, mode: BasisMode, cutoff: float, constraint_value: float):
+    """The optimal window: the n_m coefficients with the least band power
+    above the band edge cutoff (omega t_p / 2 pi, in (0, U_MAX - 5)) under
+    the endpoint constraint a . lam = constraint_value (finite), and that
+    band power.  One linear least-squares solve (_SpectralObjective)."""
+    _check_terms(n_m, constraint_value)
+    # the u grid runs from the band edge + 5 up to U_MAX
+    if not 0 < cutoff < U_MAX - 5.0:
+        raise ValueError(f"cutoff must be in (0, {U_MAX - 5.0:g}), got {cutoff}")
+    value = _SpectralObjective(cutoff, mode, n_m)
+    lam = value.minimizer(constraint_value)
+    return lam, value(lam)
+
+
 def optimize_coefficients(
     n_m: int,
     mode: BasisMode,
@@ -274,31 +280,22 @@ def optimize_coefficients(
     seed: int = 0,
     max_iterations: int = 4000,
 ) -> OptimizationReport:
-    """Coefficients minimizing the objective under the endpoint constraint.
+    """Coefficients minimizing the exact objective under the endpoint
+    constraint.
 
     lambda_1 is solved out of the endpoint constraint a . lam =
-    constraint_value, which must be finite; an exact objective refuses any
-    constraint_value but its theta_f - theta_i (to CONSTRAINT_TOL).  The
-    spectral band power is a quadratic form with a linear constraint, so its
-    optimum is one linear solve (seed and max_iterations go unused; iterations 0, converged True).
-    Exact objectives get a simplex search over the n_m - 1 free coefficients
-    with eight seeded restarts: a flat start (the one-term waveform),
-    deterministic single-coordinate spokes (that landscape is multimodal and
-    the useful basins sit well away from zero), and random perturbations
-    from the given seed.  The restarts (_simplex) advance in lockstep and
-    each round's points are scored as one batch, at a loose step tolerance;
-    the best restart is scored again on the fixed step rule, and that value
-    is returned.  converged reflects the simplex termination status of the
-    winning restart.
+    constraint_value, which must be finite and is refused unless it is the
+    objective's theta_f - theta_i (to CONSTRAINT_TOL).  A simplex searches
+    the n_m - 1 free coefficients with eight seeded restarts: a flat start
+    (the one-term waveform), deterministic single-coordinate spokes (that
+    landscape is multimodal and the useful basins sit well away from zero),
+    and random perturbations from the given seed.  The restarts (_simplex)
+    advance in lockstep and each round's points are scored as one batch, at
+    a loose step tolerance; the best restart is scored again on the fixed
+    step rule, and that value is returned.  converged reflects the simplex
+    termination status of the winning restart.
     """
-    if n_m < 1:
-        raise ValueError("n_m must be >= 1")
-    if not np.isfinite(constraint_value):
-        raise ValueError(f"constraint_value must be finite, got {constraint_value}")
-    if objective.kind is ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF:
-        value = _SpectralObjective(objective, mode, n_m)
-        lam = value.minimizer(constraint_value)
-        return OptimizationReport(lam, value(lam), iterations=0, converged=True)
+    _check_terms(n_m, constraint_value)
     delta = objective.theta_f - objective.theta_i
     if not abs(constraint_value - delta) <= CONSTRAINT_TOL * max(1.0, abs(delta)):
         raise ValueError(f"constraint_value {constraint_value} is not theta_f - theta_i = {delta}")
@@ -477,7 +474,8 @@ def optimize_cz_pulse(
     width sigma (lab time), and scored by the worst exact error at h_x = 1
     over the duration window (default windows frozen against the reference
     solutions: around one crossing period, pi, without rounding, around two
-    with it).
+    with it).  n_coeffs < 1 is refused as optimize_coefficients refuses it,
+    also when theta_f = theta_i leaves nothing to search.
     """
     if not 0 < theta_i <= theta_f < np.pi / 2:
         raise ValueError("need 0 < theta_i <= theta_f < pi/2")
@@ -490,6 +488,7 @@ def optimize_cz_pulse(
         theta_i=theta_i,
         theta_f=theta_f,
     )
+    _check_terms(n_coeffs, theta_f - theta_i)
     if theta_f == theta_i:
         value = _ExactObjective(objective, BasisMode.THETA)
         return value.report(np.zeros(n_coeffs), 0, True)

@@ -252,6 +252,23 @@ def test_ode_overflow_is_its_own_failure():
         evolve_two_level_exact(linear_ramp_trajectory(10.0, 0.05, 8192), n_steps=100)
 
 
+@pytest.mark.parametrize("path", ["direct", "exact", "kernel"])
+def test_a_step_rule_past_the_float_range_is_the_cap_refusal(path):
+    # a phase bound of inf made the fixed rule raise OverflowError ("cannot
+    # convert float infinity to integer"); such a count is over every cap
+    traj = SampledTrajectory(
+        times=np.linspace(0.0, 1e308, 5), theta=np.full(5, 1.0), dtheta_dt=np.zeros(5)
+    )
+    run = {
+        "direct": lambda: evolve_two_level_direct(traj),
+        "exact": lambda: evolve_two_level_exact(traj),
+        "kernel": lambda: remapped_p_e(BasisMode.THETA, [[0.1, 0.0]], 0.1, [1e308]),
+    }[path]
+    with pytest.raises(ValueError, match=r"^step count \d+ exceeds the cap of"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            run()
+
+
 def test_tau_frame_masks_nan_angles():
     # a nan angle passed the (0, pi) mask and failed the step rule with
     # "cannot convert float NaN to integer"; now its row is masked and the

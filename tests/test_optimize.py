@@ -15,6 +15,7 @@ from adiabatz.optimize import (
     CZ_ROUNDING_SIGMA_PERIODS,
     ROUNDED_SAMPLES,
     SEARCH_RTOL,
+    U_MAX,
     Objective,
     ObjectiveKind,
     _ExactObjective,
@@ -23,6 +24,7 @@ from adiabatz.optimize import (
     _SpectralObjective,
     basis_transform,
     convolve_trajectory,
+    optimal_window,
     optimize_coefficients,
     optimize_cz_pulse,
 )
@@ -49,37 +51,30 @@ REFERENCE_ROWS = {
 }
 
 
-def spectral_objective(cutoff=CUTOFF):
-    return Objective(kind=ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF, cutoff=cutoff)
-
-
 def test_window_coefficient_rows():
     for n_m, expected in REFERENCE_ROWS.items():
-        rep = optimize_coefficients(n_m, BasisMode.DERIVATIVE, spectral_objective(), 1.0)
-        assert rep.converged
-        assert rep.coefficients == pytest.approx(np.array(expected), abs=1e-4)
+        lam, _ = optimal_window(n_m, BasisMode.DERIVATIVE, CUTOFF, 1.0)
+        assert lam == pytest.approx(np.array(expected), abs=1e-4)
 
 
 def test_single_term_is_fully_constrained():
-    rep = optimize_coefficients(1, BasisMode.DERIVATIVE, spectral_objective(), 1.0)
-    assert np.array_equal(rep.coefficients, [1.0])
-    assert rep.iterations == 0
-    assert rep.converged
-    assert rep.step_error is None
+    lam, power = optimal_window(1, BasisMode.DERIVATIVE, CUTOFF, 1.0)
+    assert np.array_equal(lam, [1.0])
+    assert power == _SpectralObjective(CUTOFF, BasisMode.DERIVATIVE, 1)(np.array([1.0]))
 
 
 def test_two_terms_beat_one():
-    one = optimize_coefficients(1, BasisMode.DERIVATIVE, spectral_objective(), 1.0)
-    two = optimize_coefficients(2, BasisMode.DERIVATIVE, spectral_objective(), 1.0)
-    assert two.objective_value < one.objective_value
+    _, one = optimal_window(1, BasisMode.DERIVATIVE, CUTOFF, 1.0)
+    _, two = optimal_window(2, BasisMode.DERIVATIVE, CUTOFF, 1.0)
+    assert two < one
 
 
 def test_constraint_enforced_exactly():
-    rep = optimize_coefficients(4, BasisMode.DERIVATIVE, spectral_objective(), 0.7)
-    assert np.sum(rep.coefficients) == pytest.approx(0.7, abs=1e-12)
-    rep = optimize_coefficients(4, BasisMode.THETA, spectral_objective(), 0.7)
+    lam, _ = optimal_window(4, BasisMode.DERIVATIVE, CUTOFF, 0.7)
+    assert np.sum(lam) == pytest.approx(0.7, abs=1e-12)
+    lam, _ = optimal_window(4, BasisMode.THETA, CUTOFF, 0.7)
     # odd terms carry the net excursion: theta(t_p/2) - theta(0) = 2 sum_odd
-    assert np.sum(rep.coefficients[0::2]) == pytest.approx(0.35, abs=1e-12)
+    assert np.sum(lam[0::2]) == pytest.approx(0.35, abs=1e-12)
 
 
 def test_bitwise_reproducibility():
@@ -122,10 +117,11 @@ def test_constraint_value_must_be_finite():
         kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(np.pi, np.pi),
         theta_i=0.1, theta_f=0.8,
     )
-    for objective in (spectral_objective(), exact):
-        for c in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="constraint_value"):
-                optimize_coefficients(2, BasisMode.DERIVATIVE, objective, c)
+    for c in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="constraint_value"):
+            optimal_window(2, BasisMode.DERIVATIVE, CUTOFF, c)
+        with pytest.raises(ValueError, match="constraint_value"):
+            optimize_coefficients(2, BasisMode.DERIVATIVE, exact, c)
 
 
 def constraint_row(mode, n_m):
@@ -149,38 +145,32 @@ closed_form_cases = dict(
 )
 
 
-def one_term_power(objective, mode, n_m, c):
+def one_term_power(cutoff, mode, n_m, c):
     # band power of the one-term window (free coefficients 0); the quadrature
     # rounds at this scale, not at that of the optimum, which at high
     # cutoffs lies 20 orders of magnitude below it
     lam = np.zeros(n_m)
     lam[0] = c / constraint_row(mode, n_m)[0]
-    return _SpectralObjective(objective, mode, n_m)(lam)
+    return _SpectralObjective(cutoff, mode, n_m)(lam)
 
 
 @settings(max_examples=40, deadline=None)
 @given(**closed_form_cases, seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-4, 1e-2, 1.0]))
 def test_closed_form_is_the_constrained_minimum(cutoff, n_m, mode, c, seed, scale):
-    objective = spectral_objective(cutoff)
     with pytest.MonkeyPatch.context() as mp:
         def no_simplex(*args, **kwargs):
             raise AssertionError("spectral path started a simplex")
 
         mp.setattr("adiabatz.optimize._simplex", no_simplex)
-        rep = optimize_coefficients(n_m, mode, objective, c)
-        again = optimize_coefficients(n_m, mode, objective, c, seed=seed)
-    assert rep.iterations == 0 and rep.converged and rep.rejected == 0
-    # bitwise independent of the (unused) seed
-    assert np.array_equal(rep.coefficients, again.coefficients)
-    assert rep.objective_value == again.objective_value
+        lam, power = optimal_window(n_m, mode, cutoff, c)
 
     a = constraint_row(mode, n_m)
-    assert a @ rep.coefficients == pytest.approx(c, abs=1e-12)
-    value = _SpectralObjective(objective, mode, n_m)
-    assert value(rep.coefficients) == rep.objective_value
-    one_term = one_term_power(objective, mode, n_m, c)
-    assert rep.objective_value <= one_term * (1.0 + 1e-12)
+    assert a @ lam == pytest.approx(c, abs=1e-12)
+    value = _SpectralObjective(cutoff, mode, n_m)
+    assert value(lam) == power
+    one_term = one_term_power(cutoff, mode, n_m, c)
+    assert power <= one_term * (1.0 + 1e-12)
     floor = 1e-15 * one_term
     # feasible perturbations, both signs: any first-order descent direction
     # left at the returned point lowers the objective along one of them
@@ -188,22 +178,22 @@ def test_closed_form_is_the_constrained_minimum(cutoff, n_m, mode, c, seed, scal
     d -= a * (a @ d) / (a @ a)
     d *= scale * c / np.linalg.norm(d)
     for delta in (d, -d):
-        assert value(rep.coefficients + delta) >= rep.objective_value * (1.0 - 1e-12) - floor
+        assert value(lam + delta) >= power * (1.0 - 1e-12) - floor
 
 
 @settings(max_examples=20, deadline=None)
 @given(**closed_form_cases)
 def test_closed_form_objective_falls_with_terms(cutoff, n_m, mode, c):
-    objective = spectral_objective(cutoff)
-    fewer = optimize_coefficients(n_m - 1, mode, objective, c).objective_value
-    more = optimize_coefficients(n_m, mode, objective, c).objective_value
-    assert more <= fewer * (1.0 + 1e-12) + 1e-15 * one_term_power(objective, mode, n_m, c)
+    _, fewer = optimal_window(n_m - 1, mode, cutoff, c)
+    _, more = optimal_window(n_m, mode, cutoff, c)
+    assert more <= fewer * (1.0 + 1e-12) + 1e-15 * one_term_power(cutoff, mode, n_m, c)
 
 
 def test_spectral_cutoff_must_fit_the_u_grid():
-    for cutoff in (0.0, 395.0):
+    # the u grid runs from 5 cycles past the band edge up to U_MAX
+    for cutoff in (0.0, -1.0, U_MAX - 5.0, U_MAX, np.nan, np.inf):
         with pytest.raises(ValueError, match="cutoff"):
-            spectral_objective(cutoff)
+            optimal_window(2, BasisMode.DERIVATIVE, cutoff, 1.0)
 
 
 def test_rejected_candidates_are_counted():
@@ -279,7 +269,7 @@ def test_single_duration_kind_is_the_degenerate_window():
     # EXACT_ERROR_AT_TP, which the benchmark names, is an alias of the window
     # kind; a (t, t) window scores its one duration, not nine copies of it
     assert ObjectiveKind.EXACT_ERROR_AT_TP is ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW
-    assert len(list(ObjectiveKind)) == 2
+    assert len(list(ObjectiveKind)) == 1
     window = single_duration_search(0)
     alias = single_duration_search(0, ObjectiveKind.EXACT_ERROR_AT_TP)
     assert np.array_equal(window.coefficients, alias.coefficients)
@@ -452,15 +442,8 @@ def test_term_profile_matches_quadrature():
 
 
 def test_objective_validation():
-    with pytest.raises(ValueError):
-        Objective(kind=ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF)
-    with pytest.raises(ValueError):
-        Objective(
-            kind=ObjectiveKind.INTEGRATED_PSD_ABOVE_CUTOFF,
-            cutoff=2.3,
-            convolution_sigma=0.1,
-        )
-    with pytest.raises(ValueError):
+    # the window and the endpoint angles are required fields
+    with pytest.raises(TypeError):
         Objective(kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW)
     with pytest.raises(ValueError):
         Objective(
@@ -469,8 +452,15 @@ def test_objective_validation():
             theta_i=0.1,
             theta_f=0.9,
         )
-    with pytest.raises(ValueError):
-        optimize_coefficients(0, BasisMode.DERIVATIVE, spectral_objective(), 1.0)
+    for n_m in (0, -1):
+        with pytest.raises(ValueError, match="n_m must be >= 1"):
+            optimal_window(n_m, BasisMode.DERIVATIVE, CUTOFF, 1.0)
+    exact = Objective(
+        kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(4.0, 4.0),
+        theta_i=0.3, theta_f=2.2,
+    )
+    with pytest.raises(ValueError, match="n_m must be >= 1"):
+        optimize_coefficients(0, BasisMode.DERIVATIVE, exact, 1.9)
     # a non-finite rounding width or window is refused, not scored 1.0 per
     # candidate or left to fail inside the kernel
     for sigma in (np.nan, np.inf, -0.1):
@@ -608,3 +598,10 @@ def test_excursion_search_preconditions():
         optimize_cz_pulse(0.6, 0.5, 2, 0.0)
     with pytest.raises(ValueError, match="convolution_sigma"):
         optimize_cz_pulse(0.1, 0.8, 1, float("nan"))
+    # an empty basis, also where no excursion takes the shortcut past the
+    # search: zero terms raised IndexError there, -1 numpy's "negative
+    # dimensions are not allowed"
+    for theta_f in (0.1, 0.8):
+        for n_coeffs in (0, -1):
+            with pytest.raises(ValueError, match="^n_m must be >= 1$"):
+                optimize_cz_pulse(0.1, theta_f, n_coeffs, 0.0)

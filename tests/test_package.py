@@ -43,22 +43,37 @@ def test_each_public_name_is_declared_once_in_its_module():
     assert {n for n in vars(adiabatz) if not n.startswith("_")} <= set(LIBRARY_MODULES) | {"cli"}
 
 
+def _private_definitions(tree):
+    """(name, node) of each private top-level function, class and
+    module-level name of a module; a dunder is not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
 def test_each_private_function_has_a_library_caller():
-    # a private top-level function that no library code outside its own
-    # body names is a variant only the tests use, and goes
+    # a private top-level function, class or module-level name that no
+    # library code outside its own definition reads is a variant or a
+    # constant only the tests use, and goes
     trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "adiabatz").glob("*.py")]
     unused = []
     for tree in trees:
-        for func in tree.body:
-            if not (isinstance(func, ast.FunctionDef) and func.name.startswith("_")):
-                continue
-            own = set(map(id, ast.walk(func)))
+        for name, definition in _private_definitions(tree):
+            own = set(map(id, ast.walk(definition)))
             if not any(
                 id(node) not in own
-                and func.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                and isinstance(getattr(node, "ctx", None), ast.Load)
+                and name in (getattr(node, "id", None), getattr(node, "attr", None))
                 for other in trees for node in ast.walk(other)
             ):
-                unused.append(func.name)
+                unused.append(name)
     assert not unused
 
 

@@ -345,6 +345,11 @@ def test_drive_past_the_step_cap_is_refused():
     huge = ThreeLevelPulse(**{**PULSE, "envelope_x": 1e10 * np.ones(64)})
     with pytest.raises(ValueError, match=r"^step count \d+ exceeds"):
         evolve_three_level(huge, RotationTarget.PI_PULSE)
+    # each field finite, but the level energy delta - 2 det overflows to
+    # -inf: the rule raised OverflowError ("cannot convert float infinity")
+    _, x = raised_cosine(64)
+    with pytest.raises(ValueError, match=r"^step count \d+ exceeds"), np.errstate(over="ignore"):
+        evolve_three_level(ThreeLevelPulse(x, 0.0, -1e308, 1e308, T_P), RotationTarget.PI_PULSE)
     with pytest.raises(ValueError, match=f"^step count {2**20 + 1} exceeds"):
         evolve_three_level(ThreeLevelPulse(**PULSE), RotationTarget.PI_PULSE, 2**20 + 1)
 
