@@ -95,18 +95,14 @@ GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 @dataclasses.dataclass(frozen=True)
 class TwoLevelState:
     """Final amplitudes (alpha, beta) on the instantaneous ground and excited
-    eigenstates.  ab_product = alpha* beta; on a unit state its magnitude
-    cannot exceed 1/2."""
+    eigenstates.  On a unit state |alpha* beta| cannot exceed 1/2; past
+    1/2 + AB_PRODUCT_TOL the state is refused."""
 
     amplitudes: tuple
 
-    @property
-    def ab_product(self) -> complex:
-        alpha, beta = self.amplitudes
-        return alpha.conjugate() * beta
-
     def __post_init__(self):
-        mag = abs(self.ab_product)
+        alpha, beta = self.amplitudes
+        mag = abs(alpha.conjugate() * beta)
         if mag > 0.5 + AB_PRODUCT_TOL:
             raise RuntimeError(
                 f"|alpha* beta| = {mag:.12f} exceeds 1/2: numerical failure"
@@ -190,7 +186,8 @@ def _richardson(run, n_rule: int, divisor: int, order: int, atol: float, rtol: f
 def _capped(n: int, cap: int) -> int:
     """n, the step count of one run, refused unless an integer (by
     operator.index) in [1, cap] (_MAX_STEPS of its module) before any of the
-    run's arrays is built."""
+    run's arrays is built.  The refusal prints a count of more than 15
+    digits (309 for a rule past the float range) as d.ddde+XX."""
     try:
         n = operator.index(n)
     except TypeError:
@@ -198,7 +195,10 @@ def _capped(n: int, cap: int) -> int:
     if n < 1:
         raise ValueError("n_steps must be >= 1")
     if n > cap:
-        raise ValueError(f"step count {n} exceeds the cap of {cap}")
+        from decimal import Decimal  # off the start-up path; formats any int
+
+        shown = n if n < 10**15 else f"{Decimal(n):.3e}"
+        raise ValueError(f"step count {shown} exceeds the cap of {cap}")
     return n
 
 
@@ -288,6 +288,8 @@ def evolve_two_level_direct(
     _MAX_STEPS steps raises ValueError before it is built.
     """
     n_rule = _n_steps(traj, n_steps)
+    if n_steps is None:  # the pilot, refused before the spline is built
+        _capped(math.ceil(n_rule / PILOT_DIVISOR), _MAX_STEPS)
     z = cubic_spline(traj.times, traj.h_x / np.tan(traj.theta))
 
     def propagate(n):
@@ -408,8 +410,9 @@ def remapped_p_e(
     theta, dtheta = _theta_series(mode, lam, theta_i, u), _dtheta_series(mode, lam, u)
     theta_f = theta[-1]
     theta, dtheta = shapes(theta[:-1].reshape(3, 64, -1)), dtheta[:-1].reshape(3, 64, -1)
-    tau_max = np.max(t_ps) / (np.mean(np.sin(theta), axis=-1) @ GAUSS3_WEIGHTS)
-    phase = 2.0 * tau_max + np.max(np.abs(dtheta), axis=(0, 1))
+    with np.errstate(over="ignore"):  # a phase past the float range is inf
+        tau_max = np.max(t_ps) / (np.mean(np.sin(theta), axis=-1) @ GAUSS3_WEIGHTS)
+        phase = 2.0 * tau_max + np.max(np.abs(dtheta), axis=(0, 1))
     n_rule = _fixed_step_count(
         float(np.max(phase, where=~rejected, initial=0.0)), TAU_PHASE_PER_STEP, 64
     )

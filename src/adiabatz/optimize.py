@@ -40,7 +40,6 @@ from .remap import remapped_trajectory
 from .waveform import CONSTRAINT_TOL, BasisMode, FourierWaveform, SampledTrajectory, _constraint_row
 
 __all__ = [
-    "CZ_ROUNDING_SIGMA_PERIODS",
     "ObjectiveKind",
     "Objective",
     "OptimizationReport",
@@ -64,10 +63,6 @@ WINDOW_DURATIONS = 9
 ROUNDED_SAMPLES = 2048
 # relative step error tolerance of the constant-gap kernel during a search
 SEARCH_RTOL = 1e-6
-# frozen rounding width for the excursion pulse, in crossing periods
-# (2 pi / omega_x); chosen so the rounded re-optimization sustains low
-# error near twice the crossing period
-CZ_ROUNDING_SIGMA_PERIODS = 0.10
 
 
 class ObjectiveKind(enum.Enum):
@@ -293,15 +288,18 @@ def optimize_coefficients(
     advance in lockstep and each round's points are scored as one batch, at
     a loose step tolerance; the best restart is scored again on the fixed
     step rule, and that value is returned.  converged reflects the simplex
-    termination status of the winning restart.
+    termination status of the winning restart.  One term, or a zero
+    constraint (theta_f = theta_i, where the flat shape, every free
+    coefficient 0, leaves no excitation), needs no search: that one
+    candidate is scored on the fixed rule, with 0 iterations, converged.
     """
     _check_terms(n_m, constraint_value)
     delta = objective.theta_f - objective.theta_i
     if not abs(constraint_value - delta) <= CONSTRAINT_TOL * max(1.0, abs(delta)):
         raise ValueError(f"constraint_value {constraint_value} is not theta_f - theta_i = {delta}")
     value, a = _ExactObjective(objective, mode), _constraint_row(mode, n_m)
-    if n_m == 1:
-        return value.report(_assemble(a, np.empty(0), constraint_value), 0, True)
+    if n_m == 1 or constraint_value == 0:
+        return value.report(_assemble(a, np.zeros(n_m - 1), constraint_value), 0, True)
 
     rng = np.random.default_rng(seed)
     scale = 0.05 * max(1.0, abs(constraint_value))
@@ -473,9 +471,10 @@ def optimize_cz_pulse(
     back, remapped onto lab time, optionally rounded with a Gaussian of
     width sigma (lab time), and scored by the worst exact error at h_x = 1
     over the duration window (default windows frozen against the reference
-    solutions: around one crossing period, pi, without rounding, around two
-    with it).  n_coeffs < 1 is refused as optimize_coefficients refuses it,
-    also when theta_f = theta_i leaves nothing to search.
+    solutions: around one crossing period, pi, without rounding, and around
+    two with it, frozen against sigma = 0.1 T_x; it is taken whatever sigma
+    is).  The search is optimize_coefficients', so theta_f = theta_i scores
+    the flat shape with no search, and n_coeffs < 1 is refused there.
     """
     if not 0 < theta_i <= theta_f < np.pi / 2:
         raise ValueError("need 0 < theta_i <= theta_f < pi/2")
@@ -488,10 +487,6 @@ def optimize_cz_pulse(
         theta_i=theta_i,
         theta_f=theta_f,
     )
-    _check_terms(n_coeffs, theta_f - theta_i)
-    if theta_f == theta_i:
-        value = _ExactObjective(objective, BasisMode.THETA)
-        return value.report(np.zeros(n_coeffs), 0, True)
     return optimize_coefficients(
         n_coeffs,
         BasisMode.THETA,

@@ -18,7 +18,6 @@ import pytest
 from adiabatz.adiabatic_error import geometric_error, landau_zener_error
 from adiabatz.dynamics import evolve_two_level_direct, evolve_two_level_exact
 from adiabatz.optimize import (
-    CZ_ROUNDING_SIGMA_PERIODS,
     Objective,
     ObjectiveKind,
     optimal_window,
@@ -184,11 +183,10 @@ def test_criterion_06_excursion_pulse():
     assert no_rounding.coefficients[1] == pytest.approx(-0.19, abs=0.03)
     assert no_rounding.objective_value < 1e-3
 
-    # with Gaussian rounding, three terms (two free once the turning point
-    # is pinned) sustain low error near twice the crossing period
-    rounded = optimize_cz_pulse(
-        0.1, theta_f, 3, CZ_ROUNDING_SIGMA_PERIODS * T_X
-    )
+    # with Gaussian rounding of 0.1 T_x, three terms (two free once the
+    # turning point is pinned) sustain low error near twice the crossing
+    # period
+    rounded = optimize_cz_pulse(0.1, theta_f, 3, 0.1 * T_X)
     assert rounded.objective_value < 1e-4
 
 

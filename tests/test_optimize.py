@@ -12,7 +12,6 @@ from adiabatz import optimize as optimize_module
 from adiabatz.dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
 from adiabatz.geometry import omega_from_theta, theta_from_fields
 from adiabatz.optimize import (
-    CZ_ROUNDING_SIGMA_PERIODS,
     ROUNDED_SAMPLES,
     SEARCH_RTOL,
     U_MAX,
@@ -241,7 +240,7 @@ def test_rounded_report_carries_the_lab_estimate():
     # one rounded candidate (n_m = 1: no search); the report holds the worst
     # lab P_e over the window and the largest lab step error estimate
     theta_i, theta_f = 0.1, 0.55 * np.pi / 2
-    sigma, window = CZ_ROUNDING_SIGMA_PERIODS * np.pi, (1.85 * np.pi, 2.15 * np.pi)
+    sigma, window = 0.1 * np.pi, (1.85 * np.pi, 2.15 * np.pi)
     rep = optimize_cz_pulse(theta_i, theta_f, 1, sigma, t_p_window=window)
     w = theta_waveform(rep.coefficients, 1.0, theta_i, theta_f)
     results = [
@@ -285,7 +284,7 @@ def test_rounded_degenerate_window_steps_one_duration():
     # a rounded (t, t) excursion (n_m = 1: no search) propagates one lab
     # trajectory, not nine
     theta_i, theta_f, t_p = 0.1, 0.8, 2.0 * np.pi
-    sigma = CZ_ROUNDING_SIGMA_PERIODS * np.pi
+    sigma = 0.1 * np.pi
     rep = optimize_cz_pulse(theta_i, theta_f, 1, sigma, t_p_window=(t_p, t_p))
     w = theta_waveform(rep.coefficients, 1.0, theta_i, theta_f)
     lab = remapped_trajectory(w, t_p, n_samples=ROUNDED_SAMPLES)
@@ -418,7 +417,7 @@ def test_rounded_score_remaps_each_candidate_once(monkeypatch):
     monkeypatch.setattr(optimize_module, "remapped_trajectory", counting)
     objective = Objective(
         kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(1.85 * np.pi, 2.15 * np.pi),
-        convolution_sigma=CZ_ROUNDING_SIGMA_PERIODS * np.pi, theta_i=0.1, theta_f=0.6,
+        convolution_sigma=0.1 * np.pi, theta_i=0.1, theta_f=0.6,
     )
     value = _ExactObjective(objective, BasisMode.THETA)
     scores, _ = value.score(np.array([[0.25, -0.05]]), STEP_ATOL, SEARCH_RTOL)
@@ -587,6 +586,18 @@ def test_excursion_search_zero_width():
     assert rep.converged
     # no search: the one candidate scored is the reported one
     assert (rep.evaluations, rep.rejected) == (1, 0)
+
+
+def test_a_zero_constraint_needs_no_search():
+    # theta_f = theta_i: the flat shape leaves no excitation, and the simplex
+    # took 81 evaluations and 32 iterations to come back to it
+    objective = Objective(ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, (np.pi, np.pi), 0.5, 0.5)
+    rep = optimize_coefficients(3, BasisMode.DERIVATIVE, objective, 0.0, max_iterations=5)
+    assert np.array_equal(rep.coefficients, np.zeros(3))
+    assert (rep.evaluations, rep.iterations, rep.rejected, rep.converged) == (1, 0, 0, True)
+    flat = remapped_p_e(BasisMode.DERIVATIVE, np.zeros((1, 3)), 0.5, [np.pi])
+    assert rep.objective_value == flat.p_e[0, 0] < 1e-30
+    assert rep.step_error == flat.step_error[0, 0]
 
 
 def test_excursion_search_preconditions():

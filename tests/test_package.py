@@ -43,9 +43,9 @@ def test_each_public_name_is_declared_once_in_its_module():
     assert {n for n in vars(adiabatz) if not n.startswith("_")} <= set(LIBRARY_MODULES) | {"cli"}
 
 
-def _private_definitions(tree):
-    """(name, node) of each private top-level function, class and
-    module-level name of a module; a dunder is not private."""
+def _module_definitions(tree):
+    """(name, node) of each top-level function, class and module-level name
+    of a module."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -54,27 +54,65 @@ def _private_definitions(tree):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        yield from ((name, node) for name in names
-                    if name.startswith("_") and not name.startswith("__"))
+        yield from ((name, node) for name in names)
+
+
+def _private_definitions(tree):
+    """_module_definitions of the private names; a dunder is not private."""
+    return ((name, node) for name, node in _module_definitions(tree)
+            if name.startswith("_") and not name.startswith("__"))
+
+
+def _library_trees():
+    return [ast.parse(path.read_text()) for path in (ROOT / "src" / "adiabatz").glob("*.py")]
+
+
+def _read_outside(name, definition, trees):
+    """Whether library code outside the node definition reads name, as a
+    name or as an attribute."""
+    own = set(map(id, ast.walk(definition)))
+    return any(
+        id(node) not in own
+        and isinstance(getattr(node, "ctx", None), ast.Load)
+        and name in (getattr(node, "id", None), getattr(node, "attr", None))
+        for tree in trees for node in ast.walk(tree)
+    )
 
 
 def test_each_private_function_has_a_library_caller():
     # a private top-level function, class or module-level name that no
     # library code outside its own definition reads is a variant or a
     # constant only the tests use, and goes
-    trees = [ast.parse(path.read_text()) for path in (ROOT / "src" / "adiabatz").glob("*.py")]
-    unused = []
-    for tree in trees:
-        for name, definition in _private_definitions(tree):
-            own = set(map(id, ast.walk(definition)))
-            if not any(
-                id(node) not in own
-                and isinstance(getattr(node, "ctx", None), ast.Load)
-                and name in (getattr(node, "id", None), getattr(node, "attr", None))
-                for other in trees for node in ast.walk(other)
-            ):
-                unused.append(name)
+    trees = _library_trees()
+    unused = [name for tree in trees for name, definition in _private_definitions(tree)
+              if not _read_outside(name, definition, trees)]
     assert not unused
+
+
+def _public_readers_needed(tree):
+    """(name, node) of each property, with its class as the node, and of
+    each upper-case name in the module's __all__, with its definition."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and any(
+                getattr(d, "id", None) == "property" for d in node.decorator_list
+            ):
+                yield node.name, cls
+    public = {name for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+              for name in ast.literal_eval(node.value)}
+    for name, definition in _module_definitions(tree):
+        if name in public and name.isupper():
+            yield name, definition
+
+
+def test_each_property_and_public_constant_has_a_library_reader():
+    # a property that only its own class reads, or a public constant that
+    # only the tests read, is a variant only a unit test uses, and goes
+    trees = _library_trees()
+    unread = [name for tree in trees for name, definition in _public_readers_needed(tree)
+              if not _read_outside(name, definition, trees)]
+    assert not unread
 
 
 def test_package_import_loads_no_module():

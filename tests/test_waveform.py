@@ -102,6 +102,10 @@ def test_eval_fourier_scalar_point():
     theta, dtheta = eval_fourier(w, np.array([1.0]))  # midpoint of the excursion
     assert theta[0] == pytest.approx(0.1 + 2 * (0.3 + 0.05))
     assert dtheta[0] == pytest.approx(0.0, abs=1e-12)
+    # a point outside [0, t_p], past a rounding margin, is refused
+    for t in (-1e-9, 2.0 * (1.0 + 1e-9)):
+        with pytest.raises(ValueError, match=r"^t outside \[0, t_p\]$"):
+            eval_fourier(w, np.array([t]))
 
 
 def test_theta_mode_midpoint_excursion():
@@ -210,6 +214,8 @@ def test_trajectory_rejects_nonuniform_grid():
         ("omega", np.full(3, 2.0), "one sample per time"),
         ("h_z", np.array([1.0, 1.0, np.inf, 1.0, 1.0]), "finite"),
         ("omega", np.array([2.0, np.nan, 2.0, 2.0, 2.0]), "finite"),
+        ("times", np.array([0.0]), "at least two samples"),
+        ("times", np.array([0.0, 0.5, 0.25, 0.75, 1.0]), "strictly increasing"),
     ],
 )
 def test_trajectory_rejects_what_cannot_be_propagated(field, value, message):
@@ -217,7 +223,8 @@ def test_trajectory_rejects_what_cannot_be_propagated(field, value, message):
     # in the spline, the nan angle passed the (0, pi) test, the nan rate
     # failed in the ODE's step count, h_x = 0 propagated to P_e = 6e-35, a
     # mismatched h_z changed the rounded trajectory's length, a short omega
-    # failed to broadcast in the error integral and a nan omega gave nan P_e
+    # failed to broadcast in the error integral and a nan omega gave nan P_e;
+    # one sample, or times out of order, leave no step to take
     fields = dict(
         times=np.linspace(0.0, 1.0, 5), theta=np.full(5, 0.5), dtheta_dt=np.zeros(5),
         h_z=np.full(5, 1.0), omega=np.full(5, 2.0), h_x=1.0,
