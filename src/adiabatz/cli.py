@@ -6,8 +6,9 @@ with the config hash, library versions, wall time and diagnostics (the
 cz-pulse search's report, the failed error-curve points and an exact curve's
 step work, the lz-sweep step work, each drag-sweep calibration's optimizer
 status and reached error). The manifest lives in a separate file so result
-bytes depend only on config + seed. A remapped exact error-curve is one
-call of the constant-gap kernel (dynamics.remapped_p_e) over its durations.
+bytes depend only on the config (the seed is validated and recorded, and no
+experiment reads it). A remapped exact error-curve is one call of the
+constant-gap kernel (dynamics.remapped_p_e) over its durations.
 
 Each parameter is named once, where its experiment reads it: a read pops
 the key from a copy of the config, and the keys left after the last read
@@ -302,13 +303,7 @@ def _run_cz_pulse(params: dict, seed: int):
     _reject_unknown(params, "cz-pulse")
 
     rep = optimize_cz_pulse(
-        theta_i,
-        theta_f,
-        n_coeffs,
-        sigma * T_X,
-        t_p_window=window,
-        seed=seed,
-        max_iterations=max_iterations,
+        theta_i, theta_f, n_coeffs, sigma * T_X, t_p_window=window, max_iterations=max_iterations
     )
     if rep.rejected == rep.evaluations:  # no candidate was scored: no result
         raise RuntimeError(f"cz-pulse: all {rep.evaluations} candidates were rejected")

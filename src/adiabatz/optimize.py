@@ -10,7 +10,7 @@ optimum is one linear least-squares solve.  Coefficients are the shape over
 the unit duration in both bases (waveform), so one row serves every duration.
 Exact objectives (Objective, optimize_coefficients) score candidate
 waveforms by the excitation left by exact two-level dynamics, and are
-searched by a restarted simplex whose restarts run in lockstep, each
+searched by a simplex from a few fixed starts that run in lockstep, each
 round's points scored as one batch.
 Without rounding the batch's coefficient matrix goes to the constant-gap
 kernel (dynamics.remapped_p_e), where theta(u) is the shape in closed
@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import operator
 
 import numpy as np
 
@@ -55,7 +56,6 @@ EDGE_SOFTNESS = 0.10
 # spectral tail truncation: all basis transforms fall at least as 1/u^2,
 # so the weight beyond u = 400 is negligible against the band integral
 U_MAX = 400.0
-RESTARTS = 8
 # evenly spaced durations across the window of an exact objective; the
 # distinct ones are scored, so a (t, t) window scores one
 WINDOW_DURATIONS = 9
@@ -281,19 +281,27 @@ def optimize_coefficients(
     lambda_1 is solved out of the endpoint constraint a . lam =
     constraint_value, which must be finite and is refused unless it is the
     objective's theta_f - theta_i (to CONSTRAINT_TOL).  A simplex searches
-    the n_m - 1 free coefficients with eight seeded restarts: a flat start
-    (the one-term waveform), deterministic single-coordinate spokes (that
-    landscape is multimodal and the useful basins sit well away from zero),
-    and random perturbations from the given seed.  The restarts (_simplex)
+    the n_m - 1 free coefficients from the flat start (the one-term
+    waveform) and the spokes +-0.25 |constraint_value| along the first two
+    free coordinates (the landscape is multimodal and the useful basins sit
+    well away from zero): 3 starts for n_m = 2, 5 for n_m >= 3.  The
+    searches (_simplex), each capped at max_iterations (an integer >= 1),
     advance in lockstep and each round's points are scored as one batch, at
-    a loose step tolerance; the best restart is scored again on the fixed
-    step rule, and that value is returned.  converged reflects the simplex
-    termination status of the winning restart.  One term, or a zero
-    constraint (theta_f = theta_i, where the flat shape, every free
-    coefficient 0, leaves no excitation), needs no search: that one
-    candidate is scored on the fixed rule, with 0 iterations, converged.
+    a loose step tolerance; the best is scored again on the fixed step rule,
+    and that value is returned.  converged reflects the simplex termination
+    status of the winning search.  One term, or a zero constraint (theta_f =
+    theta_i, where the flat shape, every free coefficient 0, leaves no
+    excitation), needs no search: that one candidate is scored on the fixed
+    rule, with 0 iterations, converged.  seed is never read; the keyword
+    stays for callers that still pass it.
     """
     _check_terms(n_m, constraint_value)
+    try:
+        max_iterations = operator.index(max_iterations)
+    except TypeError:
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}") from None
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     delta = objective.theta_f - objective.theta_i
     if not abs(constraint_value - delta) <= CONSTRAINT_TOL * max(1.0, abs(delta)):
         raise ValueError(f"constraint_value {constraint_value} is not theta_f - theta_i = {delta}")
@@ -301,10 +309,6 @@ def optimize_coefficients(
     if n_m == 1 or constraint_value == 0:
         return value.report(_assemble(a, np.zeros(n_m - 1), constraint_value), 0, True)
 
-    rng = np.random.default_rng(seed)
-    scale = 0.05 * max(1.0, abs(constraint_value))
-    # exact-error landscapes carry several basins at O(constraint) distance
-    # from the origin; probe each free coordinate both ways
     starts = [np.zeros(n_m - 1)]
     spoke = 0.25 * abs(constraint_value)
     for i in range(min(n_m - 1, 2)):
@@ -312,8 +316,6 @@ def optimize_coefficients(
             e = np.zeros(n_m - 1)
             e[i] = sign * spoke
             starts.append(e)
-    while len(starts) < RESTARTS:
-        starts.append(rng.normal(0.0, scale, n_m - 1))
 
     results = _lockstep(
         [_simplex(x0, max_iterations) for x0 in starts],
@@ -462,7 +464,6 @@ def optimize_cz_pulse(
     n_coeffs: int,
     sigma: float,
     t_p_window: tuple | None = None,
-    seed: int = 0,
     max_iterations: int = 300,
 ) -> OptimizationReport:
     """Out-and-back excursion search scored by exact dynamics.
@@ -488,10 +489,5 @@ def optimize_cz_pulse(
         theta_f=theta_f,
     )
     return optimize_coefficients(
-        n_coeffs,
-        BasisMode.THETA,
-        objective,
-        constraint_value=theta_f - theta_i,
-        seed=seed,
-        max_iterations=max_iterations,
+        n_coeffs, BasisMode.THETA, objective, theta_f - theta_i, max_iterations=max_iterations
     )

@@ -166,7 +166,6 @@ def test_criterion_05_remapped_speedup():
         BasisMode.DERIVATIVE,
         objective,
         constraint_value=THETA_F - THETA_I,
-        seed=0,
     )
     assert report.objective_value < 1e-4
 

@@ -386,7 +386,7 @@ def test_cz_pulse_diagnostics_stay_out_of_the_data_file(tmp_path):
               "max_iterations": 10}
     cfg = write_config(tmp_path, params)
     assert main(["cz-pulse", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3"]) == 0
-    rep = optimize_cz_pulse(0.1, 0.55 * np.pi / 2, 2, 0.0, seed=3, max_iterations=10)
+    rep = optimize_cz_pulse(0.1, 0.55 * np.pi / 2, 2, 0.0, max_iterations=10)
     columns = ["n_coeffs", "sigma_over_Tx", "max_p_e", "iterations", "converged",
                "max_p_e_step_error", "rejected", "lambda_prime_1_rad", "lambda_prime_2_rad"]
     row = [2.0, 0.0, rep.objective_value, float(rep.iterations), float(rep.converged),
