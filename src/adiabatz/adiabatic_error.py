@@ -100,14 +100,14 @@ def error_curve(
         Maps a duration t_p to the trajectory to evaluate (waveform shape
         fixed, time axis stretched).
     t_p_grid : array
-        Positive, strictly increasing durations.
+        Finite, positive, strictly increasing durations.
     evaluator : Evaluator
         LINEARIZED uses the rotating-frame integral; EXACT delegates to the
         direct dynamics backend.
     """
     grid = np.asarray(t_p_grid, dtype=float)
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("t_p grid must be positive and strictly increasing")
+    if not (np.all((grid > 0) & (grid < np.inf)) and np.all(np.diff(grid) > 0)):  # and not nan
+        raise ValueError("t_p grid must be finite, positive and strictly increasing")
     p_e = np.full(len(grid), np.nan)
     failures, exact = [], []
     for i, t_p in enumerate(grid):

@@ -7,8 +7,8 @@ cz-pulse search's report, the failed error-curve points and an exact curve's
 step work, the lz-sweep step work, each drag-sweep calibration's optimizer
 status and reached error). The manifest lives in a separate file so result
 bytes depend only on the config (the seed is validated and recorded, and no
-experiment reads it). A remapped exact error-curve is one call of the
-constant-gap kernel (dynamics.remapped_p_e) over its durations.
+experiment reads it). A remapped error-curve builds no trajectory: the exact
+one is one constant-gap kernel call, the linearized one its closed form.
 
 Each parameter is named once, where its experiment reads it: a read pops
 the key from a copy of the config, and the keys left after the last read
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import sys
@@ -35,12 +34,11 @@ from . import __version__
 from .adiabatic_error import ErrorCurve, Evaluator, error_curve, landau_zener_error
 from .dynamics import STEP_ATOL, STEP_RTOL, evolve_two_level_direct, remapped_p_e
 from .optimize import U_MAX, basis_transform, optimal_window, optimize_cz_pulse
-from .remap import remapped_trajectory
 from .three_level import RotationTarget, calibrate_pulse
 from .waveform import (
     BasisMode,
-    SampledTrajectory,
     derivative_waveform,
+    eval_fourier,
     linear_ramp_trajectory,
     sample_trajectory,
     theta_waveform,
@@ -160,7 +158,12 @@ def _label_ok(label) -> bool:
 # ---------------------------------------------------------------- experiments
 
 
-def _run_psd_windows(params: dict, seed: int):
+def _profile(lam, u, mode: BasisMode) -> np.ndarray:
+    """sum_n lam_n R_n(u): the real spectral profile of a shape at u cycles."""
+    return sum(c * basis_transform(u, n, mode) for n, c in enumerate(lam, start=1))
+
+
+def _run_psd_windows(params: dict):
     sets = _get(params, "coefficients_lambda", _REQUIRED)
     if not isinstance(sets, list) or len(sets) == 0:
         raise ValidationError(
@@ -197,16 +200,12 @@ def _run_psd_windows(params: dict, seed: int):
 
     u = np.linspace(u_min, u_max, n_points)
     series = [u] + [np.sinc(u) ** 2] * rect
-    for lam in lams:
-        profile = np.zeros_like(u)
-        with np.errstate(over="raise", invalid="raise"):  # exit 3, not an inf column
-            for n, c in enumerate(lam, start=1):
-                profile += c * basis_transform(u, n, BasisMode.DERIVATIVE)
-            series.append(profile**2)
+    with np.errstate(over="raise", invalid="raise"):  # exit 3, not an inf column
+        series += [_profile(lam, u, BasisMode.DERIVATIVE) ** 2 for lam in lams]
     return columns, np.column_stack(series).tolist(), {}
 
 
-def _run_error_curve(params: dict, seed: int):
+def _run_error_curve(params: dict):
     window = _choice(params, "window", {"rect", "hanning", "fourier"}, "fourier")
     if window in ("rect", "hanning"):
         dth = _num(params, "delta_theta_rad", 1.0, lo=0, open_lo=True)
@@ -243,26 +242,27 @@ def _run_error_curve(params: dict, seed: int):
     except ValueError as exc:
         raise ValidationError(f"coefficients_lambda: {exc}") from exc
 
-    # one unit-duration trajectory per curve, stretched to each point; a
-    # failed build is not cached, so every point reports it
-    @functools.cache
-    def unit() -> SampledTrajectory:
-        if remap:
-            return remapped_trajectory(w, 1.0, n_samples=n_samples)
-        return sample_trajectory(w, n_samples)
-
     grid = np.linspace(t_lo, t_hi, n_points) * T_X
-    if kernel:  # one constant-gap kernel call scores every duration
-        try:
+    try:
+        if kernel:  # one constant-gap kernel call scores every duration
             r = remapped_p_e(w.mode, w.coefficients[None], theta_i, grid, STEP_ATOL, STEP_RTOL)
             if r.rejected[0]:
                 raise ValueError("theta(tau) must stay strictly inside (0, pi)")
             curve = ErrorCurve(grid, r.p_e[0], (), n_points * r.steps, float(np.max(r.step_error)))
-        except (ValueError, RuntimeError, ArithmeticError) as exc:  # fails every point
-            failed = [(i, f"{type(exc).__name__}: {exc}") for i in range(n_points)]
-            curve = ErrorCurve(grid, np.full(n_points, np.nan), tuple(failed))
-    else:
-        curve = error_curve(lambda t_p: unit().with_t_p(t_p), grid, evaluator)
+        elif remap:  # a quarter of the drive spectrum at s = t_p / (T_x <sin theta>)
+            u = np.linspace(0.0, 1.0, n_samples)
+            theta, _ = eval_fourier(w, u)
+            if not np.all((theta > 0) & (theta < np.pi)):  # refuses nan too
+                raise ValueError("theta(tau) must stay strictly inside (0, pi)")
+            s = grid / (T_X * np.trapezoid(np.sin(theta), u))
+            with np.errstate(over="raise", invalid="raise"):
+                p_e = np.minimum(_profile(w.coefficients, s, w.mode) ** 2 / 4.0, 1.0)
+            curve = ErrorCurve(grid, p_e)
+        else:  # one unit-duration sample, stretched to each duration
+            curve = error_curve(sample_trajectory(w, n_samples).with_t_p, grid, evaluator)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:  # fails every point
+        failed = [(i, f"{type(exc).__name__}: {exc}") for i in range(n_points)]
+        curve = ErrorCurve(grid, np.full(n_points, np.nan), tuple(failed))
     columns = ["t_p_over_Tx", "t_p_time", f"p_e_{evaluator.value}"]
     rows = np.column_stack([grid / T_X, grid, curve.p_e]).tolist()
     # failed points read NaN in the table; the manifest says why
@@ -272,7 +272,7 @@ def _run_error_curve(params: dict, seed: int):
     return columns, rows, diagnostics
 
 
-def _run_lz_sweep(params: dict, seed: int):
+def _run_lz_sweep(params: dict):
     span = _num(params, "span_over_hx", 10.0, lo=1.0)
     r_lo = _num(params, "rate_min_hx2", _REQUIRED, lo=0, open_lo=True)
     r_hi = _num(params, "rate_max_hx2", _REQUIRED, lo=r_lo, open_lo=True)
@@ -287,7 +287,7 @@ def _run_lz_sweep(params: dict, seed: int):
     return ["ramp_rate_hx2", "p_e_exact", "p_e_formula"], rows, diagnostics
 
 
-def _run_cz_pulse(params: dict, seed: int):
+def _run_cz_pulse(params: dict):
     theta_i = _num(params, "theta_i_rad", _REQUIRED, lo=0, hi=np.pi / 2, open_lo=True, open_hi=True)
     theta_f = _num(params, "theta_f_rad", _REQUIRED, lo=theta_i, hi=np.pi / 2, open_hi=True)
     n_coeffs = _int(params, "n_coeffs", _REQUIRED, lo=1)
@@ -318,7 +318,7 @@ def _run_cz_pulse(params: dict, seed: int):
     return columns, [row + [float(c) for c in rep.coefficients]], diagnostics
 
 
-def _run_table1(params: dict, seed: int):
+def _run_table1(params: dict):
     n_m_list = _get(params, "n_m_list", [2, 4, 10])
     if (
         not isinstance(n_m_list, list)
@@ -340,7 +340,7 @@ def _run_table1(params: dict, seed: int):
     return columns, rows, {}
 
 
-def _run_drag_sweep(params: dict, seed: int):
+def _run_drag_sweep(params: dict):
     d_list = _num_list(params, "drag_d_list", [0.0, -0.48, -1.20])
     delta = _num(params, "delta_rad_per_time", -2.0 * np.pi)
     if delta == 0:
@@ -440,7 +440,7 @@ def run(config: RunConfig) -> list:
     _int({"seed": config.seed}, "seed", lo=0)
     started = time.monotonic()
     params = dict(config.parameters)  # the experiment's reads consume this copy
-    columns, rows, diagnostics = EXPERIMENTS[config.experiment](params, config.seed)
+    columns, rows, diagnostics = EXPERIMENTS[config.experiment](params)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     result_path = config.output_dir / f"{config.experiment}.{config.format}"
     export_table(columns, rows, result_path, config.format)

@@ -100,5 +100,7 @@ def psd(times, values, omegas) -> SpectralDensity:
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
     if not np.all((w >= 0) & (w < np.inf)):  # refuses nan too
         raise ValueError("frequency grid must be finite and nonnegative")
+    if np.iscomplexobj(values):  # omega >= 0 is half of a complex signal's spectrum
+        raise ValueError("signal must be real")
     F = fourier_integral(times, values, w)
     return SpectralDensity(omegas=w, values=np.abs(F) ** 2)

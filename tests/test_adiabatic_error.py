@@ -208,6 +208,10 @@ def test_error_curve_rejects_bad_grid():
         error_curve(gen, [2.0, 1.0])
     with pytest.raises(ValueError):
         error_curve(gen, [-1.0, 2.0])
+    # a nan or inf duration is refused up front, not reported as a failed point
+    for bad in ([1.0, np.nan], [np.nan, 1.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite, positive and strictly increasing"):
+            error_curve(gen, bad)
 
 
 def test_error_curve_exact_evaluator_smoke():

@@ -10,13 +10,15 @@ from adiabatz import adiabatic_error, cli, dynamics, remap
 from adiabatz.adiabatic_error import geometric_error
 from adiabatz.cli import ValidationError, export_table, load_table, main
 from adiabatz.dynamics import STEP_ATOL, STEP_RTOL, evolve_two_level_direct, remapped_p_e
-from adiabatz.optimize import optimize_cz_pulse
+from adiabatz.optimize import basis_transform, optimize_cz_pulse
 from adiabatz.remap import remapped_trajectory
 from adiabatz.waveform import (
     SampledTrajectory,
     derivative_waveform,
+    eval_fourier,
     linear_ramp_trajectory,
     sample_trajectory,
+    theta_waveform,
 )
 from paper_numbers import CONFIGS
 
@@ -423,27 +425,56 @@ def test_error_curve_failures_reach_the_manifest(tmp_path, monkeypatch):
     assert manifest["diagnostics"] == {"failures": [[1, "ValueError: no trajectory here"]]}
 
 
-def test_remapped_curve_remaps_its_shape_once(tmp_path, monkeypatch):
-    # the 60 durations stretch one unit-duration remap, and every point is
-    # the per-duration remapped trajectory's value, bitwise
-    calls = []
-    build = remap.build_remap
+@pytest.mark.parametrize("shape", [
+    {"basis": "derivative", "coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3,
+     "theta_f_rad": 2.2, "t_p_min_over_Tx": 0.8, "t_p_max_over_Tx": 1.5},
+    {"basis": "theta", "coefficients_lambda": [0.36, 0.02, -0.01], "theta_i_rad": 0.1,
+     "theta_f_rad": 0.8, "t_p_min_over_Tx": 0.9, "t_p_max_over_Tx": 2.2},
+], ids=["derivative", "theta"])
+def test_remapped_linearized_curve_is_its_closed_form(tmp_path, monkeypatch, shape):
+    # the column is min(|sum_n lam_n R_n(s)|^2 / 4, 1) at the frame duration
+    # s = t_p / (T_x <sin theta>) in cycles, <sin theta> the trapezoid over
+    # n_samples points of the shape, and no remap is built
+    def refused(*args, **kwargs):
+        raise AssertionError("a remap was built")
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return build(*args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(remap, "build_remap", refused)
+        cfg = write_config(tmp_path, {**shape, "remap": True, "n_points": 60})
+        assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _, data = load_table(tmp_path / "error-curve.csv")
+    build = {"derivative": derivative_waveform, "theta": theta_waveform}[shape["basis"]]
+    w = build(shape["coefficients_lambda"], 1.0, shape["theta_i_rad"], shape["theta_f_rad"])
+    u = np.linspace(0.0, 1.0, 2048)
+    theta, _ = eval_fourier(w, u)
+    s = data[:, 1] / (np.pi * np.trapezoid(np.sin(theta), u))
+    profile = sum(c * basis_transform(s, n, w.mode) for n, c in enumerate(w.coefficients, 1))
+    closed = np.minimum(profile**2 / 4.0, 1.0)
+    assert np.max(np.abs(data[:, 2] - closed)) <= 1e-15
+    # the PCHIP lab pipeline converges to it at second order: 1.4e-7 and
+    # 8.3e-9 off at 2048 and 8192 samples (derivative), 6.8e-7 and 4.6e-8
+    # (theta)
+    off = [np.max(np.abs([geometric_error(remapped_trajectory(w, t_p, n_samples=n))
+                          for t_p in data[:, 1]] - closed)) for n in (2048, 8192)]
+    assert off[1] <= off[0] / 10.0
 
-    monkeypatch.setattr(remap, "build_remap", counting)
+
+def test_remapped_linearized_curve_fails_an_overflowing_profile(tmp_path):
+    # a 30th harmonic vanishes at all 16 samples (1 - cos rounds to 0 there),
+    # so a shape with 1e305 on it stays inside (0, pi), but its spectral
+    # profile overflows: every point fails with the overflow, where a
+    # RuntimeWarning and a clipped P_e of 1 would be written
     cfg = write_config(tmp_path, {
-        "coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.3, "theta_f_rad": 2.2,
-        "remap": True, "t_p_min_over_Tx": 0.8, "t_p_max_over_Tx": 1.5, "n_points": 60,
+        "basis": "theta", "coefficients_lambda": [0.35] + [0.0] * 28 + [1e305],
+        "theta_i_rad": 0.1, "theta_f_rad": 0.8, "remap": True, "t_p_min_over_Tx": 1.0,
+        "t_p_max_over_Tx": 2.0, "n_points": 3, "n_samples": 16,
     })
     assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
     _, data = load_table(tmp_path / "error-curve.csv")
-    w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
-    assert [geometric_error(remapped_trajectory(w, t_p, n_samples=2048))
-            for t_p in data[:, 1]] == list(data[:, 2])
+    assert np.all(np.isnan(data[:, 2]))
+    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
+    reason = "FloatingPointError: overflow encountered in square"
+    assert manifest["diagnostics"] == {"failures": [[i, reason] for i in range(3)]}
 
 
 def test_sampled_curve_samples_its_shape_once(tmp_path, monkeypatch):
@@ -490,8 +521,8 @@ def test_sampled_curve_failures_reach_the_manifest(tmp_path):
 
 
 def test_remapped_curve_failures_reach_the_manifest(tmp_path):
-    # the shape dips below theta = 0, so its remap fails: every point reads
-    # NaN and the manifest names the remap's error once per point
+    # the shape dips below theta = 0, so the closed form refuses it: every
+    # point reads NaN and the manifest names the refusal once per point
     cfg = write_config(tmp_path, {
         "basis": "theta", "coefficients_lambda": [0.25, -0.5], "theta_i_rad": 0.3,
         "theta_f_rad": 0.8, "remap": True, "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0,
@@ -639,9 +670,11 @@ def test_cz_pulse_rounding_past_the_step_cap_rejects_every_candidate(tmp_path, c
     assert not (tmp_path / "cz-pulse.csv").exists()
 
 
-def test_exact_error_curve_reports_its_step_work(tmp_path, monkeypatch):
+@pytest.mark.parametrize("evaluator", ["exact", "linearized"])
+def test_exact_error_curve_reports_its_step_work(tmp_path, monkeypatch, evaluator):
     # a remapped exact curve is one constant-gap kernel call over its
-    # durations: no lab trajectory is built or propagated
+    # durations, a remapped linearized one its closed form: neither builds
+    # a lab trajectory, scores or propagates one
     calls = []
 
     def counting(*args):
@@ -652,11 +685,16 @@ def test_exact_error_curve_reports_its_step_work(tmp_path, monkeypatch):
         raise AssertionError("the lab pipeline was called")
 
     monkeypatch.setattr(cli, "remapped_p_e", counting)
-    monkeypatch.setattr(cli, "remapped_trajectory", refused)
+    monkeypatch.setattr(remap, "remapped_trajectory", refused)
+    monkeypatch.setattr(adiabatic_error, "geometric_error", refused)
     monkeypatch.setattr(adiabatic_error, "evolve_two_level_direct", refused)
-    cfg = write_config(tmp_path, {**FOURIER_CURVE, "remap": True, "evaluator": "exact",
+    cfg = write_config(tmp_path, {**FOURIER_CURVE, "remap": True, "evaluator": evaluator,
                                   "n_points": 3})
     assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
+    if evaluator == "linearized":
+        assert calls == [] and manifest["diagnostics"] == {"failures": []}
+        return
     assert len(calls) == 1
     _, data = load_table(tmp_path / "error-curve.csv")
     # each point is the kernel's, bitwise; the manifest counts chains x
@@ -664,7 +702,6 @@ def test_exact_error_curve_reports_its_step_work(tmp_path, monkeypatch):
     w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
     result = remapped_p_e(w.mode, w.coefficients[None], 0.3, data[:, 1], STEP_ATOL, STEP_RTOL)
     assert list(result.p_e[0]) == list(data[:, 2])
-    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
     assert manifest["diagnostics"] == {
         "failures": [],
         "steps": 3 * result.steps,
@@ -675,8 +712,9 @@ def test_exact_error_curve_reports_its_step_work(tmp_path, monkeypatch):
 @pytest.mark.parametrize("remap, evaluator", [(True, "linearized"), (False, "linearized"),
                                               (False, "exact")])
 def test_sampled_error_curves_read_n_samples(tmp_path, remap, evaluator):
-    # every error-curve path but the kernel's samples its shape, and takes
-    # the count
+    # every error-curve path but the kernel's takes the count: the sampled
+    # curves sample their shape, the remapped linearized one integrates
+    # <sin theta> over that many points
     cfg = write_config(tmp_path, {**FOURIER_CURVE, "remap": remap, "evaluator": evaluator,
                                   "n_points": 2, "n_samples": 64})
     assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0

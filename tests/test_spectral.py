@@ -162,6 +162,15 @@ def test_rejects_negative_frequency():
             psd(t, np.ones(16), np.array([1.0, omega]))
 
 
+def test_psd_rejects_a_complex_signal():
+    # it offers only omega >= 0, half of a complex signal's spectrum, and
+    # returned [1.0] for exp(i t) at omega = 1
+    t = np.linspace(0.0, 1.0, 16)
+    for values in (np.exp(1j * t), list(np.exp(1j * t)), np.ones(16, dtype=complex)):
+        with pytest.raises(ValueError, match="signal must be real"):
+            psd(t, values, [1.0])
+
+
 def test_rejects_non_finite_signal():
     t = np.linspace(0.0, 1.0, 16)
     f = np.ones(16)
