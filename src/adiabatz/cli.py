@@ -34,11 +34,11 @@ from . import __version__
 from .adiabatic_error import ErrorCurve, Evaluator, error_curve, landau_zener_error
 from .dynamics import STEP_ATOL, STEP_RTOL, evolve_two_level_direct, remapped_p_e
 from .optimize import U_MAX, basis_transform, optimal_window, optimize_cz_pulse
+from .remap import _unit_shape
 from .three_level import RotationTarget, calibrate_pulse
 from .waveform import (
     BasisMode,
     derivative_waveform,
-    eval_fourier,
     linear_ramp_trajectory,
     sample_trajectory,
     theta_waveform,
@@ -250,11 +250,10 @@ def _run_error_curve(params: dict):
                 raise ValueError("theta(tau) must stay strictly inside (0, pi)")
             curve = ErrorCurve(grid, r.p_e[0], (), n_points * r.steps, float(np.max(r.step_error)))
         elif remap:  # a quarter of the drive spectrum at s = t_p / (T_x <sin theta>)
-            u = np.linspace(0.0, 1.0, n_samples)
-            theta, _ = eval_fourier(w, u)
+            theta, mean_rate = _unit_shape(w, n_samples)  # bitwise the remap's scale
             if not np.all((theta > 0) & (theta < np.pi)):  # refuses nan too
                 raise ValueError("theta(tau) must stay strictly inside (0, pi)")
-            s = grid / (T_X * np.trapezoid(np.sin(theta), u))
+            s = grid / (T_X * mean_rate)
             with np.errstate(over="raise", invalid="raise"):
                 p_e = np.minimum(_profile(w.coefficients, s, w.mode) ** 2 / 4.0, 1.0)
             curve = ErrorCurve(grid, p_e)
@@ -334,7 +333,7 @@ def _run_table1(params: dict):
     columns = ["n_m", "objective_rad2"] + [f"lambda_{n}" for n in range(1, width + 1)]
     rows = []
     for n_m in n_m_list:
-        lam, power = optimal_window(n_m, BasisMode.DERIVATIVE, cutoff, 1.0)
+        lam, power = optimal_window(n_m, cutoff)
         pad = [float("nan")] * (width - n_m)
         rows.append([float(n_m), power] + [float(c) for c in lam] + pad)
     return columns, rows, {}

@@ -285,12 +285,13 @@ def evolve_two_level_direct(
     falls to STEP_ATOL + STEP_RTOL * P, or the run reaches the rule's count,
     which it never exceeds.  The finer run is returned with that estimate
     as step_error and the steps of all runs summed in steps.  A run past
-    _MAX_STEPS steps raises ValueError before it is built.
+    _MAX_STEPS steps raises ValueError before it is built, and a state that
+    is not finite (a spline past the float range) fails the norm-drift
+    check with RuntimeError.
     """
     n_rule = _n_steps(traj, n_steps)
     if n_steps is None:  # the pilot, refused before the spline is built
         _capped(math.ceil(n_rule / PILOT_DIVISOR), _MAX_STEPS)
-    z = cubic_spline(traj.times, traj.h_x / np.tan(traj.theta))
 
     def propagate(n):
         h, nodes = _gauss_node_times(traj.times[0], traj.t_p, _capped(n, _MAX_STEPS))
@@ -302,16 +303,19 @@ def evolve_two_level_direct(
         alpha, beta = _amplitudes(*_su2_chain(steps, n, 1), traj.theta[0], traj.theta[-1])
         return beta.real**2 + beta.imag**2, (complex(alpha), complex(beta)), n
 
-    if n_steps is not None:
-        p_e, (alpha, beta), steps = propagate(n_rule)
-        step_error = None
-    else:
-        p_e, (alpha, beta), step_error, steps = _richardson(
-            propagate, n_rule, PILOT_DIVISOR, 4, STEP_ATOL, STEP_RTOL
-        )
+    # a spline or chain that overflows fails the drift check below, not inside numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = cubic_spline(traj.times, traj.h_x / np.tan(traj.theta))
+        if n_steps is not None:
+            p_e, (alpha, beta), steps = propagate(n_rule)
+            step_error = None
+        else:
+            p_e, (alpha, beta), step_error, steps = _richardson(
+                propagate, n_rule, PILOT_DIVISOR, 4, STEP_ATOL, STEP_RTOL
+            )
 
     drift = abs(math.hypot(abs(alpha), abs(beta)) - 1.0)
-    if drift > NORM_DRIFT_TOL:
+    if not drift <= NORM_DRIFT_TOL:  # nan too
         raise RuntimeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}")
     return EvolutionResult(
         p_e=p_e,

@@ -1,12 +1,14 @@
 """Coefficient design: the optimal window's linear solve and exact searches.
 
-The optimal window (optimal_window) has the least power spectral density
-integrated above a band edge, with the edge realized as a narrow logistic
-ramp rather than a hard step (the soft edge keeps the quadratic form well
-conditioned and reproduces the published optima; see the closed-form basis
-transforms below).  The band power is a quadratic form in the coefficients
-and the endpoint constraint a . lam = theta_f - theta_i is linear, so its
-optimum is one linear least-squares solve.  Coefficients are the shape over
+The optimal window (optimal_window) is the paper's: derivative-basis
+coefficients that sum to 1 with the least power spectral density integrated
+above a band edge, the edge realized as a narrow logistic ramp rather than a
+hard step (the soft edge keeps the quadratic form well conditioned and
+reproduces the published optima; see the closed-form basis transforms
+below).  The band power is a quadratic form in the coefficients and the
+unit sum is linear, so its optimum is one linear least-squares solve.  A
+caller that wants the sum theta_f - theta_i scales it there
+(derivative_waveform, normalized=True).  Coefficients are the shape over
 the unit duration in both bases (waveform), so one row serves every duration.
 Exact objectives (Objective, optimize_coefficients) score candidate
 waveforms by the excitation left by exact two-level dynamics, and are
@@ -138,51 +140,23 @@ def basis_transform(u, n: int, mode: BasisMode) -> np.ndarray:
     return sign * math.pi * n * (np.sinc(u - n) - np.sinc(u + n))
 
 
-def _band_weight(u: np.ndarray, cutoff: float) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-(u - cutoff) / EDGE_SOFTNESS))
-
-
-def _u_grid(cutoff: float) -> np.ndarray:
-    # dense linear sampling through the band edge and the first sidelobes,
-    # logarithmic stride for the smooth 1/u^2 tail
-    lin = np.arange(0.0, cutoff + 5.0, 0.002)
-    log = np.geomspace(cutoff + 5.0, U_MAX, 800)
-    return np.concatenate([lin, log])
-
-
-class _SpectralObjective:
-    """Integrated out-of-band spectral density, quadratic in the coefficients."""
-
-    def __init__(self, cutoff: float, mode: BasisMode, n_m: int):
-        u = _u_grid(cutoff)
-        basis = np.stack(
-            [basis_transform(u, n, mode) for n in range(1, n_m + 1)], axis=1
-        )
-        # fold band weight and trapezoid weights into one inner product
-        quad = np.empty_like(u)
-        du = np.diff(u)
-        quad[0] = du[0] / 2.0
-        quad[-1] = du[-1] / 2.0
-        quad[1:-1] = (du[1:] + du[:-1]) / 2.0
-        self._weighted = quad * _band_weight(u, cutoff)
-        self._basis = basis
-        self._mode = mode
-
-    def __call__(self, lam: np.ndarray) -> float:
-        amp = self._basis @ lam
-        return float(self._weighted @ (amp * amp))
-
-    def minimizer(self, c: float) -> np.ndarray:
-        """Least band power subject to a.lam = c, lambda_1 eliminated: the
-        weighted amplitude is affine in the free terms, so the optimum is one
-        least-squares solve on sqrt(w) B (conditioned like B, not like
-        B^T diag(w) B; never above the one-term window, free = 0)."""
-        a = _constraint_row(self._mode, self._basis.shape[1])
-        root = np.sqrt(self._weighted)
-        first = root * self._basis[:, 0] / a[0]
-        design = root[:, None] * self._basis[:, 1:] - np.outer(first, a[1:])
-        free, *_ = np.linalg.lstsq(design, -c * first, rcond=None)
-        return _assemble(a, free, c)
+def _band_basis(n_m: int, cutoff: float):
+    """The band grid's basis matrix B, the profiles R_n(u) of the derivative
+    terms n = 1..n_m as columns, and weights w, the trapezoid weights times
+    the logistic band edge, so that w @ (B lam)^2 is the band power of lam.
+    The grid samples linearly through the band edge and the first sidelobes
+    and at a logarithmic stride for the smooth 1/u^2 tail."""
+    u = np.concatenate(
+        [np.arange(0.0, cutoff + 5.0, 0.002), np.geomspace(cutoff + 5.0, U_MAX, 800)]
+    )
+    basis = np.stack(
+        [basis_transform(u, n, BasisMode.DERIVATIVE) for n in range(1, n_m + 1)], axis=1
+    )
+    du = np.diff(u)
+    quad = np.empty_like(u)
+    quad[0], quad[-1] = du[0] / 2.0, du[-1] / 2.0
+    quad[1:-1] = (du[1:] + du[:-1]) / 2.0
+    return basis, quad * (1.0 / (1.0 + np.exp(-(u - cutoff) / EDGE_SOFTNESS)))
 
 
 class _ExactObjective:
@@ -245,26 +219,31 @@ def _assemble(a: np.ndarray, free: np.ndarray, constraint_value: float) -> np.nd
     return np.concatenate([[(constraint_value - np.sum(a[1:] * free)) / a[0]], free])
 
 
-def _check_terms(n_m: int, constraint_value: float):
-    # a basis of at least one term, and an endpoint constraint it can meet
+def _check_terms(n_m: int):
+    # a basis of at least one term
     if n_m < 1:
         raise ValueError("n_m must be >= 1")
-    if not np.isfinite(constraint_value):
-        raise ValueError(f"constraint_value must be finite, got {constraint_value}")
 
 
-def optimal_window(n_m: int, mode: BasisMode, cutoff: float, constraint_value: float):
-    """The optimal window: the n_m coefficients with the least band power
-    above the band edge cutoff (omega t_p / 2 pi, in (0, U_MAX - 5)) under
-    the endpoint constraint a . lam = constraint_value (finite), and that
-    band power.  One linear least-squares solve (_SpectralObjective)."""
-    _check_terms(n_m, constraint_value)
+def optimal_window(n_m: int, cutoff: float):
+    """The optimal window: the n_m derivative-basis coefficients, summing to
+    1, with the least band power above the band edge cutoff (omega t_p /
+    2 pi, in (0, U_MAX - 5)), and that band power.  With lambda_1 = 1 - sum
+    of the free terms the weighted amplitude is affine in them, so the
+    optimum is one least-squares solve on sqrt(w) B (conditioned like B,
+    not like B^T diag(w) B; never above the one-term window, free = 0)."""
+    _check_terms(n_m)
     # the u grid runs from the band edge + 5 up to U_MAX
     if not 0 < cutoff < U_MAX - 5.0:
         raise ValueError(f"cutoff must be in (0, {U_MAX - 5.0:g}), got {cutoff}")
-    value = _SpectralObjective(cutoff, mode, n_m)
-    lam = value.minimizer(constraint_value)
-    return lam, value(lam)
+    basis, weighted = _band_basis(n_m, cutoff)
+    root = np.sqrt(weighted)
+    first = root * basis[:, 0]
+    design = root[:, None] * basis[:, 1:] - first[:, None]
+    free, *_ = np.linalg.lstsq(design, -first, rcond=None)
+    lam = np.concatenate([[1.0 - np.sum(free)], free])
+    amp = basis @ lam
+    return lam, float(weighted @ (amp * amp))
 
 
 def optimize_coefficients(
@@ -295,7 +274,7 @@ def optimize_coefficients(
     rule, with 0 iterations, converged.  seed is never read; the keyword
     stays for callers that still pass it.
     """
-    _check_terms(n_m, constraint_value)
+    _check_terms(n_m)
     try:
         max_iterations = operator.index(max_iterations)
     except TypeError:

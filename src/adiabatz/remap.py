@@ -83,6 +83,15 @@ def invert_remap(table: RemapTable, t_grid) -> SampledTrajectory:
     return SampledTrajectory(times=t, theta=theta, dtheta_dt=dtheta)
 
 
+def _unit_shape(w: FourierWaveform, n_samples: int):
+    """theta(u) of w's shape at n_samples points of [0, 1], and <sin theta>,
+    its trapezoid over them: the scale t_p = tau_p <sin theta> of the remap.
+    Only the angle is read, never its rate."""
+    u = np.linspace(0.0, 1.0, n_samples)
+    theta = _theta_series(w.mode, w.coefficients, w.theta_i, u)
+    return theta, float(np.trapezoid(np.sin(theta), u))
+
+
 def remapped_trajectory(
     w: FourierWaveform,
     t_p_lab: float,
@@ -101,9 +110,7 @@ def remapped_trajectory(
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    u = np.linspace(0.0, 1.0, n_samples)
-    theta_shape = _theta_series(w.mode, w.coefficients, w.theta_i, u)
-    mean_rate = float(np.trapezoid(np.sin(theta_shape), u))
+    theta_shape, mean_rate = _unit_shape(w, n_samples)
     table = build_remap(theta_shape, 1.0 / mean_rate)
     t_grid = np.linspace(0.0, table.t_p, n_samples)
     return invert_remap(table, t_grid).with_t_p(t_p_lab)

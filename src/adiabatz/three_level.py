@@ -242,7 +242,7 @@ def _ladder_result(h, w1, w2, energies, target: RotationTarget) -> ThreeLevelRes
     """The net ladder unitary of drive w1, w2 at the Gauss nodes, and its errors."""
     u = _propagate(h, w1, w2, energies, (1.0, math.sqrt(2.0)))
     drift = float(np.max(np.abs(u.conj().T @ u - np.eye(3))))
-    if drift > UNITARITY_TOL:
+    if not drift <= UNITARITY_TOL:  # nan too
         raise RuntimeError(f"non-unitarity {drift:.3e} exceeds {UNITARITY_TOL:.0e}")
     err2_avg = (abs(u[2, 0]) ** 2 + abs(u[2, 1]) ** 2) / 2.0
     return ThreeLevelResult(
@@ -286,7 +286,8 @@ def calibrate_pulse(
     converged=False (optimizer_success is the least-squares status).  An
     n_steps that is not an integer in [1, _MAX_STEPS] is refused before the
     fit; a trial point whose step rule passes _MAX_STEPS, or that overflows,
-    scores full error.  One spline serves every trial point, of the shape
+    scores full error, and a fit whose own point has no finite error raises
+    RuntimeError.  One spline serves every trial point, of the shape
     at levels=2 and of the seed pulse's drag_envelope at levels=3; a point
     scales its Gauss-node values by amplitude e^(i phase) over the
     amplitude of the splined drive.
@@ -309,13 +310,16 @@ def calibrate_pulse(
         raise ValueError(f"shape must have a finite area with a finite reciprocal, got {area!r}")
 
     # the splined drive, the shape or at levels=3 the seed's (a huge shape's
-    # own xdot can overflow); a trial point scales it by (amp / scale) e^(i phase)
-    det0, drive, scale = 0.0, shape, 1.0
-    if levels == 3:  # the seed pulse names a drag_d or delta that is not finite
-        seed = ThreeLevelPulse(amp0 * shape, drag_d, delta, 0.0, t_p)
-        det0 = float(np.mean(stark_shift(seed.envelope_x, drag_d, delta)))
-        drive, scale = drag_envelope(seed.envelope_x, drag_d, delta, seed.dt), amp0
-    spline, peak = cubic_spline(times, drive), np.max(np.abs(drive))
+    # own xdot can overflow); a trial point scales it by (amp / scale) e^(i phase).
+    # A drive past the float range is refused by the spline or scores full
+    # error, and the final evaluation refuses a figure that is not a number
+    with np.errstate(over="ignore", invalid="ignore"):
+        det0, drive, scale = 0.0, shape, 1.0
+        if levels == 3:  # the seed pulse names a drag_d or delta that is not finite
+            seed = ThreeLevelPulse(amp0 * shape, drag_d, delta, 0.0, t_p)
+            det0 = float(np.mean(stark_shift(seed.envelope_x, drag_d, delta)))
+            drive, scale = drag_envelope(seed.envelope_x, drag_d, delta, seed.dt), amp0
+        spline, peak = cubic_spline(times, drive), np.max(np.abs(drive))
 
     @functools.lru_cache(maxsize=1)  # a fixed n_steps reads the spline once
     def node_values(n):
@@ -342,7 +346,10 @@ def calibrate_pulse(
             return np.ones(8)
 
     fit = least_squares(residual, np.array([amp0, det0, 0.0]), method="lm")
-    final = evolve(fit.x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = evolve(fit.x)
+    if not math.isfinite(final.qubit_subspace_error):
+        raise RuntimeError(f"qubit-subspace error {final.qubit_subspace_error} at the fit")
     amp, det, phase = (float(v) for v in fit.x)
     return CalibrationResult(
         amplitude=amp,

@@ -125,7 +125,10 @@ def derivative_waveform(
     """
     c = np.atleast_1d(np.asarray(coefficients, dtype=float))
     if normalized:
-        s = c.sum()
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            s = c.sum()
+        if not np.isfinite(s):
+            raise ValueError(f"normalized coefficients must have a finite sum, got {s}")
         if s == 0:
             raise ValueError("normalized coefficients must have nonzero sum")
         c = c / s * (theta_f - theta_i)

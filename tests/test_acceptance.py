@@ -87,7 +87,7 @@ def test_criterion_01_window_coefficient_table():
         10: (np.array([1.0333, -0.0628, 0.0041, 0.0051, 0.0044, 0.0038, 0.0034]), 0.01),
     }
     for n_m, (expected, tol) in rows.items():
-        lam, _ = optimal_window(n_m, BasisMode.DERIVATIVE, 2.3, constraint_value=1.0)
+        lam, _ = optimal_window(n_m, 2.3)
         assert abs(lam.sum() - 1.0) < 1e-12
         np.testing.assert_allclose(lam[: len(expected)], expected, atol=tol)
     assert time.monotonic() - t0 < 60.0

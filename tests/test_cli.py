@@ -571,6 +571,51 @@ def test_exact_remapped_curve_past_the_step_cap_fails_every_point(tmp_path, monk
     }
 
 
+OVERFLOW = "FloatingPointError: overflow encountered in square"
+
+
+@pytest.mark.parametrize("experiment, params, code, expected", [
+    # a sampled point 1e-300 T_x long overflows the lab spline: its nan
+    # norm drift is refused, where P_e, drift and step error read nan
+    ("error-curve", {"coefficients_lambda": [1.0, 0.1], "theta_i_rad": 0.2, "theta_f_rad": 0.8,
+                     "evaluator": "exact", "t_p_min_over_Tx": 1e-300, "t_p_max_over_Tx": 1.0,
+                     "n_points": 2},
+     0, [[0, "RuntimeError: norm drift nan exceeds 1e-09"]]),
+    # the closed form reads theta alone: the 30th harmonic's rate overflowed,
+    # unread, before its profile failed every point
+    ("error-curve", {"basis": "theta", "coefficients_lambda": [0.35] + [0.0] * 28 + [1e307],
+                     "theta_i_rad": 0.1, "theta_f_rad": 0.8, "remap": True,
+                     "t_p_min_over_Tx": 1.0, "t_p_max_over_Tx": 2.0, "n_points": 3,
+                     "n_samples": 16},
+     0, [[i, OVERFLOW] for i in range(3)]),
+    ("error-curve", {**FOURIER_CURVE, "coefficients_lambda": [1e308, 1e308, -1e308]},
+     2, "error: coefficients_lambda: normalized coefficients must have a finite sum, got inf\n"),
+    # the fit's final evaluation refuses its nan figure (levels 2); the
+    # seed's drive is refused by its spline (levels 3)
+    ("drag-sweep", {"t_p_time": 1e-200, "levels": 2},
+     3, "numerical failure: qubit-subspace error nan at the fit\n"),
+    ("drag-sweep", {"t_p_time": 1e-200, "levels": 3},
+     3, "numerical failure: interpolation knots and values must be finite\n"),
+], ids=["sampled-exact-tiny-duration", "theta-rate-overflow", "overflowing-sum",
+        "drag-levels2-tiny-duration", "drag-levels3-tiny-duration"])
+def test_overflow_gives_its_exit_code_and_no_warning(
+    tmp_path, capsys, experiment, params, code, expected
+):
+    # each warned and then wrote nan, exited 0 with a misleading message, or
+    # under -W error ended in a traceback; a numpy warning fails this test
+    # (filterwarnings = error).  Exit 0 names the failed points in the
+    # manifest, 2 and 3 write nothing
+    cfg = write_config(tmp_path, params)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+    else:
+        manifest = json.loads((out / f"{experiment}_manifest.json").read_text())
+        assert manifest["diagnostics"]["failures"] == expected
+
+
 def test_drag_sweep_two_level_area_theorem(tmp_path):
     n, t_p = 128, 2.5
     cfg = write_config(

@@ -84,6 +84,15 @@ def test_norm_drift_small():
     assert evolve_two_level_exact(traj).norm_drift < 1e-9
 
 
+def test_direct_propagator_refuses_a_nan_state():
+    # at 1e-200 time units the spline of h_z overflows: p_e, norm_drift and
+    # step_error all read nan, which the drift check let through, with numpy
+    # warnings on the way
+    w = derivative_waveform([1.0, 0.1], 1.0, 0.2, 0.8)
+    with pytest.raises(RuntimeError, match="^norm drift nan exceeds 1e-09$"):
+        evolve_two_level_direct(sample_trajectory(w, 2048).with_t_p(1e-200))
+
+
 def test_fourth_order_convergence():
     traj = smooth_sweep(t_p=12.0, n=513)
     for evolve in (evolve_two_level_direct, evolve_two_level_exact):

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,10 +16,10 @@ from adiabatz.optimize import (
     U_MAX,
     Objective,
     ObjectiveKind,
+    _band_basis,
     _ExactObjective,
     _lockstep,
     _simplex,
-    _SpectralObjective,
     basis_transform,
     convolve_trajectory,
     optimal_window,
@@ -32,7 +31,6 @@ from adiabatz.spectral import fourier_integral
 from adiabatz.waveform import (
     BasisMode,
     SampledTrajectory,
-    constraint_residual,
     derivative_waveform,
     sample_trajectory,
     theta_waveform,
@@ -52,28 +50,34 @@ REFERENCE_ROWS = {
 
 def test_window_coefficient_rows():
     for n_m, expected in REFERENCE_ROWS.items():
-        lam, _ = optimal_window(n_m, BasisMode.DERIVATIVE, CUTOFF, 1.0)
+        lam, _ = optimal_window(n_m, CUTOFF)
         assert lam == pytest.approx(np.array(expected), abs=1e-4)
 
 
+def band_power(lam, cutoff):
+    # w @ (B lam)^2 on the band grid's quadrature
+    basis, weighted = _band_basis(len(lam), cutoff)
+    amp = basis @ lam
+    return float(weighted @ (amp * amp))
+
+
 def test_single_term_is_fully_constrained():
-    lam, power = optimal_window(1, BasisMode.DERIVATIVE, CUTOFF, 1.0)
+    lam, power = optimal_window(1, CUTOFF)
     assert np.array_equal(lam, [1.0])
-    assert power == _SpectralObjective(CUTOFF, BasisMode.DERIVATIVE, 1)(np.array([1.0]))
+    assert power == band_power(np.array([1.0]), CUTOFF)
 
 
 def test_two_terms_beat_one():
-    _, one = optimal_window(1, BasisMode.DERIVATIVE, CUTOFF, 1.0)
-    _, two = optimal_window(2, BasisMode.DERIVATIVE, CUTOFF, 1.0)
+    _, one = optimal_window(1, CUTOFF)
+    _, two = optimal_window(2, CUTOFF)
     assert two < one
 
 
 def test_constraint_enforced_exactly():
-    lam, _ = optimal_window(4, BasisMode.DERIVATIVE, CUTOFF, 0.7)
-    assert np.sum(lam) == pytest.approx(0.7, abs=1e-12)
-    lam, _ = optimal_window(4, BasisMode.THETA, CUTOFF, 0.7)
-    # odd terms carry the net excursion: theta(t_p/2) - theta(0) = 2 sum_odd
-    assert np.sum(lam[0::2]) == pytest.approx(0.35, abs=1e-12)
+    # lambda_1 = 1 - sum of the free terms: the window sums to 1 to rounding
+    for n_m in range(1, 17):
+        lam, _ = optimal_window(n_m, CUTOFF)
+        assert abs(lam.sum() - 1.0) <= 1e-15
 
 
 def test_bitwise_reproducibility(monkeypatch):
@@ -157,89 +161,70 @@ def test_exact_search_refuses_a_constraint_off_its_endpoints(monkeypatch, sigma)
 
 
 def test_constraint_value_must_be_finite():
-    # the spectral solve returned nan coefficients and a nan objective for
-    # nan, and only warned for inf
+    # the exact search's endpoint check refuses a constraint that is not
+    # finite
     exact = Objective(
         kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(np.pi, np.pi),
         theta_i=0.1, theta_f=0.8,
     )
     for c in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="constraint_value"):
-            optimal_window(2, BasisMode.DERIVATIVE, CUTOFF, c)
-        with pytest.raises(ValueError, match="constraint_value"):
             optimize_coefficients(2, BasisMode.DERIVATIVE, exact, c)
-
-
-def constraint_row(mode, n_m):
-    # a with a.lam = theta_f - theta_i at unit duration, read off the public
-    # constraint_residual, which is linear in the coefficients
-    return np.array([
-        constraint_residual(
-            SimpleNamespace(mode=mode, coefficients=e, t_p=1.0, theta_i=0.0, theta_f=0.0)
-        )
-        for e in np.eye(n_m)
-    ])
 
 
 # band edges from near zero to 40 cycles (past 2 n_m for every n_m drawn):
 # far above the edge every basis term falls like n^2/u^3 and B nears rank 1
-closed_form_cases = dict(
-    cutoff=st.floats(0.05, 40.0),
-    n_m=st.integers(2, 16),
-    mode=st.sampled_from(list(BasisMode)),
-    c=st.floats(0.2, 1.5),
-)
+closed_form_cases = dict(cutoff=st.floats(0.05, 40.0), n_m=st.integers(2, 16))
 
 
-def one_term_power(cutoff, mode, n_m, c):
+def one_term_power(cutoff, n_m):
     # band power of the one-term window (free coefficients 0); the quadrature
     # rounds at this scale, not at that of the optimum, which at high
     # cutoffs lies 20 orders of magnitude below it
     lam = np.zeros(n_m)
-    lam[0] = c / constraint_row(mode, n_m)[0]
-    return _SpectralObjective(cutoff, mode, n_m)(lam)
+    lam[0] = 1.0
+    return band_power(lam, cutoff)
 
 
 @settings(max_examples=40, deadline=None)
 @given(**closed_form_cases, seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-4, 1e-2, 1.0]))
-def test_closed_form_is_the_constrained_minimum(cutoff, n_m, mode, c, seed, scale):
+def test_closed_form_is_the_constrained_minimum(cutoff, n_m, seed, scale):
     with pytest.MonkeyPatch.context() as mp:
         def no_simplex(*args, **kwargs):
             raise AssertionError("spectral path started a simplex")
 
         mp.setattr("adiabatz.optimize._simplex", no_simplex)
-        lam, power = optimal_window(n_m, mode, cutoff, c)
+        lam, power = optimal_window(n_m, cutoff)
 
-    a = constraint_row(mode, n_m)
-    assert a @ lam == pytest.approx(c, abs=1e-12)
-    value = _SpectralObjective(cutoff, mode, n_m)
-    assert value(lam) == power
-    one_term = one_term_power(cutoff, mode, n_m, c)
+    assert abs(lam.sum() - 1.0) <= 1e-15
+    assert band_power(lam, cutoff) == power
+    one_term = one_term_power(cutoff, n_m)
     assert power <= one_term * (1.0 + 1e-12)
     floor = 1e-15 * one_term
-    # feasible perturbations, both signs: any first-order descent direction
-    # left at the returned point lowers the objective along one of them
+    # feasible perturbations (summing to 0), both signs: any first-order
+    # descent direction left at the returned point lowers the objective
+    # along one of them
     d = np.random.default_rng(seed).normal(size=n_m)
-    d -= a * (a @ d) / (a @ a)
-    d *= scale * c / np.linalg.norm(d)
+    d -= d.mean()
+    d *= scale / np.linalg.norm(d)
     for delta in (d, -d):
-        assert value(lam + delta) >= power * (1.0 - 1e-12) - floor
+        assert band_power(lam + delta, cutoff) >= power * (1.0 - 1e-12) - floor
 
 
 @settings(max_examples=20, deadline=None)
 @given(**closed_form_cases)
-def test_closed_form_objective_falls_with_terms(cutoff, n_m, mode, c):
-    _, fewer = optimal_window(n_m - 1, mode, cutoff, c)
-    _, more = optimal_window(n_m, mode, cutoff, c)
-    assert more <= fewer * (1.0 + 1e-12) + 1e-15 * one_term_power(cutoff, mode, n_m, c)
+def test_closed_form_objective_falls_with_terms(cutoff, n_m):
+    _, fewer = optimal_window(n_m - 1, cutoff)
+    _, more = optimal_window(n_m, cutoff)
+    assert more <= fewer * (1.0 + 1e-12) + 1e-15 * one_term_power(cutoff, n_m)
 
 
 def test_spectral_cutoff_must_fit_the_u_grid():
     # the u grid runs from 5 cycles past the band edge up to U_MAX
     for cutoff in (0.0, -1.0, U_MAX - 5.0, U_MAX, np.nan, np.inf):
         with pytest.raises(ValueError, match="cutoff"):
-            optimal_window(2, BasisMode.DERIVATIVE, cutoff, 1.0)
+            optimal_window(2, cutoff)
 
 
 def test_rejected_candidates_are_counted():
@@ -506,7 +491,7 @@ def test_objective_validation():
         )
     for n_m in (0, -1):
         with pytest.raises(ValueError, match="n_m must be >= 1"):
-            optimal_window(n_m, BasisMode.DERIVATIVE, CUTOFF, 1.0)
+            optimal_window(n_m, CUTOFF)
     exact = Objective(
         kind=ObjectiveKind.EXACT_ERROR_MAX_OVER_WINDOW, t_p_window=(4.0, 4.0),
         theta_i=0.3, theta_f=2.2,

@@ -302,6 +302,18 @@ def test_calibration_refuses_a_shape_whose_seed_overflows(levels):
             calibrate_pulse(shape, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=levels)
 
 
+@pytest.mark.parametrize("levels, message", [
+    (2, "^qubit-subspace error nan at the fit$"),
+    (3, "^interpolation knots and values must be finite$"),
+], ids=["levels2", "levels3"])
+def test_calibration_refuses_a_drive_past_the_float_range(levels, message):
+    # at 1e-200 time units the splined drive overflows: at levels 2 the fit
+    # returned a nan error with optimizer_success, and both levels warned
+    _, x = raised_cosine(64)
+    with pytest.raises((RuntimeError, ValueError), match=message):
+        calibrate_pulse(x, 1e-200, 0.0, DELTA, RotationTarget.PI_PULSE, levels=levels)
+
+
 @pytest.mark.parametrize("levels", [2, 3])
 def test_calibration_backs_off_from_a_drive_past_the_step_cap(levels):
     # the fit's second point put max |w| at 3e299, and sizing the step rule

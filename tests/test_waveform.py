@@ -59,8 +59,11 @@ def test_theta_constraint_enforced():
         (lambda: theta_waveform([0.3], np.nan, 0.1, 0.7), "t_p"),
         (lambda: theta_waveform([0.3], np.inf, 0.1, 0.7), "t_p"),
         (lambda: theta_waveform([np.nan], 1.0, 0.1, 0.7), "finite"),
+        # and this one warned of the overflow, then missed its endpoints
+        (lambda: derivative_waveform([1e308, 1e308, -1e308], 1.0, 0.1, 1.0), "finite sum, got inf"),
     ],
-    ids=["derivative-nan-t_p", "theta-nan-t_p", "theta-inf-t_p", "nan-coefficient"],
+    ids=["derivative-nan-t_p", "theta-nan-t_p", "theta-inf-t_p", "nan-coefficient",
+         "overflowing-sum"],
 )
 def test_waveform_refuses_what_is_not_finite(build, message):
     # each of these was accepted before, its nan residual passing the
