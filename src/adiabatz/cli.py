@@ -6,9 +6,10 @@ with the config hash, library versions, wall time and diagnostics (the
 cz-pulse search's report, the failed error-curve points and an exact curve's
 step work, the lz-sweep step work, each drag-sweep calibration's optimizer
 status and reached error). The manifest lives in a separate file so result
-bytes depend only on the config (the seed is validated and recorded, and no
-experiment reads it). A remapped error-curve builds no trajectory: the exact
-one is one constant-gap kernel call, the linearized one its closed form.
+bytes depend only on the config. No experiment reads a seed, so the command
+takes none, and a config that names one is refused as unknown. A remapped
+error-curve builds no trajectory: the exact one is one constant-gap kernel
+call, the linearized one its closed form.
 
 Each parameter is named once, where its experiment reads it: a read pops
 the key from a copy of the config, and the keys left after the last read
@@ -69,8 +70,8 @@ class RunConfig:
     parameters: dict
     output_dir: Path
     format: str
-    seed: int
     config_sha256: str
+    seed: int = 0  # never read; the field stays for callers that still pass it
 
 
 # ---------------------------------------------------------------- validation
@@ -436,7 +437,6 @@ def run(config: RunConfig) -> list:
         raise ValidationError(f"unknown experiment {config.experiment!r}")
     if config.format not in ("csv", "json"):
         raise ValidationError(f"format: must be csv or json, got {config.format!r}")
-    _int({"seed": config.seed}, "seed", lo=0)
     started = time.monotonic()
     params = dict(config.parameters)  # the experiment's reads consume this copy
     columns, rows, diagnostics = EXPERIMENTS[config.experiment](params)
@@ -450,7 +450,6 @@ def run(config: RunConfig) -> list:
         "experiment": config.experiment,
         "schema_version": SCHEMA_VERSION,
         "config_sha256": config.config_sha256,
-        "seed": config.seed,
         "format": config.format,
         "output": result_path.name,
         "rows": len(rows),
@@ -475,21 +474,15 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON parameter file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="overrides the config's seed (default 0)")
     args = parser.parse_args(argv)
 
     try:
         params, digest = load_config(args.config)
-        seed = _int(params, "seed", 0, lo=0)
-        if args.seed is not None:
-            seed = args.seed
         config = RunConfig(
             experiment=args.experiment,
             parameters=params,
             output_dir=Path(args.out),
             format=args.format,
-            seed=seed,
             config_sha256=digest,
         )
         paths = run(config)

@@ -191,7 +191,7 @@ class _ExactObjective:
             return np.where(result.rejected, 1.0, worst), np.where(result.rejected, np.nan, error)
         worst, error = np.zeros(len(lams)), np.zeros(len(lams))
         for k, lam in enumerate(lams):
-            w = FourierWaveform(self._mode, lam, 1.0, obj.theta_i, obj.theta_f)
+            w = FourierWaveform(self._mode, lam, 1.0, obj.theta_i)
             try:
                 unit = remapped_trajectory(w, 1.0, n_samples=ROUNDED_SAMPLES)
                 for t_p in self._grid:

@@ -304,7 +304,8 @@ def calibrate_pulse(
     if not np.all(np.isfinite(shape)):
         raise ValueError("shape must be finite")
     times = np.linspace(0.0, t_p, len(shape))
-    area = float(np.trapezoid(shape, times))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing area is refused below
+        area = float(np.trapezoid(shape, times))
     amp0 = target.angle / area if area else math.inf
     if not (math.isfinite(amp0) and amp0):  # a zero, subnormal or overflowing area
         raise ValueError(f"shape must have a finite area with a finite reciprocal, got {area!r}")

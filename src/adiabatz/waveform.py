@@ -13,7 +13,9 @@ basis the angle itself is the series (out-and-back trajectories),
     theta(u) = theta_i + sum_n lam'_n * (1 - cos(2 pi n u)),
 
 whose midpoint excursion fixes theta_f - theta_i = 2 * sum_{n odd} lam'_n.
-Both read a . lam = theta_f - theta_i, with a from _constraint_row.
+Both read a . lam = theta_f - theta_i, with a from _constraint_row, so a
+waveform holds theta_i and its coefficients, and theta_f follows from them;
+the builders take theta_f and refuse one the coefficients do not reach.
 
 A SampledTrajectory carries its transverse field h_x; the builders here
 (sample_trajectory, small_angle_trajectory, linear_ramp_trajectory) work at
@@ -39,7 +41,6 @@ __all__ = [
     "derivative_waveform",
     "theta_waveform",
     "eval_fourier",
-    "constraint_residual",
     "SampledTrajectory",
     "sample_trajectory",
     "small_angle_trajectory",
@@ -58,7 +59,7 @@ class BasisMode(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class FourierWaveform:
-    """Coefficient vector plus endpoints for one control pulse.
+    """Coefficient vector plus initial angle for one control pulse.
 
     Attributes
     ----------
@@ -69,15 +70,15 @@ class FourierWaveform:
         lam_1..lam_{n_m} of the shape over u = t / t_p, radians in both bases.
     t_p : float
         Pulse duration, the only duration the waveform holds.
-    theta_i, theta_f : float
-        Initial angle and target angle (midpoint excursion target for THETA).
+    theta_i : float
+        Initial angle; the target theta_i + a . lam (the midpoint excursion
+        for THETA) follows from the coefficients.
     """
 
     mode: BasisMode
     coefficients: np.ndarray
     t_p: float
     theta_i: float
-    theta_f: float
 
     def __post_init__(self):
         object.__setattr__(
@@ -87,13 +88,8 @@ class FourierWaveform:
             raise ValueError(f"t_p must be finite and positive, got {self.t_p}")
         if not np.isfinite(self.coefficients).all():
             raise ValueError(f"coefficients must be finite, got {self.coefficients}")
-        res = constraint_residual(self)
-        tol = CONSTRAINT_TOL * max(1.0, abs(self.theta_f - self.theta_i))
-        if not abs(res) <= tol:  # a nan residual fails too
-            raise ValueError(
-                f"endpoint constraint violated: residual {res:.3e} exceeds {tol:.1e} "
-                f"for mode {self.mode.value}"
-            )
+        if not np.isfinite(self.theta_i):
+            raise ValueError(f"theta_i must be finite, got {self.theta_i}")
 
     def with_t_p(self, t_p: float) -> "FourierWaveform":
         """Same shape, same coefficients, stretched to a new duration."""
@@ -108,10 +104,17 @@ def _constraint_row(mode: BasisMode, n_m: int) -> np.ndarray:
     return 2.0 * (np.arange(n_m) % 2 == 0)
 
 
-def constraint_residual(w: FourierWaveform) -> float:
-    """Signed violation of the endpoint constraint a . lam = theta_f - theta_i."""
+def _reaching(w: FourierWaveform, theta_f: float) -> FourierWaveform:
+    """w, if its coefficients reach theta_f: a . lam = theta_f - theta_i."""
     a = _constraint_row(w.mode, len(w.coefficients))
-    return float(np.sum(a * w.coefficients) - (w.theta_f - w.theta_i))
+    res = float(np.sum(a * w.coefficients) - (theta_f - w.theta_i))
+    tol = CONSTRAINT_TOL * max(1.0, abs(theta_f - w.theta_i))
+    if not abs(res) <= tol:  # a nan residual fails too
+        raise ValueError(
+            f"endpoint constraint violated: residual {res:.3e} exceeds {tol:.1e} "
+            f"for mode {w.mode.value}"
+        )
+    return w
 
 
 def derivative_waveform(
@@ -132,12 +135,12 @@ def derivative_waveform(
         if s == 0:
             raise ValueError("normalized coefficients must have nonzero sum")
         c = c / s * (theta_f - theta_i)
-    return FourierWaveform(BasisMode.DERIVATIVE, c, t_p, theta_i, theta_f)
+    return _reaching(FourierWaveform(BasisMode.DERIVATIVE, c, t_p, theta_i), theta_f)
 
 
 def theta_waveform(coefficients, t_p: float, theta_i: float, theta_f: float) -> FourierWaveform:
     """Convenience builder for the theta (out-and-back) basis."""
-    return FourierWaveform(BasisMode.THETA, coefficients, t_p, theta_i, theta_f)
+    return _reaching(FourierWaveform(BasisMode.THETA, coefficients, t_p, theta_i), theta_f)
 
 
 def eval_fourier(w: FourierWaveform, t):

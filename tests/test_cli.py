@@ -64,13 +64,15 @@ EXCURSION = {"theta_i_rad": 0.1, "theta_f_rad": 0.8, "n_coeffs": 2, "max_iterati
          "sigma"),
         ("table1", {"n_m_list": [2], "cutoff": 2.3}, "cutoff"),
         ("drag-sweep", {"levels": 2, "n_envelope_sample": 8}, "n_envelope_sample"),
+        # no experiment reads a seed
+        ("cz-pulse", {**EXCURSION, "seed": 1}, "seed"),
     ],
     ids=["psd-windows", "error-curve-rect", "error-curve-fourier", "error-curve-kernel",
-         "lz-sweep", "lz-sweep-log-spacing", "cz-pulse", "table1", "drag-sweep"],
+         "lz-sweep", "lz-sweep-log-spacing", "cz-pulse", "table1", "drag-sweep", "seed"],
 )
 def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
     # the keys left after an experiment's reads are refused before it computes
-    cfg = write_config(tmp_path, {**params, "seed": 1})
+    cfg = write_config(tmp_path, params)
     out = tmp_path / "out"
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {experiment}: unknown parameter(s): {key}\n"
@@ -101,10 +103,12 @@ def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
         # the known keys are checked before the leftovers are refused
         ("table1", {"n_m_list": [2], "cutoff_cycles": -1.0, "cutof": 2.3},
          "cutoff_cycles: must be > 0, got -1.0\n"),
-        # a negative seed used to reach the search, or the manifest
-        ("table1", {"n_m_list": [2], "seed": -5}, "seed: must be >= 0, got -5\n"),
-        ("cz-pulse", {**EXCURSION, "n_coeffs": 1, "seed": -1}, "seed: must be >= 0, got -1\n"),
-        ("cz-pulse", {**EXCURSION, "seed": -1}, "seed: must be >= 0, got -1\n"),
+        # a negative seed used to reach the search, or the manifest; a seed
+        # is now unknown on every path, the search's and the no-search one's
+        ("table1", {"n_m_list": [2], "seed": -5}, "table1: unknown parameter(s): seed\n"),
+        ("cz-pulse", {**EXCURSION, "n_coeffs": 1, "seed": -1},
+         "cz-pulse: unknown parameter(s): seed\n"),
+        ("cz-pulse", {**EXCURSION, "seed": -1}, "cz-pulse: unknown parameter(s): seed\n"),
         ("error-curve", {**FOURIER_CURVE, "coefficients_lambda": [1.0, -1.0]},
          "coefficients_lambda: normalized coefficients must have nonzero sum\n"),
         ("error-curve", {**FOURIER_CURVE, "basis": "theta", "coefficients_lambda": [0.3],
@@ -168,7 +172,7 @@ def test_run_leaves_the_config_untouched(tmp_path):
     # the reads consume a copy: a second run of one RunConfig, as the
     # benchmark makes, reads the same parameters and writes the same bytes
     params = {"n_m_list": [2], "cutoff_cycles": 3.0}
-    config = cli.RunConfig("table1", params, tmp_path, "csv", 0, "0" * 64)
+    config = cli.RunConfig("table1", params, tmp_path, "csv", "0" * 64)
     data = []
     for _ in range(2):
         data.append(cli.run(config)[0].read_bytes())
@@ -178,36 +182,37 @@ def test_run_leaves_the_config_untouched(tmp_path):
 
 
 def test_run_refuses_a_seed_among_the_parameters(tmp_path):
-    # the run's seed is RunConfig.seed (main pops the config file's); one
-    # left in the parameters was accepted and had no effect
+    # a seed in the parameters was accepted and had no effect; no
+    # experiment reads one, so it is an unknown key
     params = {"n_m_list": [2], "cutoff_cycles": 3.0, "seed": 7}
-    config = cli.RunConfig("table1", params, tmp_path / "out", "csv", 0, "0" * 64)
+    config = cli.RunConfig("table1", params, tmp_path / "out", "csv", "0" * 64)
     with pytest.raises(ValidationError, match=r"^table1: unknown parameter\(s\): seed$"):
         cli.run(config)
     assert not (tmp_path / "out").exists()
 
 
-def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
-    # the flag wins over the config's seed, and is held to the same range
+def test_seed_flag_is_refused(tmp_path, capsys):
+    # the command takes no seed: the parser refuses the flag, writing nothing
     cfg = write_config(tmp_path, {"n_m_list": [2]})
     out = tmp_path / "out"
-    assert main(["table1", "--config", str(cfg), "--out", str(out), "--seed", "-7"]) == 2
-    assert capsys.readouterr().err == "error: seed: must be >= 0, got -7\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--config", str(cfg), "--out", str(out), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "experiment, fmt, seed, message",
+    "experiment, fmt, message",
     [
-        ("table2", "csv", 0, "unknown experiment 'table2'"),
-        ("table1", "xml", 0, "format: must be csv or json, got 'xml'"),
-        ("table1", "csv", -1, "seed: must be >= 0, got -1"),
+        ("table2", "csv", "unknown experiment 'table2'"),
+        ("table1", "xml", "format: must be csv or json, got 'xml'"),
     ],
-    ids=["experiment", "format", "seed"],
+    ids=["experiment", "format"],
 )
-def test_run_refuses_a_bad_run_config(tmp_path, experiment, fmt, seed, message):
+def test_run_refuses_a_bad_run_config(tmp_path, experiment, fmt, message):
     # the library entry point checks what main's parser would have refused
-    config = cli.RunConfig(experiment, {"n_m_list": [2]}, tmp_path / "out", fmt, seed, "0" * 64)
+    config = cli.RunConfig(experiment, {"n_m_list": [2]}, tmp_path / "out", fmt, "0" * 64)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         cli.run(config)
     assert not (tmp_path / "out").exists()
@@ -231,6 +236,15 @@ def test_readme_examples_run(tmp_path):
     for exp, params in examples:
         cfg = write_config(tmp_path, params, f"{exp}.json")
         assert main([exp, "--config", str(cfg), "--out", str(tmp_path / exp)]) == 0
+
+
+def test_readme_usage_line_names_the_parser_options(capsys):
+    # the usage line cannot keep a removed flag, or miss a new one
+    (usage,) = re.findall(r"^adiabatz <experiment> --config .*$", README.read_text(), re.M)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    assert set(re.findall(r"--[a-z-]+", usage)) == options
 
 
 def test_readme_error_curve_is_the_recorded_one():
@@ -343,12 +357,12 @@ def test_table1_cutoff_out_of_range_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_manifest_records_config_hash_and_seed(tmp_path):
-    cfg = write_config(tmp_path, {"n_m_list": [1], "seed": 4})
-    assert main(["table1", "--config", str(cfg), "--out", str(tmp_path), "--seed", "7"]) == 0
+def test_manifest_records_config_hash(tmp_path):
+    cfg = write_config(tmp_path, {"n_m_list": [1]})
+    assert main(["table1", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "table1_manifest.json").read_text())
     assert manifest["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
-    assert manifest["seed"] == 7  # command line wins over the config value
+    assert "seed" not in manifest  # no experiment reads one
     assert manifest["output"] == "table1.csv"
     assert manifest["schema_version"] == 1
     assert set(manifest["versions"]) == {"adiabatz", "numpy", "scipy"}
@@ -387,7 +401,7 @@ def test_cz_pulse_diagnostics_stay_out_of_the_data_file(tmp_path):
     params = {"theta_i_rad": 0.1, "theta_f_rad": 0.55 * np.pi / 2, "n_coeffs": 2,
               "max_iterations": 10}
     cfg = write_config(tmp_path, params)
-    assert main(["cz-pulse", "--config", str(cfg), "--out", str(tmp_path), "--seed", "3"]) == 0
+    assert main(["cz-pulse", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     rep = optimize_cz_pulse(0.1, 0.55 * np.pi / 2, 2, 0.0, max_iterations=10)
     columns = ["n_coeffs", "sigma_over_Tx", "max_p_e", "iterations", "converged",
                "max_p_e_step_error", "rejected", "lambda_prime_1_rad", "lambda_prime_2_rad"]

@@ -148,7 +148,6 @@ def test_out_and_back_remap():
         np.array([0.33196898986871659, -0.19, 0.05]),
         1.0,
         0.1,
-        0.8639379797371932,
     )
     traj = remapped_trajectory(w, 2.0 * T_X, n_samples=4096)
     assert traj.theta[0] == pytest.approx(0.1, abs=1e-8)

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from adiabatz.geometry import h_z_from_theta, omega_from_theta
 from adiabatz.waveform import (
+    CONSTRAINT_TOL,
     BasisMode,
     FourierWaveform,
     SampledTrajectory,
-    constraint_residual,
     derivative_waveform,
     eval_fourier,
     hanning_window,
@@ -28,28 +28,19 @@ def unit_times(n=1024):
 # ---------------------------------------------------------------- waveforms
 
 
+ENDPOINT_MISSED = "^endpoint constraint violated: residual "
+
+
 def test_derivative_constraint_enforced():
     # the sum of the derivative coefficients must equal the angle change
-    with pytest.raises(ValueError):
-        FourierWaveform(
-            BasisMode.DERIVATIVE,
-            np.array([1.0, 0.3]),
-            t_p=1.0,
-            theta_i=0.1,
-            theta_f=0.9,
-        )
+    with pytest.raises(ValueError, match=ENDPOINT_MISSED):
+        derivative_waveform([1.0, 0.3], 1.0, 0.1, 0.9, normalized=False)
 
 
 def test_theta_constraint_enforced():
     # odd-index sum must equal half the excursion
-    with pytest.raises(ValueError):
-        FourierWaveform(
-            BasisMode.THETA,
-            np.array([0.1, -0.05, 0.2]),
-            t_p=1.0,
-            theta_i=0.1,
-            theta_f=0.9,
-        )
+    with pytest.raises(ValueError, match=ENDPOINT_MISSED):
+        theta_waveform([0.1, -0.05, 0.2], 1.0, 0.1, 0.9)
 
 
 @pytest.mark.parametrize(
@@ -61,9 +52,10 @@ def test_theta_constraint_enforced():
         (lambda: theta_waveform([np.nan], 1.0, 0.1, 0.7), "finite"),
         # and this one warned of the overflow, then missed its endpoints
         (lambda: derivative_waveform([1e308, 1e308, -1e308], 1.0, 0.1, 1.0), "finite sum, got inf"),
+        (lambda: FourierWaveform(BasisMode.THETA, [0.3], 1.0, np.nan), "theta_i must be finite"),
     ],
     ids=["derivative-nan-t_p", "theta-nan-t_p", "theta-inf-t_p", "nan-coefficient",
-         "overflowing-sum"],
+         "overflowing-sum", "nan-theta_i"],
 )
 def test_waveform_refuses_what_is_not_finite(build, message):
     # each of these was accepted before, its nan residual passing the
@@ -72,11 +64,30 @@ def test_waveform_refuses_what_is_not_finite(build, message):
         build()
 
 
-def test_constraint_residual_zero_for_builders():
-    w = derivative_waveform(np.array([1.0866, -0.0866]), 2.0, 0.1, 1.2)
-    assert abs(constraint_residual(w)) < 1e-12
-    v = theta_waveform(np.array([0.3, -0.19, 0.08]), 2.0, 0.1, 0.1 + 2 * (0.3 + 0.08))
-    assert abs(constraint_residual(v)) < 1e-12
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["derivative", "theta"]),
+    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+    st.floats(-3.0, 3.0),
+    st.floats(-1.0, 1.0),
+)
+def test_builders_reach_the_theta_f_they_are_given(basis, lam, theta_i, offset):
+    # theta_f is theta(1) of the derivative basis and theta(1/2) of the theta
+    # basis; a builder takes it within CONSTRAINT_TOL and refuses it past that
+    if basis == "derivative":
+        delta, u_f = sum(lam), 1.0
+        build = lambda theta_f: derivative_waveform(lam, 1.0, theta_i, theta_f, normalized=False)
+    else:
+        delta, u_f = 2.0 * sum(lam[::2]), 0.5
+        build = lambda theta_f: theta_waveform(lam, 1.0, theta_i, theta_f)
+    tol = CONSTRAINT_TOL * max(1.0, abs(delta))
+    theta_f = theta_i + delta + 0.5 * offset * tol
+    (theta,), _ = eval_fourier(build(theta_f), np.array([u_f]))
+    rounding = 64 * np.finfo(float).eps * (abs(theta_i) + 2.0 * np.sum(np.abs(lam)))
+    assert abs(theta - theta_f) <= tol + rounding
+    for missed in (theta_i + delta + 2.0 * tol, theta_i + delta - 2.0 * tol):
+        with pytest.raises(ValueError, match=ENDPOINT_MISSED):
+            build(missed)
 
 
 def test_derivative_waveform_sweeps_angles():
