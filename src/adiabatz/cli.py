@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .adiabatic_error import ErrorCurve, Evaluator, error_curve, landau_zener_error
 from .dynamics import STEP_ATOL, STEP_RTOL, evolve_two_level_direct, remapped_p_e
-from .optimize import U_MAX, basis_transform, optimal_window, optimize_cz_pulse
+from .optimize import U_MAX, _band_basis, _solve_window, basis_transform, optimize_cz_pulse
 from .remap import _unit_shape
 from .three_level import RotationTarget, calibrate_pulse
 from .waveform import (
@@ -159,9 +159,12 @@ def _label_ok(label) -> bool:
 # ---------------------------------------------------------------- experiments
 
 
-def _profile(lam, u, mode: BasisMode) -> np.ndarray:
-    """sum_n lam_n R_n(u): the real spectral profile of a shape at u cycles."""
-    return sum(c * basis_transform(u, n, mode) for n, c in enumerate(lam, start=1))
+def _profile(lam, u: np.ndarray, mode: BasisMode) -> np.ndarray:
+    """sum_n lam_n R_n(u): the real spectral profile of a shape at the u
+    cycles of a 1-D grid.  The terms come from one call; the sum runs term
+    by term, in order, as it did over one call per term."""
+    terms = basis_transform(u[:, None], np.arange(1, len(lam) + 1), mode)
+    return sum(c * terms[:, k] for k, c in enumerate(lam))
 
 
 def _run_psd_windows(params: dict):
@@ -330,11 +333,17 @@ def _run_table1(params: dict):
     cutoff = _num(params, "cutoff_cycles", 2.3, lo=0, hi=U_MAX - 5.0, open_lo=True, open_hi=True)
     _reject_unknown(params, "table1")
 
+    # one basis, for the largest n_m, whose leading columns serve every row;
+    # its check refuses an n_m past the band grid's resolution first
     width = max(n_m_list)
+    try:
+        basis, weighted = _band_basis(width, cutoff)
+    except ValueError as exc:
+        raise ValidationError(f"n_m_list: {exc}") from exc
     columns = ["n_m", "objective_rad2"] + [f"lambda_{n}" for n in range(1, width + 1)]
     rows = []
     for n_m in n_m_list:
-        lam, power = optimal_window(n_m, cutoff)
+        lam, power = _solve_window(basis, weighted, n_m)
         pad = [float("nan")] * (width - n_m)
         rows.append([float(n_m), power] + [float(c) for c in lam] + pad)
     return columns, rows, {}

@@ -58,6 +58,9 @@ EDGE_SOFTNESS = 0.10
 # spectral tail truncation: all basis transforms fall at least as 1/u^2,
 # so the weight beyond u = 400 is negligible against the band integral
 U_MAX = 400.0
+# widest step of the band grid, in cycles, that may hold the resonance
+# u = n_m of the highest term: two samples per unit-period sinc lobe
+_RESONANCE_STEP = 0.5
 # evenly spaced durations across the window of an exact objective; the
 # distinct ones are scored, so a (t, t) window scores one
 WINDOW_DURATIONS = 9
@@ -123,7 +126,7 @@ class OptimizationReport:
     steps: int
 
 
-def basis_transform(u, n: int, mode: BasisMode) -> np.ndarray:
+def basis_transform(u, n, mode: BasisMode) -> np.ndarray:
     """Real spectral profile of basis term n over unit duration.
 
     The Fourier integral of the drive contribution of coefficient 1,
@@ -131,10 +134,15 @@ def basis_transform(u, n: int, mode: BasisMode) -> np.ndarray:
     counterpart 2 pi n sin(2 pi n t) for the theta basis, is
     exp(-i pi u) R_n(u) up to
     an n-independent phase, with R_n real.  The sinc composition below is
-    exact and finite at every u, including the resonances u = n.
+    exact and finite at every u, including the resonances u = n.  n is an
+    integer or an integer array that broadcasts against u, so that
+    basis_transform(u[:, None], np.arange(1, n_m + 1), mode) gives every
+    term as a column; each entry has the bits of the scalar call, and
+    sinc(u) is evaluated once for all of them.
     """
     u = np.asarray(u, dtype=float)
-    sign = -1.0 if n % 2 else 1.0  # (-1)^n
+    n = np.asarray(n)
+    sign = np.where(n % 2, -1.0, 1.0)  # (-1)^n
     if mode is BasisMode.DERIVATIVE:
         return np.sinc(u) - sign * (np.sinc(u - n) + np.sinc(u + n)) / 2.0
     return sign * math.pi * n * (np.sinc(u - n) - np.sinc(u + n))
@@ -145,18 +153,53 @@ def _band_basis(n_m: int, cutoff: float):
     terms n = 1..n_m as columns, and weights w, the trapezoid weights times
     the logistic band edge, so that w @ (B lam)^2 is the band power of lam.
     The grid samples linearly through the band edge and the first sidelobes
-    and at a logarithmic stride for the smooth 1/u^2 tail."""
+    and at a logarithmic stride for the smooth 1/u^2 tail.  Column n does
+    not depend on n_m, so the leading columns of a wider basis are the
+    basis of fewer terms.
+
+    Refuses, before building B, an n_m below 1, a cutoff outside (0,
+    U_MAX - 5) and an n_m past the grid's resolution: the resonance u = n_m
+    of the highest term must lie in a grid step of at most _RESONANCE_STEP
+    cycles, since over wider ones the least-squares solve plays the aliased
+    sinc lobes of the high terms against each other.  The log tail's stride
+    is about u ln(U_MAX / (cutoff + 5)) / 799, 0.005 u at cutoff 2.3, which
+    allows n_m <= 99 there.  The bound also caps the len(u) x n_m doubles
+    of B."""
+    _check_terms(n_m)
+    # the u grid runs from the band edge + 5 up to U_MAX
+    if not 0 < cutoff < U_MAX - 5.0:
+        raise ValueError(f"cutoff must be in (0, {U_MAX - 5.0:g}), got {cutoff}")
     u = np.concatenate(
         [np.arange(0.0, cutoff + 5.0, 0.002), np.geomspace(cutoff + 5.0, U_MAX, 800)]
     )
-    basis = np.stack(
-        [basis_transform(u, n, BasisMode.DERIVATIVE) for n in range(1, n_m + 1)], axis=1
-    )
     du = np.diff(u)
+    coarse = np.flatnonzero(du > _RESONANCE_STEP)
+    limit = math.floor(u[coarse[0]] if len(coarse) else U_MAX)
+    if n_m > limit:
+        raise ValueError(
+            f"n_m must be <= {limit} at cutoff {cutoff}: past u = {limit} the band grid's "
+            f"step exceeds {_RESONANCE_STEP} cycles, got {n_m}"
+        )
+    basis = basis_transform(u[:, None], np.arange(1, n_m + 1), BasisMode.DERIVATIVE)
     quad = np.empty_like(u)
     quad[0], quad[-1] = du[0] / 2.0, du[-1] / 2.0
     quad[1:-1] = (du[1:] + du[:-1]) / 2.0
     return basis, quad * (1.0 / (1.0 + np.exp(-(u - cutoff) / EDGE_SOFTNESS)))
+
+
+def _solve_window(basis: np.ndarray, weighted: np.ndarray, n_m: int):
+    """The optimal window of the leading n_m columns of a band basis, and its
+    band power; see optimal_window."""
+    # a contiguous copy: the products below then see the same memory layout,
+    # and give the same bits, whatever the width of the basis
+    basis = np.ascontiguousarray(basis[:, :n_m])
+    root = np.sqrt(weighted)
+    first = root * basis[:, 0]
+    design = root[:, None] * basis[:, 1:] - first[:, None]
+    free, *_ = np.linalg.lstsq(design, -first, rcond=None)
+    lam = np.concatenate([[1.0 - np.sum(free)], free])
+    amp = basis @ lam
+    return lam, float(weighted @ (amp * amp))
 
 
 class _ExactObjective:
@@ -231,19 +274,12 @@ def optimal_window(n_m: int, cutoff: float):
     2 pi, in (0, U_MAX - 5)), and that band power.  With lambda_1 = 1 - sum
     of the free terms the weighted amplitude is affine in them, so the
     optimum is one least-squares solve on sqrt(w) B (conditioned like B,
-    not like B^T diag(w) B; never above the one-term window, free = 0)."""
-    _check_terms(n_m)
-    # the u grid runs from the band edge + 5 up to U_MAX
-    if not 0 < cutoff < U_MAX - 5.0:
-        raise ValueError(f"cutoff must be in (0, {U_MAX - 5.0:g}), got {cutoff}")
-    basis, weighted = _band_basis(n_m, cutoff)
-    root = np.sqrt(weighted)
-    first = root * basis[:, 0]
-    design = root[:, None] * basis[:, 1:] - first[:, None]
-    free, *_ = np.linalg.lstsq(design, -first, rcond=None)
-    lam = np.concatenate([[1.0 - np.sum(free)], free])
-    amp = basis @ lam
-    return lam, float(weighted @ (amp * amp))
+    not like B^T diag(w) B; never above the one-term window, free = 0).
+    n_m is bounded by the band grid's resolution (_band_basis: at cutoff
+    2.3, n_m <= 99); a larger one raises ValueError.  A table of several
+    n_m builds one basis, for the largest, and solves each on its leading
+    columns (_solve_window); every row has the bits of this call."""
+    return _solve_window(*_band_basis(n_m, cutoff), n_m)
 
 
 def optimize_coefficients(

@@ -2,10 +2,11 @@
 
 S(omega) = |integral_0^{t_p} f(t) exp(-i omega t) dt|^2, evaluated with the
 composite trapezoid rule on the signal's own sample grid, which must be
-uniform (a non-uniform one raises ValueError); the phase table is factored,
-see fourier_integral.  The integral is computed at caller-chosen
-frequencies rather than FFT bins because the optimizer needs the spectrum
-above an arbitrary cutoff.
+uniform (a non-uniform one raises ValueError).  The phase tables are
+factored twice, see fourier_integral: M frequencies on N samples take about
+4 M N^(1/4) complex exponentials, the rest of the work being complex
+products.  The integral is computed at caller-chosen frequencies rather than
+FFT bins because the optimizer needs the spectrum above an arbitrary cutoff.
 """
 
 from __future__ import annotations
@@ -51,22 +52,41 @@ def _uniform_step(t: np.ndarray) -> float:
     return d
 
 
+def _phase_table(w: np.ndarray, t0: float, step: float, count: int) -> np.ndarray:
+    """The M x count table exp(-i w_m (t0 + k step)), k < count, as the
+    product of two tables of about sqrt(count) columns: with k = q s + r,
+    s = ceil(sqrt(count)), it is exp(-i w (t0 + q s step)) exp(-i w r step)."""
+    s = math.isqrt(count - 1) + 1
+    coarse = np.exp(-1j * np.outer(w, t0 + (s * step) * np.arange(-(-count // s))))
+    fine = np.exp(-1j * np.outer(w, step * np.arange(s)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(w), -1)[:, :count]
+
+
 def fourier_integral(times, values, omegas) -> np.ndarray:
     """Complex F(omega) = trapezoid of f(t) exp(-i omega t) over the grid.
 
     The grid must be uniform, t_k = t_0 + k d; a non-uniform one raises
-    ValueError.  Evaluation is factored: with k = a B + b, B = ceil(sqrt(N)),
-    exp(-i omega t_k) = exp(-i omega t_{aB}) exp(-i omega b d), so
-    F(omega) = sum_a exp(-i omega t_{aB}) [E(omega) @ G]_a with the M x B
-    in-block table E and the weighted samples G reshaped B x A.  That takes
-    M (A + B) exponentials instead of M N.  A single sample spans no interval
-    and gives zeros.  Accepts real or complex signals; psd() restricts itself
-    to real input.
+    ValueError, and so does a frequency grid that is not finite or has more
+    than one dimension (a scalar is one frequency).  Evaluation is factored:
+    with k = a B + b, B = ceil(sqrt(N)), exp(-i omega t_k) =
+    exp(-i omega (t_0 + a B d)) exp(-i omega b d), so F(omega) = sum_a
+    exp(-i omega (t_0 + a B d)) [E(omega) @ G]_a with the M x B in-block
+    table E and the weighted samples G reshaped B x A.  Each of the two
+    phase tables is itself the product of two tables of about the square
+    root of its width (_phase_table), so the M x N phases take about
+    2 M (sqrt(A) + sqrt(B)) exponentials, and M (A + B) complex products.
+    A single sample spans no interval and gives zeros.  Accepts real or
+    complex signals; psd() restricts itself to real input.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(values)
     f = f.astype(complex) if np.iscomplexobj(f) else f.astype(float)
-    w = np.atleast_1d(np.asarray(omegas, dtype=float))
+    w = np.asarray(omegas, dtype=float)
+    if w.ndim > 1:
+        raise ValueError(f"frequency grid must be one-dimensional, got shape {w.shape}")
+    w = np.atleast_1d(w)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("frequency grid must be finite")
     if not np.all(np.isfinite(f)):
         raise ValueError("signal must be finite")
     n = len(t)
@@ -81,8 +101,8 @@ def fourier_integral(times, values, omegas) -> np.ndarray:
     g[0] /= 2.0
     g[n - 1] /= 2.0
     g = g.reshape(blocks, b).T
-    inner = np.exp(-1j * np.outer(w, d * np.arange(b))) @ g
-    return np.einsum("ma,ma->m", np.exp(-1j * np.outer(w, t[::b])), inner)
+    inner = _phase_table(w, 0.0, d, b) @ g
+    return np.einsum("ma,ma->m", _phase_table(w, t[0], b * d, blocks), inner)
 
 
 def psd(times, values, omegas) -> SpectralDensity:

@@ -104,11 +104,13 @@ def _constraint_row(mode: BasisMode, n_m: int) -> np.ndarray:
     return 2.0 * (np.arange(n_m) % 2 == 0)
 
 
-def _reaching(w: FourierWaveform, theta_f: float) -> FourierWaveform:
-    """w, if its coefficients reach theta_f: a . lam = theta_f - theta_i."""
+def _reaching(w: FourierWaveform, theta_f: float, rounding: float = 0.0) -> FourierWaveform:
+    """w, if its coefficients reach theta_f: a . lam = theta_f - theta_i to
+    CONSTRAINT_TOL max(1, |theta_f - theta_i|) plus the rounding the caller
+    allows for how it built them."""
     a = _constraint_row(w.mode, len(w.coefficients))
     res = float(np.sum(a * w.coefficients) - (theta_f - w.theta_i))
-    tol = CONSTRAINT_TOL * max(1.0, abs(theta_f - w.theta_i))
+    tol = CONSTRAINT_TOL * max(1.0, abs(theta_f - w.theta_i)) + rounding
     if not abs(res) <= tol:  # a nan residual fails too
         raise ValueError(
             f"endpoint constraint violated: residual {res:.3e} exceeds {tol:.1e} "
@@ -124,7 +126,11 @@ def derivative_waveform(
 
     With normalized=True the input coefficients are taken as the
     published convention (sum = 1) and scaled by theta_f - theta_i so the
-    endpoint constraint holds exactly; otherwise they are the shape's own.
+    endpoint constraint holds up to the rounding of that rescale, which
+    the check allows on top of CONSTRAINT_TOL: the sum that divides them
+    and the sum that checks them each round by up to n eps sum |lam|, far
+    past CONSTRAINT_TOL when the input's sum cancels.  Otherwise they are
+    the shape's own.
     """
     c = np.atleast_1d(np.asarray(coefficients, dtype=float))
     if normalized:
@@ -135,7 +141,12 @@ def derivative_waveform(
         if s == 0:
             raise ValueError("normalized coefficients must have nonzero sum")
         c = c / s * (theta_f - theta_i)
-    return _reaching(FourierWaveform(BasisMode.DERIVATIVE, c, t_p, theta_i), theta_f)
+    w = FourierWaveform(BasisMode.DERIVATIVE, c, t_p, theta_i)
+    rounding = 0.0
+    if normalized:
+        with np.errstate(over="ignore"):
+            rounding = 2.0 * len(c) * np.finfo(float).eps * float(np.sum(np.abs(w.coefficients)))
+    return _reaching(w, theta_f, rounding)
 
 
 def theta_waveform(coefficients, t_p: float, theta_i: float, theta_f: float) -> FourierWaveform:

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adiabatz import adiabatic_error, cli, dynamics, remap
+from adiabatz import adiabatic_error, cli, dynamics, optimize, remap
 from adiabatz.adiabatic_error import geometric_error
 from adiabatz.cli import ValidationError, export_table, load_table, main
 from adiabatz.dynamics import STEP_ATOL, STEP_RTOL, evolve_two_level_direct, remapped_p_e
-from adiabatz.optimize import basis_transform, optimize_cz_pulse
+from adiabatz.optimize import basis_transform, optimal_window, optimize_cz_pulse
 from adiabatz.remap import remapped_trajectory
 from adiabatz.waveform import (
     SampledTrajectory,
@@ -128,6 +128,10 @@ def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
         ("psd-windows", {"coefficients_lambda": [[1.0]], "n_points": 1},
          "n_points: must be >= 2, got 1\n"),
         ("table1", {"n_m_list": [0]}, "n_m_list: must be a non-empty list of integers >= 1\n"),
+        # the first n_m whose resonance the band grid's stride cannot resolve
+        ("table1", {"n_m_list": [2, 100]}, "n_m_list: n_m must be <= 99 at cutoff 2.3: "),
+        ("table1", {"n_m_list": [93], "cutoff_cycles": 0.5},
+         "n_m_list: n_m must be <= 92 at cutoff 0.5: "),
         ("drag-sweep", {"delta_rad_per_time": 0}, "delta_rad_per_time: must be nonzero\n"),
         ("drag-sweep", {"levels": 4}, "levels: must be 2 or 3, got 4\n"),
         ("psd-windows", {"coefficients_lambda": [[1.0]], "labels": ["a", "b"]},
@@ -140,7 +144,8 @@ def test_unknown_parameter_rejected(tmp_path, capsys, experiment, params, key):
          "negative-seed", "negative-seed-one-coefficient", "negative-seed-search",
          "zero-sum-coefficients", "missed-endpoint", "theta-outside-range", "remap-not-bool",
          "reversed-window", "one-entry-window", "missing-rate", "fractional-count",
-         "one-point", "zero-term-count", "zero-anharmonicity", "four-levels",
+         "one-point", "zero-term-count", "terms-past-the-grid", "terms-past-the-grid-at-0.5",
+         "zero-anharmonicity", "four-levels",
          "labels-per-list", "invalid-json", "json-list"],
 )
 def test_bad_value_is_a_config_error(tmp_path, capsys, experiment, params, message):
@@ -347,6 +352,29 @@ def test_table1_two_term_row(tmp_path):
     assert cols == ["n_m", "objective_rad2", "lambda_1", "lambda_2"]
 
 
+@pytest.mark.parametrize("n_m_list, cutoff", [([2, 4, 10], 2.3), ([1, 2, 3, 4], 2.75)])
+def test_table1_builds_one_basis_and_keeps_optimal_window_bits(tmp_path, monkeypatch,
+                                                              n_m_list, cutoff):
+    # the basis of the largest n_m serves every row: 10 and 4 columns, where
+    # one basis a row took 16 and 10
+    columns = []
+    transform = optimize.basis_transform
+
+    def counting(u, n, mode):
+        columns.append(np.size(n))
+        return transform(u, n, mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(optimize, "basis_transform", counting)
+        cfg = write_config(tmp_path, {"n_m_list": n_m_list, "cutoff_cycles": cutoff})
+        assert main(["table1", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert sum(columns) == max(n_m_list)
+    _, data = load_table(tmp_path / "table1.csv")
+    for row, n_m in zip(data, n_m_list):
+        lam, power = optimal_window(n_m, cutoff)
+        assert list(row[1 : n_m + 2]) == [power, *lam]
+
+
 def test_table1_cutoff_out_of_range_is_a_config_error(tmp_path, capsys):
     # the spectral grid ends at 400 cycles, so the objective refuses a
     # cutoff of 395 or more; that is the config's fault, not a numerical one
@@ -516,6 +544,18 @@ def test_sampled_curve_samples_its_shape_once(tmp_path, monkeypatch):
     per_duration = [geometric_error(sample_trajectory(w.with_t_p(t_p), 2048))
                     for t_p in data[:, 1]]
     assert np.max(np.abs(data[:, 2] - per_duration)) <= 1e-14
+
+
+def test_error_curve_takes_cancelling_normalized_coefficients(tmp_path):
+    # rescaled to theta_f - theta_i, [1e6, -999999] sum back to it only to
+    # 1.4e-10, past CONSTRAINT_TOL: the config exited 2; now the shape is
+    # built, and each point fails on sampling it, as its angle leaves (0, pi)
+    cfg = write_config(tmp_path, {**FOURIER_CURVE, "coefficients_lambda": [1e6, -999999.0],
+                                  "n_points": 3})
+    assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "error-curve_manifest.json").read_text())
+    reason = "ValueError: theta must stay inside (0, pi)"
+    assert manifest["diagnostics"] == {"failures": [[i, reason] for i in range(3)]}
 
 
 def test_sampled_curve_failures_reach_the_manifest(tmp_path):

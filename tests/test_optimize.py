@@ -11,6 +11,7 @@ from adiabatz import optimize as optimize_module
 from adiabatz.dynamics import STEP_ATOL, evolve_two_level_direct, remapped_p_e
 from adiabatz.geometry import omega_from_theta, theta_from_fields
 from adiabatz.optimize import (
+    EDGE_SOFTNESS,
     ROUNDED_SAMPLES,
     SEARCH_RTOL,
     U_MAX,
@@ -476,6 +477,35 @@ def test_term_profile_matches_quadrature():
             closed = np.abs(basis_transform(u, n, mode))
             numeric = np.abs(fourier_integral(t, shape(n), 2 * np.pi * u))
             assert closed == pytest.approx(numeric, abs=tol), (mode, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_m=st.integers(1, 40), u=st.lists(st.floats(-60.0, 60.0), max_size=20),
+       mode=st.sampled_from(BasisMode))
+def test_array_of_terms_has_the_bits_of_one_call_per_term(n_m, u, mode):
+    # zero and every resonance u = +-n, where the sincs take their 0/0 branch
+    n = np.arange(1, n_m + 1)
+    grid = np.concatenate([[0.0], n, -n, u])
+    table = basis_transform(grid[:, None], n, mode)
+    assert table.shape == (len(grid), n_m)
+    for k in range(1, n_m + 1):
+        assert table[:, k - 1].tobytes() == basis_transform(grid, k, mode).tobytes()
+
+
+@pytest.mark.parametrize("cutoff, largest", [(2.3, 99), (0.5, 92)])
+def test_largest_accepted_term_count_resolves_its_band_power(cutoff, largest):
+    # the band power of the largest n_m the grid takes is the band power on
+    # a grid of 200 points a cycle; past it the solve used to play aliased
+    # sinc lobes off each other (n_m = 260 at cutoff 2.3 reported 3.4e-5
+    # against 1.7e4), and now the next n_m is refused
+    lam, power = optimal_window(largest, cutoff)
+    u = np.arange(0.0, U_MAX + 0.0025, 0.005)
+    amp = sum(c * basis_transform(u, n, BasisMode.DERIVATIVE) for n, c in enumerate(lam, 1))
+    edge = 1.0 / (1.0 + np.exp(-(u - cutoff) / EDGE_SOFTNESS))
+    fine = np.trapezoid(edge * amp * amp, u)
+    assert abs(power - fine) <= 1e-3 * fine
+    with pytest.raises(ValueError, match=f"^n_m must be <= {largest} at cutoff {cutoff}: "):
+        optimal_window(largest + 1, cutoff)
 
 
 def test_objective_validation():

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adiabatz import spectral
 from adiabatz.spectral import SpectralDensity, fourier_integral, psd
 from adiabatz.waveform import hanning_window, rectangular_window
 
@@ -130,6 +133,75 @@ def test_factored_quadrature_matches_dense_sum(n, t0, duration, use_linspace, is
     dense = np.array([np.sum(weights * f * np.exp(-1j * w * t)) for w in omegas])
     got = fourier_integral(t, f, omegas)
     assert np.all(np.abs(got - dense) <= 1e-13 * np.sum(np.abs(weights * f)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    n=st.integers(2, 5000),
+    t0=st.one_of(st.floats(-5.0, -0.1), st.floats(0.1, 5.0)),
+    duration=st.floats(0.1, 10.0),
+    single=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_tables_match_the_direct_trapezoid_sum(n, t0, duration, single, seed):
+    # a complex tone at w0 with noise on it: |F(w0)| is near the signal's
+    # area, so max|F| is its scale, on one frequency or among seven others
+    rng = np.random.default_rng(seed)
+    t = np.linspace(t0, t0 + duration, n)
+    w0 = rng.uniform(-30.0, 30.0)
+    f = np.exp(1j * w0 * t) * (1.0 + 0.3 * rng.normal(size=n) + 0.3j * rng.normal(size=n))
+    omegas = np.array([w0]) if single else np.concatenate([[w0], rng.uniform(-30.0, 30.0, 7)])
+    weights = np.full(n, (t[-1] - t[0]) / (n - 1))
+    weights[[0, -1]] /= 2.0
+    direct = np.array([np.sum(weights * f * np.exp(-1j * w * t)) for w in omegas])
+    got = fourier_integral(t, f, omegas)
+    assert got.shape == omegas.shape
+    assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_phase_tables_take_about_four_fourth_roots_of_n_exponentials_a_frequency(monkeypatch):
+    # M (A + B) = 141570 exponentials when the two phase tables were filled
+    # entry by entry; each is now the product of two tables of about the
+    # square root of its width
+    n, m = 32768, 390
+    b = math.isqrt(n - 1) + 1
+    a = -(-n // b)
+
+    class CountingNumpy:
+        exponentials = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x):
+            CountingNumpy.exponentials += np.size(x)
+            return np.exp(x)
+
+    monkeypatch.setattr(spectral, "np", CountingNumpy())
+    t = np.linspace(0.0, 1.0, n)
+    fourier_integral(t, np.cos(3.0 * t), np.linspace(0.0, 60.0, m))
+    assert 0 < CountingNumpy.exponentials <= m * (2.0 * math.sqrt(a) + 2.0 * math.sqrt(b) + 2.0)
+
+
+@pytest.mark.parametrize(
+    "omegas, message",
+    [
+        # nan gave nan, inf a RuntimeWarning, and a 2-D grid 6 values for
+        # 6 frequencies that psd reported on the (2, 3) grid
+        (np.array([1.0, np.nan]), "frequency grid must be finite"),
+        (np.array([np.inf, 1.0]), "frequency grid must be finite"),
+        (np.array([-np.inf]), "frequency grid must be finite"),
+        (np.ones((2, 3)), r"frequency grid must be one-dimensional, got shape \(2, 3\)"),
+    ],
+    ids=["nan", "inf", "minus-inf", "2-d"],
+)
+def test_fourier_integral_refuses_a_bad_frequency_grid(omegas, message):
+    t = np.linspace(0.0, 1.0, 16)
+    with pytest.raises(ValueError, match=message):
+        fourier_integral(t, np.ones(16), omegas)
+    if omegas.ndim > 1:
+        with pytest.raises(ValueError, match=message):
+            psd(t, np.ones(16), omegas)
 
 
 def test_single_sample_gives_zeros():

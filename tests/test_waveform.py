@@ -90,6 +90,18 @@ def test_builders_reach_the_theta_f_they_are_given(basis, lam, theta_i, offset):
             build(missed)
 
 
+@pytest.mark.parametrize("lam", [[1e6, -999999.0], [3e9, 1.0, -2999999999.5]])
+def test_normalized_builder_takes_its_own_rescale_of_cancelling_coefficients(lam):
+    # c / sum(c) (theta_f - theta_i) sums back to theta_f - theta_i only to
+    # the rounding of the rescale, 1.4e-10 and 9.5e-8 here: that was refused
+    # as a missed endpoint
+    delta = 2.2 - 0.3
+    w = derivative_waveform(lam, 1.0, 0.3, 2.2)
+    assert np.array_equal(w.coefficients, np.array(lam) / np.sum(lam) * delta)
+    rounding = 2 * len(lam) * np.finfo(float).eps * np.sum(np.abs(w.coefficients))
+    assert 1e-10 < abs(np.sum(w.coefficients) - delta) <= rounding
+
+
 def test_derivative_waveform_sweeps_angles():
     w = derivative_waveform(np.array([2.0, -0.2, 0.04]), 3.7, 0.25, 1.31)
     t = np.linspace(0.0, 3.7, 4001)
