@@ -1,7 +1,8 @@
-"""scipy's not-a-knot CubicSpline and PchipInterpolator in numpy alone
-(scipy.interpolate takes ~0.7 s to import), both piecewise cubic Hermite on
-the knots x with scipy's coefficients.  The spline needs a grid uniform up
-to rounding, where a fixed filter replaces the banded solve for its slopes.
+"""scipy's not-a-knot CubicSpline in numpy alone (scipy.interpolate takes
+~0.7 s to import), piecewise cubic Hermite on the knots x with scipy's
+coefficients (_hermite, which the remap's inverse shares).  The spline needs
+a grid uniform up to rounding, where a fixed filter replaces the banded
+solve for its slopes.
 """
 
 import math
@@ -16,11 +17,6 @@ _DOUBLINGS = (1, 2, 4, 8, 16)
 _MODE = _Z1 ** np.arange(32)
 # points per evaluation block, whose temporaries stay in cache
 _BLOCK = 8192
-
-
-def _check_finite(x, y):
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):  # as scipy
-        raise ValueError("interpolation knots and values must be finite")
 
 
 def _hermite(x, y, s):
@@ -82,7 +78,8 @@ def cubic_spline(x, y):
     to rounding and real or complex y.  Returns the spline as a function of
     t; the end pieces extend beyond [x[0], x[-1]]."""
     x, y = np.asarray(x, dtype=float), np.asarray(y)
-    _check_finite(x, y)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):  # as scipy
+        raise ValueError("interpolation knots and values must be finite")
     pieces = _hermite(x, y, _not_a_knot_slopes(x, y))
     x0, per_step, last = x[0], (len(x) - 1) / (x[-1] - x[0]), len(x) - 2
 
@@ -98,36 +95,3 @@ def cubic_spline(x, y):
         return out
 
     return spline
-
-
-def pchip(x, y, t):
-    """Value and first derivative at t of scipy's PchipInterpolator(x, y)
-    for increasing knots x and real y, bitwise: its slopes (the weighted
-    harmonic mean of the neighbouring secants, 0 where they differ in sign
-    or one is 0, the shape-preserving three-point rule at the ends, the
-    secant for n = 2) and its power-sum evaluation."""
-    x, y, t = (np.asarray(a, dtype=float) for a in (x, y, t))
-    _check_finite(x, y)
-    h = np.diff(x)
-    m = np.diff(y) / h
-    s = np.full_like(y, m[0])
-    if len(x) > 2:
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        s[0], s[-1] = _pchip_end(h[0], h[1], m[0], m[1]), _pchip_end(h[-1], h[-2], m[-1], m[-2])
-    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-    c0, c1, c2, c3 = _hermite(x, y, s)[i].T
-    d = t - x[i]
-    return c3 + c2 * d + c1 * (d * d) + c0 * (d * d * d), c2 + (2.0 * c1) * d + (3.0 * c0) * (d * d)
-
-
-def _pchip_end(h0, h1, m0, m1):
-    # one-sided three-point slope, kept to the shape of the data
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d

@@ -254,9 +254,7 @@ def _run_error_curve(params: dict):
                 raise ValueError("theta(tau) must stay strictly inside (0, pi)")
             curve = ErrorCurve(grid, r.p_e[0], (), n_points * r.steps, float(np.max(r.step_error)))
         elif remap:  # a quarter of the drive spectrum at s = t_p / (T_x <sin theta>)
-            theta, mean_rate = _unit_shape(w, n_samples)  # bitwise the remap's scale
-            if not np.all((theta > 0) & (theta < np.pi)):  # refuses nan too
-                raise ValueError("theta(tau) must stay strictly inside (0, pi)")
+            mean_rate = _unit_shape(w, n_samples)[1][-1]  # bitwise the remap's scale
             s = grid / (T_X * mean_rate)
             with np.errstate(over="raise", invalid="raise"):
                 p_e = np.minimum(_profile(w.coefficients, s, w.mode) ** 2 / 4.0, 1.0)

@@ -113,8 +113,12 @@ class OptimizationReport:
     the rescore (each duration of each candidate is a chain).  step_error
     is the largest step error estimate over the window at the reported value
     (None for a reported candidate that was rejected, whose value reads
-    1.0).  On the rounded path it is the lab propagator's estimate and
-    leaves out the error of sampling the remap on ROUNDED_SAMPLES points."""
+    1.0).  On the rounded path it is the lab propagator's estimate.  The
+    remap's samples are exact, but the estimate leaves out the error of
+    rounding the ROUNDED_SAMPLES samples and of the propagator's spline
+    through them; unrounded and stepped to STEP_RTOL alone, that count puts
+    the two-term sweep from h_z = 10 to -10 within 1.1e-7 relative of
+    remapped_p_e."""
 
     coefficients: np.ndarray
     objective_value: float

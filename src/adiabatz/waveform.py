@@ -134,13 +134,13 @@ def derivative_waveform(
     """
     c = np.atleast_1d(np.asarray(coefficients, dtype=float))
     if normalized:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        with np.errstate(over="ignore", invalid="ignore"):  # refused here or as not finite
             s = c.sum()
-        if not np.isfinite(s):
-            raise ValueError(f"normalized coefficients must have a finite sum, got {s}")
-        if s == 0:
-            raise ValueError("normalized coefficients must have nonzero sum")
-        c = c / s * (theta_f - theta_i)
+            if not np.isfinite(s):
+                raise ValueError(f"normalized coefficients must have a finite sum, got {s}")
+            if s == 0:
+                raise ValueError("normalized coefficients must have nonzero sum")
+            c = c / s * (theta_f - theta_i)
     w = FourierWaveform(BasisMode.DERIVATIVE, c, t_p, theta_i)
     rounding = 0.0
     if normalized:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from adiabatz import adiabatic_error, cli, dynamics, optimize, remap
 from adiabatz.adiabatic_error import geometric_error
@@ -475,30 +476,32 @@ def test_error_curve_failures_reach_the_manifest(tmp_path, monkeypatch):
 ], ids=["derivative", "theta"])
 def test_remapped_linearized_curve_is_its_closed_form(tmp_path, monkeypatch, shape):
     # the column is min(|sum_n lam_n R_n(s)|^2 / 4, 1) at the frame duration
-    # s = t_p / (T_x <sin theta>) in cycles, <sin theta> the trapezoid over
-    # n_samples points of the shape, and no remap is built
+    # s = t_p / (T_x <sin theta>) in cycles, <sin theta> the remap's Simpson
+    # rule on n_samples points of the shape and the midpoints between them,
+    # and no remap is built
     def refused(*args, **kwargs):
         raise AssertionError("a remap was built")
 
     with monkeypatch.context() as m:
-        m.setattr(remap, "build_remap", refused)
+        m.setattr(remap, "invert_remap", refused)
         cfg = write_config(tmp_path, {**shape, "remap": True, "n_points": 60})
         assert main(["error-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     _, data = load_table(tmp_path / "error-curve.csv")
     build = {"derivative": derivative_waveform, "theta": theta_waveform}[shape["basis"]]
     w = build(shape["coefficients_lambda"], 1.0, shape["theta_i_rad"], shape["theta_f_rad"])
-    u = np.linspace(0.0, 1.0, 2048)
+    u = np.linspace(0.0, 1.0, 2 * 2048 - 1)
     theta, _ = eval_fourier(w, u)
-    s = data[:, 1] / (np.pi * np.trapezoid(np.sin(theta), u))
+    s = data[:, 1] / (np.pi * simpson(np.sin(theta), x=u))
     profile = sum(c * basis_transform(s, n, w.mode) for n, c in enumerate(w.coefficients, 1))
     closed = np.minimum(profile**2 / 4.0, 1.0)
     assert np.max(np.abs(data[:, 2] - closed)) <= 1e-15
-    # the PCHIP lab pipeline converges to it at second order: 1.4e-7 and
-    # 8.3e-9 off at 2048 and 8192 samples (derivative), 6.8e-7 and 4.6e-8
+    # the lab pipeline converges to it at second order, that of the
+    # linearized evaluator's trapezoids on the exact samples: 2.2e-7 and
+    # 1.4e-8 off at 2048 and 8192 samples (derivative), 8.9e-7 and 5.5e-8
     # (theta)
     off = [np.max(np.abs([geometric_error(remapped_trajectory(w, t_p, n_samples=n))
                           for t_p in data[:, 1]] - closed)) for n in (2048, 8192)]
-    assert off[1] <= off[0] / 10.0
+    assert off[1] <= off[0] / 10.0 and off[1] <= 1e-7
 
 
 def test_remapped_linearized_curve_fails_an_overflowing_profile(tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from adiabatz.adiabatic_error import geometric_error
 from adiabatz.dynamics import evolve_two_level_direct
@@ -54,23 +56,27 @@ def test_total_phase_preserved():
     assert phase_lab == pytest.approx(2.0 * tau_p, rel=1e-6)
 
 
-@settings(deadline=None, max_examples=30)
-@given(gentle_waveforms, st.floats(0.5, 3.0), st.just(4096))
-@example(half_transition(), 1.1, 2048)
-@example(half_transition(), 1.1, 4096)
-def test_round_trip_theta_recovery(w, span, n):
-    # build t(tau), resample theta onto the lab grid, then map the lab grid
-    # back to tau by inverting t(tau) and compare against the waveform shape
-    # evaluated there; the linear inverse of the reference is second order,
-    # worst seen 8.4e-7 at 2048 samples and 2.4e-7 at 4096 over random shapes
-    u = np.linspace(0.0, 1.0, n)
-    theta_shape, _ = eval_fourier(w.with_t_p(1.0), u)
-    tau_p = span * T_X / np.trapezoid(np.sin(theta_shape), u)
-    table = build_remap(theta_shape, tau_p)
-    traj = invert_remap(table, np.linspace(0.0, table.t_p, n))
-    tau_back = np.interp(traj.times, table.t_of_tau, table.tau)
-    theta_direct, _ = eval_fourier(w.with_t_p(tau_p), tau_back)
-    assert np.max(np.abs(traj.theta - theta_direct)) < 1e-6
+@settings(deadline=None, max_examples=12)
+@given(gentle_waveforms, st.sampled_from([2, 1024, 2048]))
+@example(half_transition(), 1024)
+def test_round_trip_theta_recovery(w, n):
+    # the lab sample at t_k of the unit trajectory sits where the shape has
+    # run up t_k of its area: S(u) = int_0^u sin(theta) = t_k S(1), solved
+    # here by adaptive quadrature and bracketing, apart from the remap's own
+    # Simpson and Hermite steps.  Every 97th sample carries theta(u) there;
+    # worst seen 7.8e-12 at 1024 samples and 5.5e-13 at 2048, where knot
+    # slopes of second order in place of the exact ones miss by 2.9e-9 and
+    # 4.0e-10
+    shape = w.with_t_p(1.0)
+
+    def area(u):
+        return quad(lambda v: np.sin(eval_fourier(shape, v)[0]), 0.0, u, epsabs=1e-14)[0]
+
+    traj = invert_remap(w, n)
+    total = area(1.0)
+    for k in range(0, n, 97):
+        u = brentq(lambda u: area(u) / total - traj.times[k], 0.0, 1.0, xtol=1e-14)
+        assert abs(traj.theta[k] - eval_fourier(shape, u)[0]) <= 1e-10
 
 
 @settings(deadline=None, max_examples=30)
@@ -188,15 +194,11 @@ def test_remapped_trajectory_needs_two_samples():
     w = half_transition()
     with pytest.raises(ValueError, match="two samples"):
         remapped_trajectory(w, 4.0, n_samples=1)
+    # a count that is not an integer is refused, not truncated or left to numpy
+    for n in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            remapped_trajectory(w, 1.0, n)
     assert len(remapped_trajectory(w, 4.0, n_samples=2).times) == 2
-
-
-def test_invert_remap_rejects_out_of_range_times():
-    table = build_remap(np.full(64, np.pi / 2), tau_p=1.0)
-    with pytest.raises(ValueError):
-        invert_remap(table, np.array([-0.5, 0.2]))
-    with pytest.raises(ValueError):
-        invert_remap(table, np.array([0.2, 1.5]))
 
 
 def test_table_validation():

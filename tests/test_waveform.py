@@ -52,10 +52,13 @@ def test_theta_constraint_enforced():
         (lambda: theta_waveform([np.nan], 1.0, 0.1, 0.7), "finite"),
         # and this one warned of the overflow, then missed its endpoints
         (lambda: derivative_waveform([1e308, 1e308, -1e308], 1.0, 0.1, 1.0), "finite sum, got inf"),
+        # a finite sum of 1e-300 whose rescale overflows, which warned
+        (lambda: derivative_waveform([1e308, -1e308, 1e-300], 1.0, 0.1, 1.0),
+         "coefficients must be finite"),
         (lambda: FourierWaveform(BasisMode.THETA, [0.3], 1.0, np.nan), "theta_i must be finite"),
     ],
     ids=["derivative-nan-t_p", "theta-nan-t_p", "theta-inf-t_p", "nan-coefficient",
-         "overflowing-sum", "nan-theta_i"],
+         "overflowing-sum", "overflowing-rescale", "nan-theta_i"],
 )
 def test_waveform_refuses_what_is_not_finite(build, message):
     # each of these was accepted before, its nan residual passing the
