@@ -4,12 +4,12 @@ Each experiment reads a JSON parameter file, runs one reproducible
 computation, and writes a result table (CSV or JSON) plus a small manifest
 with the config hash, library versions, wall time and diagnostics (the
 cz-pulse search's report, the failed error-curve points and an exact curve's
-step work, the lz-sweep step work, each drag-sweep calibration's optimizer
-status and reached error). The manifest lives in a separate file so result
-bytes depend only on the config. No experiment reads a seed, so the command
-takes none, and a config that names one is refused as unknown. A remapped
-error-curve builds no trajectory: the exact one is one constant-gap kernel
-call, the linearized one its closed form.
+step work, the lz-sweep step work, each drag-sweep calibration's evaluations,
+optimizer status and reached error). The manifest lives in a separate file
+so result bytes depend only on the config. No experiment reads a seed, so
+the command takes none, and a config that names one is refused as unknown.
+A remapped error-curve builds no trajectory: the exact one is one
+constant-gap kernel call, the linearized one its closed form.
 
 Each parameter is named once, where its experiment reads it: a read pops
 the key from a copy of the config, and the keys left after the last read
@@ -371,7 +371,8 @@ def _run_drag_sweep(params: dict):
         for d, cal in zip(d_list, cals)
     ]
     # converged mixes an unreachable target with a failed search; these tell them apart
-    diagnostics = {"optimizer_success": [cal.optimizer_success for cal in cals],
+    diagnostics = {"evaluations": [cal.evaluations for cal in cals],
+                   "optimizer_success": [cal.optimizer_success for cal in cals],
                    "qubit_subspace_error": [cal.qubit_subspace_error for cal in cals]}
     columns = ["drag_d", "amplitude_rad_per_time", "detuning_rad_per_time",
                "phase_rad", "qubit_subspace_error", "err2_avg", "converged"]
@@ -450,8 +451,6 @@ def run(config: RunConfig) -> list:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     result_path = config.output_dir / f"{config.experiment}.{config.format}"
     export_table(columns, rows, result_path, config.format)
-    import scipy  # for its version only; the experiments above need none of it
-
     manifest = {
         "diagnostics": diagnostics,
         "experiment": config.experiment,
@@ -463,7 +462,6 @@ def run(config: RunConfig) -> list:
         "versions": {
             "adiabatz": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "wall_time_s": round(time.monotonic() - started, 3),
     }

@@ -8,8 +8,8 @@ against a derivative quadrature to steer spectral weight away from the
 leakage transition; the propagators read it at the Gauss nodes of each
 step from a not-a-knot cubic spline (_interp.cubic_spline).  A calibration
 splines one drive per call and scales its node values by a complex factor
-at each trial point.  Only the calibration needs scipy (least_squares),
-which it imports when first called.
+at each trial point, and fits them by a numpy Levenberg-Marquardt loop
+(_levenberg_marquardt), so no part of the module needs scipy.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ UNITARITY_TOL = 1e-9
 ERROR_TARGET = 1e-7
 # most steps of one propagation (150 MB a (n, 3, 3) array; drag-sweep takes ~1.8k)
 _MAX_STEPS = 1 << 20
+# the fit's stop tolerances (MINPACK's ftol and xtol) and its cap on trial points
+_FTOL = _XTOL = 1e-8
+_MAX_TRIALS = 300
 
 
 @dataclasses.dataclass(frozen=True)
@@ -252,9 +255,62 @@ def _ladder_result(h, w1, w2, energies, target: RotationTarget) -> ThreeLevelRes
     )
 
 
+def _levenberg_marquardt(residual, x0, unit) -> tuple[np.ndarray, bool]:
+    """Least squares of residual(x) from x0 by Levenberg-Marquardt; returns
+    the point reached and whether a stop test ended the fit, not the cap of
+    _MAX_TRIALS residuals (a Jacobian may pass it by its columns).
+
+    The fit measures each parameter x_j in units of unit_j, its natural size.
+    Each iteration takes the Jacobian by forward differences, of step
+    sqrt(eps) max(|x_j|, unit_j), and solves for the step with Marquardt's
+    damping lam diag(J^T J), as the stacked least squares
+    [J; sqrt(lam diag(J^T J))] dx = [-r; 0] (a column of zeros leaves its
+    parameter where it is).  An accepted step divides lam by 10; a rejected
+    one, whose cost |r|^2 does not fall (the full-error residual of a
+    refused point among them), multiplies it by 10 and solves again on the
+    same J.  The stops are MINPACK lmdif's: the cost reaches 0, an accepted
+    step lowers it by at most _FTOL of it, or a step is at most _XTOL as long
+    as x.
+    """
+    x = np.asarray(x0, dtype=float)
+    r = residual(x)
+    cost, trials, lam = float(r @ r), 1, 1e-3
+    root_eps = math.sqrt(np.finfo(float).eps)
+    while cost > 0:
+        shifted = x + np.diag(root_eps * np.maximum(np.abs(x), unit))
+        jac = np.column_stack(  # in units of unit, so no column overflows
+            [(residual(p) - r) / ((p[j] - x[j]) / unit[j]) for j, p in enumerate(shifted)]
+        )
+        trials += len(x)
+        damping = np.diag(np.sqrt(np.sum(jac**2, axis=0)))
+        while True:
+            if trials >= _MAX_TRIALS:
+                return x, False
+            stacked = np.vstack([jac, math.sqrt(lam) * damping])
+            dy = np.linalg.lstsq(stacked, np.concatenate([-r, np.zeros(len(x))]))[0]
+            r_new = residual(x + dy * unit)
+            trials += 1
+            cost_new = float(r_new @ r_new)
+            short = math.hypot(*dy) <= _XTOL * math.hypot(*(x / unit))
+            if cost_new < cost:
+                flat = cost - cost_new <= _FTOL * cost
+                x, r, cost, lam = x + dy * unit, r_new, cost_new, lam / 10.0
+                if flat or short:
+                    return x, True
+                break
+            lam *= 10.0
+            if short:
+                return x, True
+    return x, True
+
+
 @dataclasses.dataclass(frozen=True)
 class CalibrationResult:
-    """Outcome of the (amplitude, detuning, phase) calibration search."""
+    """Outcome of the (amplitude, detuning, phase) calibration search.
+
+    evaluations counts the propagations the calibration ran: its fit's trial
+    points, refused ones among them, and the final run at the point found.
+    """
 
     amplitude: float
     detuning: float
@@ -263,6 +319,7 @@ class CalibrationResult:
     err2_avg: float
     converged: bool
     optimizer_success: bool
+    evaluations: int
 
 
 def calibrate_pulse(
@@ -279,11 +336,16 @@ def calibrate_pulse(
     shape is the unit-amplitude envelope; the returned amplitude multiplies
     it.  levels=2 truncates to the qubit subspace with the plain in-phase
     envelope (the delta -> -inf limit), where the area theorem fixes the
-    answer and serves as a sanity anchor.  Levenberg-Marquardt on the
-    qubit-block residual off the target rotation (see _subspace_residual),
-    seeded by the area theorem and the mean Stark shift; if the subspace
-    error cannot reach ERROR_TARGET the best point found is returned with
-    converged=False (optimizer_success is the least-squares status).  An
+    answer and serves as a sanity anchor.  Levenberg-Marquardt
+    (_levenberg_marquardt) on the qubit-block residual off the target
+    rotation (see _subspace_residual), seeded by the area theorem and the
+    mean Stark shift, in units of the seed amplitude, the seed's peak drive
+    rate and the radian; if the subspace error cannot reach ERROR_TARGET
+    the best point found is returned with converged=False.
+    optimizer_success is true when one of the fit's stop tests ended it (the
+    cost reached 0, fell by at most _FTOL relative, or a step was at most
+    _XTOL relative) and false when it ran out of its _MAX_TRIALS trial
+    points.  A shape that overflows at the seed amplitude is refused.  An
     n_steps that is not an integer in [1, _MAX_STEPS] is refused before the
     fit; a trial point whose step rule passes _MAX_STEPS, or that overflows,
     scores full error, and a fit whose own point has no finite error raises
@@ -321,13 +383,21 @@ def calibrate_pulse(
             det0 = float(np.mean(stark_shift(seed.envelope_x, drag_d, delta)))
             drive, scale = drag_envelope(seed.envelope_x, drag_d, delta, seed.dt), amp0
         spline, peak = cubic_spline(times, drive), np.max(np.abs(drive))
+        # the fit's units: the seed amplitude, the seed's peak drive rate, a radian
+        unit = np.abs([amp0, amp0 / scale * peak, 1.0])
+    if not math.isfinite(unit[1]):  # at levels=2; at levels=3 the seed pulse refuses it
+        raise ValueError(f"shape must stay finite at the seed amplitude {amp0!r}")
 
     @functools.lru_cache(maxsize=1)  # a fixed n_steps reads the spline once
     def node_values(n):
         h, nodes = _gauss_node_times(0.0, t_p, n)
         return h, *spline(nodes)
 
+    evaluations = 0
+
     def evolve(params) -> ThreeLevelResult:
+        nonlocal evaluations
+        evaluations += 1
         amp, det, phase = params
         c = amp / scale * np.exp(1j * phase)
         energies = np.array([0.0, -det, delta - 2.0 * det][:levels])
@@ -337,8 +407,6 @@ def calibrate_pulse(
         u = _qubit_unitary(h, c * u1, c * u2, det)
         return ThreeLevelResult(u, 0.0, _subspace_error(u, target))
 
-    from scipy.optimize import least_squares  # ~0.7 s to import, so not at the top
-
     def residual(params) -> np.ndarray:  # the fit backs off from a refused or overflowing point
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -346,12 +414,12 @@ def calibrate_pulse(
         except (ValueError, FloatingPointError):
             return np.ones(8)
 
-    fit = least_squares(residual, np.array([amp0, det0, 0.0]), method="lm")
+    x, success = _levenberg_marquardt(residual, np.array([amp0, det0, 0.0]), unit)
     with np.errstate(over="ignore", invalid="ignore"):
-        final = evolve(fit.x)
+        final = evolve(x)
     if not math.isfinite(final.qubit_subspace_error):
         raise RuntimeError(f"qubit-subspace error {final.qubit_subspace_error} at the fit")
-    amp, det, phase = (float(v) for v in fit.x)
+    amp, det, phase = (float(v) for v in x)
     return CalibrationResult(
         amplitude=amp,
         detuning=det,
@@ -359,5 +427,6 @@ def calibrate_pulse(
         qubit_subspace_error=final.qubit_subspace_error,
         err2_avg=final.err2_avg,
         converged=bool(final.qubit_subspace_error <= ERROR_TARGET),
-        optimizer_success=bool(fit.success),
+        optimizer_success=success,
+        evaluations=evaluations,
     )

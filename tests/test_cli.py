@@ -394,7 +394,7 @@ def test_manifest_records_config_hash(tmp_path):
     assert "seed" not in manifest  # no experiment reads one
     assert manifest["output"] == "table1.csv"
     assert manifest["schema_version"] == 1
-    assert set(manifest["versions"]) == {"adiabatz", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"adiabatz", "numpy"}  # no runtime use of scipy
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -690,10 +690,12 @@ def test_drag_sweep_two_level_area_theorem(tmp_path):
     area = np.trapezoid(1.0 - np.cos(2.0 * np.pi * t / t_p), t)
     assert row["amplitude_rad_per_time"] == pytest.approx(np.pi / area, rel=1e-6)
     assert row["converged"] == 1.0
-    # the manifest holds the optimizer status and the reached error per D
+    # the manifest holds the fit's propagations, the optimizer status and the
+    # reached error per D
     manifest = json.loads((tmp_path / "a" / "drag-sweep_manifest.json").read_text())
     assert manifest["diagnostics"] == {
-        "optimizer_success": [True], "qubit_subspace_error": [row["qubit_subspace_error"]],
+        "evaluations": [6], "optimizer_success": [True],
+        "qubit_subspace_error": [row["qubit_subspace_error"]],
     }
 
 

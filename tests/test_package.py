@@ -164,17 +164,19 @@ def test_benchmark_jobs_pass_on_the_library(tmp_path, monkeypatch):
             job.run(ctx)
 
 
-# the scipy subpackages whose import dominated a run's start-up
-HEAVY_SCIPY = ("interpolate", "optimize", "linalg", "special", "sparse")
-
+# a fresh process that runs every propagator, the DRAG calibration at both
+# levels and every CLI experiment at a small config, then lists its modules
 PROPAGATION_RUN = """
-import json, math, sys
+import json, math, sys, tempfile
+from pathlib import Path
 import numpy as np
-import adiabatz.cli
+from adiabatz import cli
 from adiabatz.dynamics import evolve_two_level_direct, evolve_two_level_exact
 from adiabatz.optimize import convolve_trajectory
 from adiabatz.remap import remapped_trajectory
-from adiabatz.three_level import RotationTarget, ThreeLevelPulse, evolve_three_level
+from adiabatz.three_level import (
+    RotationTarget, ThreeLevelPulse, calibrate_pulse, evolve_three_level,
+)
 from adiabatz.waveform import derivative_waveform, hanning_window, sample_trajectory
 
 w = derivative_waveform([1.0866, -0.0866], 1.0, 0.3, 2.2)
@@ -183,20 +185,34 @@ evolve_two_level_direct(lab)
 evolve_two_level_exact(sample_trajectory(w.with_t_p(4.0), 129))
 pulse = ThreeLevelPulse(hanning_window(64), 0.5, -2.0 * math.pi, 0.0, 2.5)
 evolve_three_level(pulse, RotationTarget.PI_PULSE, n_steps=64)
+for levels in (2, 3):
+    calibrate_pulse(hanning_window(64), 2.5, -0.5, -2.0 * math.pi, RotationTarget.PI_PULSE,
+                    levels=levels, n_steps=48)
+sweep = {"coefficients_lambda": [1.0866, -0.0866], "theta_i_rad": 0.0997,
+         "theta_f_rad": 3.0419, "t_p_min_over_Tx": 0.8, "t_p_max_over_Tx": 1.5, "n_points": 4}
+configs = {
+    "psd-windows": {"coefficients_lambda": [[1.0866, -0.0866]], "n_points": 40},
+    "error-curve": sweep,
+    "lz-sweep": {"rate_min_hx2": 0.05, "rate_max_hx2": 2.0, "n_points": 4},
+    "cz-pulse": {"theta_i_rad": 0.3, "theta_f_rad": 0.3, "n_coeffs": 2},
+    "table1": {"n_m_list": [2]},
+    "drag-sweep": {"drag_d_list": [-0.48], "n_envelope_samples": 64},
+}
+assert set(configs) == set(cli.EXPERIMENTS)
+with tempfile.TemporaryDirectory() as tmp:
+    for name, params in configs.items():
+        cli.run(cli.RunConfig(name, params, Path(tmp) / name, "csv", "0" * 64))
 print(json.dumps(sorted(sys.modules)))
 """
 
 
 def test_propagation_path_leaves_heavy_scipy_unimported():
-    # deterministic stand-in for the start-up time: only the DRAG
-    # calibration (least_squares) may pull in these subpackages
+    # deterministic stand-in for the start-up time: no path of the package,
+    # the DRAG calibration and the manifest writer included, imports scipy
     out = subprocess.run(
         [sys.executable, "-c", PROPAGATION_RUN], env=_env(), capture_output=True, text=True,
         timeout=120, check=True,
     )
     modules = set(json.loads(out.stdout.strip().splitlines()[-1]))
     # a submodule import leaves its parent package in sys.modules as well
-    assert not [f"scipy.{name}" for name in HEAVY_SCIPY if f"scipy.{name}" in modules]
-    # and importing the command-line front end leaves scipy itself out: only
-    # the manifest writer reads its version
-    assert "scipy" not in modules
+    assert not [name for name in modules if name.split(".")[0] == "scipy"]

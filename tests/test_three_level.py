@@ -1,8 +1,5 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,28 +111,44 @@ def test_three_level_plain_pulse_calibration():
     assert 0.3 * shift < cal.detuning < 3.0 * shift
 
 
-def test_calibration_work_count(monkeypatch):
-    # criterion 09 at D = 0, where Levenberg-Marquardt reaches the error
-    # floor, 1.38e-7, in 26 propagations at this resolution (a derivative-free
-    # simplex search used to stall there after 6390); the floor lies above
-    # the default 1e-7 target, so the search ends normally unconverged
+def counted_calibration(monkeypatch, core, levels):
+    # criterion 09's D = 0 calibration at 112 steps, with its calls of core
     calls = []
-    propagate = three_level._propagate
+    propagate = getattr(three_level, core)
 
     def counted(*args, **kwargs):
         calls.append(None)
         return propagate(*args, **kwargs)
 
-    monkeypatch.setattr(three_level, "_propagate", counted)
+    monkeypatch.setattr(three_level, core, counted)
     shape = 1.0 - np.cos(2.0 * np.pi * np.linspace(0.0, 1.0, 512))
     cal = calibrate_pulse(
-        shape, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, n_steps=112
+        shape, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=levels, n_steps=112
     )
-    assert len(calls) <= 100
+    return cal, len(calls)
+
+
+def test_calibration_work_count(monkeypatch):
+    # criterion 09 at D = 0, where Levenberg-Marquardt reaches the error
+    # floor, 1.38e-7, in 22 propagations at this resolution (scipy's
+    # least_squares took 26, and a derivative-free simplex search used to
+    # stall there after 6390); the floor lies above the default 1e-7 target,
+    # so the search ends normally unconverged
+    cal, calls = counted_calibration(monkeypatch, "_propagate", 3)
+    assert calls == cal.evaluations == 22
     assert cal.qubit_subspace_error < 1e-6
     assert cal.err2_avg == pytest.approx(7.425e-4, rel=1e-2)
     assert cal.optimizer_success
     assert not cal.converged
+
+
+def test_two_level_calibration_work_count(monkeypatch):
+    # the area theorem's seed is the answer, and the step-length stop ends
+    # the fit in 6 qubit runs (57 without it)
+    cal, calls = counted_calibration(monkeypatch, "_qubit_unitary", 2)
+    assert calls == cal.evaluations == 6
+    assert cal.optimizer_success
+    assert cal.converged
 
 
 def ladder_nodes(w, max_energy, n_steps):
@@ -204,12 +217,12 @@ def test_calibration_trial_matches_a_pulse_built_for_it(amp, det, phase, drag_d,
     core = "_propagate" if levels == 3 else "_qubit_unitary"
     unitaries = []
 
-    def one_trial(fun, x0, method):  # a fit that tries the point and returns it
+    def one_trial(fun, x0, unit):  # a fit that tries the point and returns it
         fun(point)
-        return SimpleNamespace(x=point, success=True)
+        return point, True
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(scipy.optimize, "least_squares", one_trial)
+        m.setattr(three_level, "_levenberg_marquardt", one_trial)
         run = getattr(three_level, core)
         m.setattr(three_level, core, lambda *args: unitaries.append(run(*args)) or unitaries[-1])
         calibrate_pulse(x, T_P, drag_d, DELTA, RotationTarget.PI_PULSE,
@@ -301,6 +314,17 @@ def test_calibration_refuses_a_shape_whose_seed_overflows(levels):
     for shape in (np.zeros(64), 1e-320 * x, 8e307 * x):
         with pytest.raises(ValueError, match="^shape must"):
             calibrate_pulse(shape, T_P, 0.0, DELTA, RotationTarget.PI_PULSE, levels=levels)
+
+
+def test_two_level_calibration_refuses_a_seed_drive_past_the_float_range():
+    # a spike over a 1e-305 duration: amp0 * shape overflows, and the fit's
+    # unit of detuning, the seed's peak drive rate, with it; at levels=3 the
+    # seed pulse refuses it
+    spike = np.r_[1e300, np.zeros(511)]
+    with pytest.raises(ValueError, match="^shape must stay finite at the seed amplitude"):
+        calibrate_pulse(spike, 1e-305, 0.0, DELTA, RotationTarget.PI_PULSE, levels=2)
+    with pytest.raises(ValueError, match="^envelope_x must be finite$"):
+        calibrate_pulse(spike, 1e-305, 0.0, DELTA, RotationTarget.PI_PULSE, levels=3)
 
 
 @pytest.mark.parametrize("levels, message", [
